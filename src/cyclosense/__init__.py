@@ -35,6 +35,7 @@ from .scd import (
     AlphaSupportError,
     ScdConfig,
     ScdMatrix,
+    alpha_maxima,
     alpha_profile,
     estimate_scd,
     segment_windows,
@@ -60,6 +61,7 @@ __all__ = [
     "ScdConfig",
     "ScdMatrix",
     "SignalSpec",
+    "alpha_maxima",
     "alpha_profile",
     "cdf",
     "collect_noise_profile",

@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .gev import DegenerateDataError, fit_gev_mle, threshold_for_pf
 from .harness import (
@@ -30,8 +28,9 @@ from .harness import (
     derived_seed,
     fit_and_histogram,
     run_roc,
+    worker_pool,
 )
-from .scd import AlphaProfile, estimate_scd, segment_windows
+from .scd import estimate_scd, segment_windows
 from .siggen import NoiseSpec, generate_am, generate_awgn, mix_at_snr
 
 EXIT_OK = 0
@@ -109,16 +108,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     samples = collect_noise_profile(plan, jobs=args.jobs)
     alpha_hz = plan.alpha0_bin * plan.signal_spec.sample_rate_hz / plan.scd_cfg.window_length_k
-    profiles = [
-        AlphaProfile(
-            alphas_hz=np.array([alpha_hz]),
-            alpha_bins=(plan.alpha0_bin,),
-            maxima=np.array([value]),
-            window_index=index,
-        )
-        for index, value in enumerate(samples)
-    ]
-    io.write_profile_csv(out / "profile.csv", profiles)
+    io.write_profile_csv(out / "profile.csv", alpha_hz, samples)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
 
@@ -147,13 +137,14 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_roc(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    samples = collect_noise_profile(plan, jobs=args.jobs)
-    report = fit_gev_mle(samples)
-    if not report.converged:
-        print("error: noise-model fit did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    histogram = fit_and_histogram(samples, fit=report)
-    curves = run_roc(plan, jobs=args.jobs, noise_fit=report)
+    with worker_pool(args.jobs) as pool:
+        samples = collect_noise_profile(plan, jobs=args.jobs, pool=pool)
+        report = fit_gev_mle(samples)
+        if not report.converged:
+            print("error: noise-model fit did not converge", file=sys.stderr)
+            return EXIT_NUMERIC
+        histogram = fit_and_histogram(samples, fit=report)
+        curves = run_roc(plan, jobs=args.jobs, noise_fit=report, pool=pool)
     thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
     for theoretical, empirical in curves:
         io.write_roc_csv(

@@ -9,10 +9,10 @@ comparison T > threshold, so an exact tie decides unoccupied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gev import GevParams, cdf, threshold_for_pf
-from .scd import AlphaProfile, ScdConfig, alpha_profile, estimate_scd
+from .scd import ScdConfig, _check_alpha_bin, alpha_maxima
 from .siggen import SampleBuffer
 
 __all__ = ["DetectorConfig", "Decision", "detect", "statistic_at_alpha0", "theoretical_pf"]
@@ -31,10 +31,8 @@ class DetectorConfig:
     noise_model: GevParams | None = None
 
     def __post_init__(self) -> None:
-        a = int(self.alpha0_bin)
-        if a % 2 != 0 or abs(a) >= self.scd_cfg.window_length_k:
-            raise ValueError("alpha0_bin must be an even offset with |a| < K")
-        object.__setattr__(self, "alpha0_bin", a)
+        object.__setattr__(self, "alpha0_bin", int(self.alpha0_bin))
+        _check_alpha_bin(self.alpha0_bin, self.scd_cfg.window_length_k)
         if (self.threshold is None) == (self.preset_pf is None):
             raise ValueError("provide exactly one of threshold or preset_pf")
         if self.preset_pf is not None:
@@ -64,17 +62,15 @@ class Decision:
             raise ValueError("occupied flag contradicts the statistic/threshold pair")
 
 
-def statistic_at_alpha0(window: SampleBuffer, scd_cfg: ScdConfig, alpha0_bin: int,
-                        window_index: int = 0) -> AlphaProfile:
-    """Alpha profile of one window restricted to the tested cyclic frequency."""
-    column_cfg = replace(scd_cfg, alpha_grid=(int(alpha0_bin),))
-    return alpha_profile(estimate_scd(window, column_cfg), window_index=window_index)
+def statistic_at_alpha0(window: SampleBuffer, scd_cfg: ScdConfig, alpha0_bin: int) -> float:
+    """Detection statistic T of one window: its alpha-profile value at the
+    tested cyclic frequency."""
+    return float(alpha_maxima(window.samples, scd_cfg, (alpha0_bin,))[0])
 
 
 def detect(window: SampleBuffer, cfg: DetectorConfig, window_index: int = 0) -> Decision:
     """Run the feature detector on one analysis window."""
-    profile = statistic_at_alpha0(window, cfg.scd_cfg, cfg.alpha0_bin, window_index)
-    statistic = float(profile.maxima[0])
+    statistic = statistic_at_alpha0(window, cfg.scd_cfg, cfg.alpha0_bin)
     threshold = cfg.resolve_threshold()
     return Decision(
         statistic_T=statistic,

@@ -12,7 +12,8 @@ only order-independent counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "desk_plan",
     "full_plan",
     "derived_seed",
+    "worker_pool",
     "collect_noise_profile",
     "fit_and_histogram",
     "ks_statistic",
@@ -133,17 +135,10 @@ def derived_seed(master_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _window_spec(plan: ExperimentPlan) -> SignalSpec:
-    return replace(plan.signal_spec, duration_samples=plan.scd_cfg.window_length_k)
-
-
-def _noise_window(plan: ExperimentPlan, stream: int, *tags: int) -> SampleBuffer:
-    seed = derived_seed(plan.master_seed, stream, *tags)
-    return generate_awgn(
-        plan.scd_cfg.window_length_k,
-        NoiseSpec(NOISE_VARIANCE, seed),
-        plan.signal_spec.sample_rate_hz,
-    )
+def _noise_window(plan: ExperimentPlan, *tags: int) -> SampleBuffer:
+    seed = derived_seed(plan.master_seed, *tags)
+    return generate_awgn(plan.scd_cfg.window_length_k, NoiseSpec(NOISE_VARIANCE, seed),
+                         plan.signal_spec.sample_rate_hz)
 
 
 def _statistic_task(args: tuple) -> float:
@@ -152,39 +147,38 @@ def _statistic_task(args: tuple) -> float:
     if kind == "noise":
         window = _noise_window(plan, STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL, index)
     elif kind == "h1":
-        signal = generate_am(
-            _window_spec(plan),
-            derived_seed(plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index, 0),
-        )
-        noise = generate_awgn(
-            plan.scd_cfg.window_length_k,
-            NoiseSpec(
-                NOISE_VARIANCE,
-                derived_seed(plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index, 1),
-            ),
-            plan.signal_spec.sample_rate_hz,
-        )
+        noise = _noise_window(plan, STREAM_H1_TRIAL, snr_index, batch, index, 1)
+        seed = derived_seed(plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index, 0)
+        signal = generate_am(replace(plan.signal_spec, duration_samples=len(noise)), seed)
         window = mix_at_snr(signal, noise, plan.snr_db_list[snr_index])
     else:
         raise ValueError(f"unknown task kind {kind!r}")
-    profile = statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin, window_index=index)
-    return float(profile.maxima[0])
+    return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> np.ndarray:
+def worker_pool(jobs: int, pool: Executor | None = None):
+    """Context yielding the pool for a command's windows: the caller's `pool`,
+    None for jobs == 1 (run in this process), or a new pool of `jobs` workers."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if jobs == 1:
+    if pool is not None or jobs == 1:
+        return nullcontext(pool)
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _run_tasks(tasks: list[tuple], jobs: int, pool: Executor | None) -> np.ndarray:
+    if pool is None:
         return np.array([_statistic_task(t) for t in tasks])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        return np.array(list(pool.map(_statistic_task, tasks, chunksize=chunk)))
+    chunk = max(1, len(tasks) // (8 * jobs))
+    return np.array(list(pool.map(_statistic_task, tasks, chunksize=chunk)))
 
 
-def collect_noise_profile(plan: ExperimentPlan, jobs: int = 1) -> np.ndarray:
+def collect_noise_profile(plan: ExperimentPlan, jobs: int = 1,
+                          pool: Executor | None = None) -> np.ndarray:
     """Alpha-profile noise maxima at the feature bin for L disjoint windows."""
     tasks = [(plan, "noise", 0, 0, i) for i in range(plan.noise_windows_l)]
-    return _run_tasks(tasks, jobs)
+    with worker_pool(jobs, pool) as pool:
+        return _run_tasks(tasks, jobs, pool)
 
 
 def ks_statistic(samples, params: GevParams) -> float:
@@ -220,8 +214,8 @@ def fit_and_histogram(samples, bins: int | None = None,
     )
 
 
-def run_roc(plan: ExperimentPlan, jobs: int = 1,
-            noise_fit: FitReport | None = None) -> list[tuple[RocCurve, RocCurve]]:
+def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = None,
+            pool: Executor | None = None) -> list[tuple[RocCurve, RocCurve]]:
     """Sweep the preset-pf grid into one (theoretical, empirical) curve pair per SNR.
 
     Protocol per grid point: the threshold comes from the fitted noise model's
@@ -230,34 +224,25 @@ def run_roc(plan: ExperimentPlan, jobs: int = 1,
     false-alarm rate (fresh noise windows) with a detection rate measured on
     an independent signal batch at the same threshold.
     """
-    if noise_fit is None:
-        noise_fit = fit_gev_mle(collect_noise_profile(plan, jobs=jobs))
-    thresholds = [threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid]
+    m = plan.signal_windows_m
+    with worker_pool(jobs, pool) as pool:
+        if noise_fit is None:
+            noise_fit = fit_gev_mle(collect_noise_profile(plan, jobs, pool))
+        h0 = _run_tasks([(plan, "noise", 0, 1, i) for i in range(plan.noise_windows_l)], jobs, pool)
+        h1 = [[_run_tasks([(plan, "h1", s, batch, i) for i in range(m)], jobs, pool)
+               for batch in (0, 1)] for s in range(len(plan.snr_db_list))]
+    thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
 
-    h0_tasks = [(plan, "noise", 0, 1, i) for i in range(plan.noise_windows_l)]
-    h0_stats = _run_tasks(h0_tasks, jobs)
+    def rates(batch: np.ndarray) -> list[float]:
+        """Fraction of the batch's windows above each threshold."""
+        return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
 
-    curves: list[tuple[RocCurve, RocCurve]] = []
-    for snr_index, snr_db in enumerate(plan.snr_db_list):
-        batches = []
-        for batch in (0, 1):
-            tasks = [(plan, "h1", snr_index, batch, i) for i in range(plan.signal_windows_m)]
-            batches.append(_run_tasks(tasks, jobs))
-        h1_theory, h1_empirical = batches
-
-        theory_points = []
-        empirical_points = []
-        for pf, lam in zip(plan.pf_grid, thresholds):
-            pd_theory = np.count_nonzero(h1_theory > lam) / h1_theory.size
-            pf_emp = np.count_nonzero(h0_stats > lam) / h0_stats.size
-            pd_emp = np.count_nonzero(h1_empirical > lam) / h1_empirical.size
-            theory_points.append((float(pf), float(pd_theory)))
-            empirical_points.append((float(pf_emp), float(pd_emp)))
-        curves.append((
-            RocCurve(tuple(theory_points), "theoretical", snr_db),
-            RocCurve(tuple(empirical_points), "empirical", snr_db),
-        ))
-    return curves
+    pf_empirical = rates(h0)
+    return [
+        (RocCurve(tuple(zip(plan.pf_grid, rates(h1_theory))), "theoretical", snr_db),
+         RocCurve(tuple(zip(pf_empirical, rates(h1_empirical))), "empirical", snr_db))
+        for snr_db, (h1_theory, h1_empirical) in zip(plan.snr_db_list, h1)
+    ]
 
 
 def desk_plan(master_seed: int = 42) -> ExperimentPlan:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gev import FitReport, GevParams
 from .harness import ExperimentPlan, HistogramReport
-from .scd import AlphaProfile, ScdConfig, ScdMatrix
+from .scd import ScdConfig, ScdMatrix
 from .siggen import SampleBuffer, SignalSpec
 
 __all__ = [
@@ -103,15 +103,15 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix, cfg: ScdConfig) -
     return data_path, meta_path
 
 
-def write_profile_csv(path: str | Path, profiles: list[AlphaProfile]) -> Path:
-    """One row per (window, alpha): alpha_hz,max_magnitude,window_index."""
+def write_profile_csv(path: str | Path, alpha_hz: float, maxima) -> Path:
+    """Noise maxima at one cyclic frequency, row i for window i:
+    alpha_hz,max_magnitude,window_index."""
     path = Path(path)
+    alpha = _fmt(alpha_hz)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["alpha_hz", "max_magnitude", "window_index"])
-        for profile in profiles:
-            for alpha_hz, value in zip(profile.alphas_hz, profile.maxima):
-                writer.writerow([_fmt(alpha_hz), _fmt(value), profile.window_index])
+        writer.writerows([alpha, _fmt(value), index] for index, value in enumerate(maxima))
     return path
 
 

@@ -6,19 +6,22 @@ periodogram
     I_a(f) = X(f + a/2) * conj(X(f - a/2)) / (K * U)
 
 is formed on a grid of even DFT-bin offsets a (the cyclic frequencies) and
-smoothed along f with a moving average. U is the mean squared taper
-coefficient, which keeps the noise level taper-invariant. Frequencies are
-indexed on the centered (fftshift) axis; a cell is valid only when both
-f + a/2 and f - a/2 fall inside the K-bin axis, so no wraparound ever mixes
-unrelated frequencies.
+smoothed along f with a moving average of length L, computed as differences
+of a zero-padded running sum (fixed 1/L normalization, implicit zeros past
+the column ends). U is the mean squared taper coefficient, which keeps the
+noise level taper-invariant. Frequencies are indexed on the centered
+(fftshift) axis; a cell is valid only when both f + a/2 and f - a/2 fall
+inside the K-bin axis, so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
-the per-alpha maximum magnitude over valid cells.
+the per-alpha maximum magnitude over valid cells; alpha_maxima, the per-window
+statistic kernel, does so from the requested columns without the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "segment_windows",
     "estimate_scd",
     "alpha_profile",
+    "alpha_maxima",
 ]
 
 
@@ -78,10 +82,7 @@ class ScdConfig:
         if len(set(grid)) != len(grid):
             raise ValueError("alpha_grid entries must be unique")
         for a in grid:
-            if a % 2 != 0:
-                raise ValueError(f"alpha bin offset {a} is not even")
-            if abs(a) >= k:
-                raise ValueError(f"alpha bin offset {a} out of range |a| < {k}")
+            _check_alpha_bin(a, k)
         object.__setattr__(self, "alpha_grid", grid)
 
 
@@ -125,14 +126,30 @@ class AlphaProfile:
             raise ValueError("profile maxima must be finite and nonnegative")
 
 
+def _check_alpha_bin(a: int, k: int) -> None:
+    if a % 2 != 0 or abs(a) >= k:
+        raise ValueError(f"alpha bin offset {a} is not an even offset with |a| < {k}")
+
+
+@lru_cache(maxsize=16)
 def taper_coefficients(name: str, length: int) -> np.ndarray:
-    """Taper coefficients for the analysis window."""
+    """Taper coefficients for the analysis window (cached, read-only)."""
     if name == "hamming":
         j = np.arange(length)
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (length - 1))
-    if name == "rectangular":
-        return np.ones(length)
-    raise ValueError(f"unknown taper {name!r}")
+        coeffs = 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (length - 1))
+    elif name == "rectangular":
+        coeffs = np.ones(length)
+    else:
+        raise ValueError(f"unknown taper {name!r}")
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+@lru_cache(maxsize=16)
+def _periodogram_scale(name: str, length: int) -> float:
+    """K * U, the cyclic periodogram normalization of a taper."""
+    coeffs = taper_coefficients(name, length)
+    return length * float(np.mean(coeffs * coeffs))
 
 
 def snap_alpha_to_even_bin(alpha_hz: float, sample_rate_hz: float, window_length_k: int) -> int:
@@ -165,36 +182,43 @@ def _smoothed(column: np.ndarray, smoothing_length: int) -> np.ndarray:
     Cells whose window is truncated by the ends of the column average in
     implicit zeros; renormalizing by the surviving cell count would make the
     cell variance position-dependent and bias a max statistic toward the
-    edges.
+    edges. Window sums are differences of one zero-padded running sum.
     """
-    full = np.convolve(column, np.ones(smoothing_length) / smoothing_length, mode="full")
-    half = (smoothing_length - 1) // 2
-    return full[half:half + column.size]
+    n = column.size
+    lead = smoothing_length // 2
+    sums = np.zeros(n + smoothing_length, dtype=column.dtype)
+    np.cumsum(column, out=sums[lead + 1:lead + 1 + n])
+    sums[lead + 1 + n:] = sums[lead + n]
+    return (sums[smoothing_length:] - sums[:n]) / smoothing_length
+
+
+def _spectrum(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
+    """Centered (fftshift) spectrum of one tapered window of K samples."""
+    k = cfg.window_length_k
+    if samples.shape != (k,):
+        raise ValueError(f"window length {samples.size} does not match K={k}")
+    return np.fft.fftshift(np.fft.fft(taper_coefficients(cfg.taper, k) * samples))
+
+
+def _smoothed_column(spectrum: np.ndarray, a: int, cfg: ScdConfig) -> np.ndarray:
+    """Smoothed cyclic periodogram at even offset a over its valid run of
+    centered bins [|a|/2, K-1-|a|/2]."""
+    half = a // 2
+    lo, hi = abs(half), spectrum.size - 1 - abs(half)
+    raw = spectrum[lo + half:hi + half + 1] * np.conj(spectrum[lo - half:hi - half + 1])
+    return _smoothed(raw / _periodogram_scale(cfg.taper, spectrum.size), cfg.smoothing_length)
 
 
 def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     """Frequency-smoothed cyclic periodogram of one analysis window."""
     k = cfg.window_length_k
-    if len(window) != k:
-        raise ValueError(f"window length {len(window)} does not match K={k}")
-    taper = taper_coefficients(cfg.taper, k)
-    power_norm = float(np.mean(taper * taper))
-    spectrum = np.fft.fftshift(np.fft.fft(taper * window.samples))
-
-    n_alpha = len(cfg.alpha_grid)
-    values = np.zeros((k, n_alpha), dtype=np.complex128)
-    mask = np.zeros((k, n_alpha), dtype=bool)
+    spectrum = _spectrum(window.samples, cfg)
+    values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
+    mask = np.zeros(values.shape, dtype=bool)
     for col, a in enumerate(cfg.alpha_grid):
-        half = a // 2
-        lo = abs(half)
-        hi = k - 1 - abs(half)
-        raw = (
-            spectrum[lo + half:hi + half + 1]
-            * np.conj(spectrum[lo - half:hi - half + 1])
-            / (k * power_norm)
-        )
-        values[lo:hi + 1, col] = _smoothed(raw, cfg.smoothing_length)
-        mask[lo:hi + 1, col] = True
+        lo = abs(a) // 2
+        values[lo:k - lo, col] = _smoothed_column(spectrum, a, cfg)
+        mask[lo:k - lo, col] = True
 
     fs = window.sample_rate_hz
     f_axis = (np.arange(k) - k // 2) * fs / k
@@ -204,18 +228,18 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
 
 def alpha_profile(scd: ScdMatrix, window_index: int = 0) -> AlphaProfile:
     """Reduce an SCD matrix to per-alpha maxima of |values| over valid cells."""
-    n_alpha = scd.alpha_axis_hz.size
-    maxima = np.empty(n_alpha)
-    for col in range(n_alpha):
-        cells = scd.values[scd.valid_mask[:, col], col]
-        if cells.size == 0:
-            raise AlphaSupportError(
-                f"alpha bin {scd.alpha_bins[col]} has no valid frequency support"
-            )
-        maxima[col] = np.max(np.abs(cells))
-    return AlphaProfile(
-        alphas_hz=scd.alpha_axis_hz.copy(),
-        alpha_bins=scd.alpha_bins,
-        maxima=maxima,
-        window_index=int(window_index),
-    )
+    empty = ~scd.valid_mask.any(axis=0)
+    if empty.any():
+        bin_ = scd.alpha_bins[int(np.argmax(empty))]
+        raise AlphaSupportError(f"alpha bin {bin_} has no valid frequency support")
+    maxima = np.max(np.abs(np.where(scd.valid_mask, scd.values, 0.0)), axis=0)
+    return AlphaProfile(scd.alpha_axis_hz.copy(), scd.alpha_bins, maxima, int(window_index))
+
+
+def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:
+    """Per-alpha maxima of |SCD| over the valid support of one window, at
+    alpha_bins instead of cfg's grid; bit for bit alpha_profile(estimate_scd())."""
+    for a in alpha_bins:
+        _check_alpha_bin(a, cfg.window_length_k)
+    spectrum = _spectrum(np.asarray(samples, dtype=np.float64), cfg)
+    return np.array([np.max(np.abs(_smoothed_column(spectrum, a, cfg))) for a in alpha_bins])

@@ -65,6 +65,14 @@ class TestDetect:
         assert decision.window_index == 9
         assert decision.alpha0_bin == A0
 
+    def test_statistic_is_the_kernel_value(self):
+        window = noise_window(7)
+        statistic = statistic_at_alpha0(window, scd_cfg(), A0)
+        assert type(statistic) is float
+        assert statistic == cs.alpha_maxima(window.samples, scd_cfg(), (A0,))[0]
+        assert statistic == cs.detect(window, cs.DetectorConfig(scd_cfg(), A0,
+                                                                threshold=0.1)).statistic_T
+
     def test_statistic_is_pure(self):
         window = noise_window(4)
         cfg = cs.DetectorConfig(scd_cfg(), A0, threshold=0.5)

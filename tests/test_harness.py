@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cyclosense as cs
-from cyclosense.harness import STREAM_NOISE_FIT, derived_seed, _statistic_task
+from cyclosense.harness import STREAM_NOISE_FIT, derived_seed, _statistic_task, worker_pool
 
 
 class TestPlanValidation:
@@ -160,6 +160,17 @@ class TestRunRoc:
 
     def test_worker_count_does_not_change_results(self, curves, mini_plan):
         assert cs.run_roc(mini_plan, jobs=2) == curves
+
+    def test_one_shared_pool_matches_serial(self, curves, mini_plan):
+        with worker_pool(2) as pool:
+            noise = cs.collect_noise_profile(mini_plan, jobs=2, pool=pool)
+            shared = cs.run_roc(mini_plan, jobs=2, pool=pool)
+        assert np.array_equal(noise, cs.collect_noise_profile(mini_plan))
+        assert shared == curves
+
+    def test_rejects_zero_jobs(self, mini_plan):
+        with pytest.raises(ValueError):
+            cs.collect_noise_profile(mini_plan, jobs=0)
 
     def test_injected_fit_matches_internal(self, curves, mini_plan):
         fit = cs.fit_gev_mle(cs.collect_noise_profile(mini_plan))

@@ -59,13 +59,11 @@ class TestScdFiles:
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
-        profiles = [
-            cs.AlphaProfile(np.array([2.0e6]), (682,), np.array([0.5 + 0.001 * i]), i)
-            for i in range(4)
-        ]
-        path = io.write_profile_csv(tmp_path / "p.csv", profiles)
-        header = path.read_text().splitlines()[0]
-        assert header == "alpha_hz,max_magnitude,window_index"
+        maxima = np.array([0.5 + 0.001 * i for i in range(4)])
+        path = io.write_profile_csv(tmp_path / "p.csv", 2.0e6, maxima)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "alpha_hz,max_magnitude,window_index"
+        assert lines[1:] == [f"2000000,{v:.9g},{i}" for i, v in enumerate(maxima)]
         samples = io.read_profile_samples(path)
         np.testing.assert_allclose(samples, [0.5, 0.501, 0.502, 0.503], rtol=1e-9)
 

@@ -11,7 +11,7 @@ import pytest
 from scipy import signal as sp_signal
 
 import cyclosense as cs
-from cyclosense.scd import taper_coefficients
+from cyclosense.scd import _smoothed, taper_coefficients
 
 FS = 3.0e6
 
@@ -35,6 +35,46 @@ def smoothed_periodogram_oracle(x, fs, k, smoothing_length):
         (csum[min(i + half + 1, k)] - csum[max(i - half, 0)]) / smoothing_length
         for i in range(k)
     ])
+
+
+def convolved_oracle(column, smoothing_length):
+    """The direct O(n*L) convolution form of the centered moving average:
+    fixed 1/L normalization, implicit zeros past both ends."""
+    full = np.convolve(column, np.ones(smoothing_length) / smoothing_length, mode="full")
+    half = (smoothing_length - 1) // 2
+    return full[half:half + column.size]
+
+
+class TestSmoother:
+    # K=1024: lengths 1, 3, 301 and K-1; columns down to 2 cells, so that
+    # every cell of the shorter columns has an edge-truncated window
+    @pytest.mark.parametrize("smoothing_length", [1, 3, 301, 1023])
+    @pytest.mark.parametrize("size", [2, 3, 150, 1022, 1024])
+    def test_matches_direct_convolution(self, rng, smoothing_length, size):
+        column = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = _smoothed(column, smoothing_length)
+        want = convolved_oracle(column, smoothing_length)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nonnegative_column_matches_cellwise(self, rng):
+        column = rng.standard_normal(1366) ** 2 + 1.0
+        np.testing.assert_allclose(_smoothed(column, 1301), convolved_oracle(column, 1301),
+                                   rtol=1e-12)
+
+
+class TestTaper:
+    @pytest.mark.parametrize("name", ["hamming", "rectangular"])
+    def test_cached_read_only(self, name):
+        first = taper_coefficients(name, 1024)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 2.0
+        assert np.array_equal(taper_coefficients(name, 1024), first)
+
+    def test_unknown_taper(self):
+        with pytest.raises(ValueError):
+            taper_coefficients("hann", 1024)
 
 
 class TestScdConfig:
@@ -159,6 +199,35 @@ class TestEstimateScd:
     def test_rejects_mismatched_window_length(self):
         with pytest.raises(ValueError):
             cs.estimate_scd(noise_window(512), cs.ScdConfig(1024, 301, (0,)))
+
+
+class TestAlphaMaxima:
+    # zero, positive and negative offsets, and the two largest |a| < K,
+    # whose 4- and 2-cell columns are shorter than the smoothing length
+    BINS = (0, 340, -340, 1020, -1020, 1022, -1022)
+
+    @pytest.mark.parametrize("taper", ["hamming", "rectangular"])
+    def test_bit_identical_to_matrix_profile(self, taper):
+        cfg = cs.ScdConfig(1024, 301, self.BINS, taper)
+        for seed in range(3):
+            buf = noise_window(1024, seed=seed)
+            expected = cs.alpha_profile(cs.estimate_scd(buf, cfg)).maxima
+            assert np.array_equal(cs.alpha_maxima(buf.samples, cfg, self.BINS), expected)
+
+    def test_bins_replace_the_config_grid(self):
+        buf = noise_window(1024, seed=4)
+        single = cs.alpha_maxima(buf.samples, cs.ScdConfig(1024, 301, (0,)), (-340,))
+        full = cs.alpha_maxima(buf.samples, cs.ScdConfig(1024, 301, self.BINS), self.BINS)
+        assert single.shape == (1,) and single[0] == full[2]
+
+    @pytest.mark.parametrize("alpha", [3, 1024, -1026])
+    def test_rejects_invalid_bins(self, alpha):
+        with pytest.raises(ValueError):
+            cs.alpha_maxima(noise_window(1024).samples, cs.ScdConfig(1024, 301, (0,)), (alpha,))
+
+    def test_rejects_mismatched_window_length(self):
+        with pytest.raises(ValueError):
+            cs.alpha_maxima(noise_window(512).samples, cs.ScdConfig(1024, 301, (0,)), (0,))
 
 
 class TestAlphaProfile:
