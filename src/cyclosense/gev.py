@@ -8,28 +8,28 @@ from zero,
 
 on the support 1 + kappa*(x - mu)/sigma > 0; the kappa -> 0 limit is the
 Gumbel law F(x) = exp(-exp(-(x - mu)/sigma)). |kappa| <= KAPPA_EPS selects
-the Gumbel branch everywhere (pdf, cdf, quantiles) so the branches can never
-disagree about one parameter value.
+the Gumbel branch everywhere (pdf, cdf, quantiles, likelihood derivatives)
+so the branches can never disagree about one parameter value.
 
-Fitting follows a two-stage scheme: the Gumbel score equations are solved
-first for (mu, sigma), then the shape is estimated by maximizing the
-likelihood in kappa alone with the location and scale held fixed. That
-matches the classic sequential recipe but is not the joint maximum
-likelihood estimate when the true shape is nonzero; pass refine=True to
-polish all three parameters against the full likelihood.
+Every fit runs one solver: a damped Newton ascent of the log likelihood in
+(kappa, mu, log sigma) with the analytic score and observed information
+(Hosking, AS 215, 1985; Coles 2001, section 3.3), over whichever coordinates
+a stage frees. The default GEV fit is staged: a Gumbel fit for (mu, sigma),
+then the shape alone with the location and scale held fixed. That is the
+classic sequential recipe, not the joint maximum likelihood estimate when
+the true shape is nonzero; refine=True then frees all three parameters.
+A fit reports converged only when every score component its last stage was
+free to move, in scale-free form per sample, is at most tol.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 KAPPA_EPS = 1e-6
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "KAPPA_EPS",
@@ -180,59 +180,121 @@ def log_likelihood(samples, p: GevParams) -> float:
     )
 
 
-def _solve_scalar(func, lo: float, hi: float, f_lo: float, f_hi: float,
-                  tol_x: float, max_iter: int):
-    """Safeguarded root solve on a bracket with sign change.
+def _derivatives(x: np.ndarray, theta):
+    """Log likelihood, score and observed Hessian in theta = (kappa, mu, log sigma).
 
-    Secant steps alternate with plain bisection, so the bracket is guaranteed
-    to halve at least every other iteration no matter how lopsided the
-    endpoint magnitudes are. Returns (root, f(root), iterations, converged).
+    With y = log(t)/kappa and u = exp(-y) each sample contributes
+    -log sigma - log t - y - u. |kappa| <= KAPPA_EPS uses the Gumbel limit of
+    every term (t = 1, y = z, dy/dkappa = -z**2/2, d2y/dkappa2 = 2*z**3/3), the
+    same switch log_likelihood makes. Returns (-inf, None, None) when a sample
+    lies outside the support.
     """
-    if f_lo == 0.0:
-        return lo, 0.0, 0, True
-    if f_hi == 0.0:
-        return hi, 0.0, 0, True
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise ValueError("root bracket does not straddle a sign change")
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    x, fx = b, fb
-    for iteration in range(1, max_iter + 1):
-        if abs(b - a) <= tol_x:
-            mid = 0.5 * (a + b)
-            return mid, func(mid), iteration, True
-        candidate = 0.5 * (a + b)
-        if iteration % 2 == 0 and fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if min(a, b) < secant < max(a, b):
-                candidate = secant
-        x = candidate
-        fx = func(x)
-        if fx == 0.0:
-            return x, fx, iteration, True
-        if np.sign(fx) == np.sign(fa):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return x, fx, max_iter, False
-
-
-def _gumbel_score_residuals(x: np.ndarray, mu: float, sigma: float) -> tuple[float, float]:
-    """Normalized residuals of the two Gumbel score equations."""
+    kappa, mu, log_sigma = theta
+    sigma = np.exp(log_sigma)
     z = (x - mu) / sigma
-    w = np.exp(-z)
-    r_mu = abs(np.mean(w) - 1.0)
-    r_sigma = abs(np.mean(z * (1.0 - w)) - 1.0)
-    return r_mu, r_sigma
+    if abs(kappa) <= KAPPA_EPS:
+        kappa, sum_log_t, r, zr, y = 0.0, 0.0, 1.0, z, z
+        y_k = -0.5 * z * z
+        y_kk = (-4.0 / 3.0) * z * y_k
+    else:
+        t = 1.0 + kappa * z
+        if np.any(t <= 0):
+            return float("-inf"), None, None
+        y = np.log(t)
+        sum_log_t = y.sum()
+        y /= kappa
+        r = np.reciprocal(t, out=t)
+        zr = z * r
+        y_k = (zr - y) / kappa
+        y_kk = -(zr * zr + 2.0 * y_k) / kappa
+    u = np.exp(-y)
+    ll = float(-x.size * log_sigma - sum_log_t - y.sum() - u.sum())
+    if not ll > float("-inf"):
+        return float("-inf"), None, None
+    del y  # one n-length buffer fewer while the derivatives are formed
+    # per-sample derivatives g of f = -log t - y - u in z and kappa, each
+    # reduced at once to the sums (s_ = sum g, zs_ = sum z*g, zzs_ = sum z*z*g)
+    # that the chain rule through z = (x - mu)/sigma needs
+    a = kappa + 1.0 - u
+    g = -a * r                                    # df/dz
+    s_z, zs_z = g.sum(), z @ g
+    g = (kappa * a - u) * r * r                   # d2f/dz2
+    s_zz, zs_zz, zzs_zz = g.sum(), z @ g, (z * z) @ g
+    g = (a * zr - 1.0 - u * y_k) * r              # d2f/dz dkappa
+    s_zk, zs_zk = g.sum(), z @ g
+    u_c = 1.0 - u
+    s_k = -zr.sum() - u_c @ y_k
+    s_kk = zr @ zr - (u * y_k) @ y_k - u_c @ y_kk
+    score = np.array([s_k, -s_z / sigma, -x.size - zs_z])
+    h_k_mu, h_k_s, h_mu_s = -s_zk / sigma, -zs_zk, (zs_zz + s_z) / sigma
+    hessian = np.array([[s_kk, h_k_mu, h_k_s],
+                        [h_k_mu, s_zz / sigma**2, h_mu_s],
+                        [h_k_s, h_mu_s, zzs_zz + zs_z]])
+    return ll, score, hessian
+
+
+def _newton(x: np.ndarray, theta, free: tuple[int, ...], tol: float, max_iter: int):
+    """Damped Newton ascent of the log likelihood over the coordinates in free.
+
+    Works in the scale-free coordinates (kappa, mu/sigma, log sigma). A step
+    is halved while it leaves the support, reaches kappa <= -1 (where the
+    likelihood is unbounded) or lowers the likelihood beyond rounding; when
+    the Newton direction is not an ascent direction the per-sample score is
+    the step. Stops once every free scale-free score component per sample is
+    at most tol. Returns (theta, Newton steps taken, converged).
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    free = np.asarray(free)
+    n = x.size
+    ll, score, hessian = _derivatives(x, theta)
+    for iteration in range(max_iter + 1):
+        scale = np.array([1.0, np.exp(theta[2]), 1.0])[free]
+        g = score[free] * scale
+        if np.max(np.abs(g)) <= tol * n:
+            return theta, iteration, True
+        if iteration == max_iter:
+            break
+        h = hessian[np.ix_(free, free)] * np.outer(scale, scale)
+        step = -np.linalg.solve(h, g)
+        if not step @ g > 0:
+            step = g / n
+        delta = np.zeros(3)
+        delta[free] = step * scale
+        slack = 1e-12 * (n + abs(ll))
+        for _ in range(60):
+            trial = theta + delta
+            if trial[0] > -1.0:
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial)
+                if trial_ll >= ll - slack:
+                    break
+            delta *= 0.5
+        else:
+            return theta, iteration, False
+        theta, ll, score, hessian = trial, trial_ll, trial_score, trial_hessian
+    return theta, max_iter, False
+
+
+def _report(x: np.ndarray, theta, iterations: int, converged: bool, tol: float) -> FitReport:
+    params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
+    return FitReport(
+        params=params,
+        log_likelihood=log_likelihood(x, params),
+        iterations=iterations,
+        converged=converged,
+        sample_count=int(x.size),
+        solver_tol=tol,
+    )
 
 
 def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport:
     """Gumbel (kappa = 0) maximum likelihood fit.
 
-    The scale solves sigma = mean(x) - sum(x*w)/sum(w) with weights
-    w = exp(-x/sigma); the location then follows in closed form as
-    mu = -sigma*log(mean(exp(-x/sigma))). The scalar equation is solved by
-    a safeguarded secant/bisection iteration; exponentials are shifted by
-    min(x) so the weights never overflow.
+    Newton over (mu, log sigma) from the moment-estimate scale and the
+    location that maximizes the likelihood at that scale. converged means
+    both per-sample score residuals, |mean(w) - 1| and
+    |mean(z*(1 - w)) - 1| with z = (x - mu)/sigma and w = exp(-z), are at
+    most tol; iterations counts Newton steps.
     """
     x = _as_finite_array(samples)
     if x.size < 30:
@@ -241,199 +303,37 @@ def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport
         raise DegenerateDataError("samples have zero variance")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
-
-    x_bar = float(np.mean(x))
-    shift = float(np.min(x))
-
-    def score(sigma: float) -> float:
-        w = np.exp(-(x - shift) / sigma)
-        weighted_mean = float(np.sum(x * w) / np.sum(w))
-        return x_bar - weighted_mean - sigma
-
-    # moment estimate seeds the bracket; score is positive below the root
     sigma_0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
-    iterations = 0
-    lo, hi = sigma_0, sigma_0
-    f_lo = score(lo)
-    iterations += 1
-    while f_lo < 0.0 and iterations < max_iter:
-        lo *= 0.5
-        f_lo = score(lo)
-        iterations += 1
-    f_hi = score(hi)
-    iterations += 1
-    while f_hi > 0.0 and iterations < max_iter:
-        hi *= 2.0
-        f_hi = score(hi)
-        iterations += 1
-
-    sigma_hat, _, solve_iters, bracket_ok = _solve_scalar(
-        score, lo, hi, f_lo, f_hi,
-        tol_x=tol * max(1.0, sigma_0), max_iter=max_iter,
-    )
-    iterations += solve_iters
-
-    mu_hat = shift - sigma_hat * math.log(float(np.mean(np.exp(-(x - shift) / sigma_hat))))
-    r_mu, r_sigma = _gumbel_score_residuals(x, mu_hat, sigma_hat)
-    converged = bool(bracket_ok and r_mu <= tol and r_sigma <= tol)
-    params = GevParams(0.0, mu_hat, sigma_hat)
-    return FitReport(
-        params=params,
-        log_likelihood=log_likelihood(x, params),
-        iterations=iterations,
-        converged=converged,
-        sample_count=int(x.size),
-        solver_tol=tol,
-    )
-
-
-def _kappa_score(kappa: float, z: np.ndarray) -> float:
-    """d/dkappa of the profile log likelihood at fixed standardized residuals z.
-
-    Near kappa = 0 the exact expression suffers heavy cancellation, so a
-    first-order expansion around the Gumbel limit is used there.
-    """
-    if abs(kappa) < 1e-4:
-        w = np.exp(-z)
-        a0 = float(np.sum(0.5 * z * z - z - 0.5 * z * z * w))
-        a1 = float(-2.0 * np.sum(z**3 / 3.0 - 0.5 * z * z + w * (z**4 / 8.0 - z**3 / 3.0)))
-        return a0 + a1 * kappa
-    t = 1.0 + kappa * z
-    log_t = np.log(t)
-    u = np.exp(-log_t / kappa)
-    term_ll = np.sum(log_t) / kappa**2 - (1.0 + 1.0 / kappa) * np.sum(z / t)
-    term_tail = np.sum(u * (log_t / kappa**2 - z / (kappa * t)))
-    return float(term_ll - term_tail)
+    # the location that maximizes the likelihood at sigma_0, which bounds every
+    # exp(-z) by the sample count; the shift by min(x) keeps the sum finite
+    shift = float(np.min(x))
+    mu_0 = shift - sigma_0 * math.log(float(np.mean(np.exp((shift - x) / sigma_0))))
+    theta, iterations, converged = _newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2),
+                                           tol, max_iter)
+    return _report(x, theta, iterations, converged, tol)
 
 
 def fit_gev_mle(samples, tol: float = 1e-9, max_iter: int = 200,
-                kappa_bracket: tuple[float, float] = (-0.5, 0.5),
                 refine: bool = False) -> FitReport:
-    """Two-stage GEV fit: Gumbel for (mu, sigma), then the shape by profiling.
+    """GEV maximum likelihood fit, staged by default.
 
-    The shape search bracket starts at kappa_bracket and shrinks so that
-    1 + kappa*(x - mu)/sigma stays positive on every sample. If the profile
-    score has no sign change across the bracket, the Gumbel solution is kept
-    with kappa = 0. With refine=True a cyclic coordinate ascent then polishes
-    (kappa, mu, sigma) against the full three-parameter likelihood, which
-    removes the location/scale bias the staged scheme has when the true
-    shape is nonzero.
+    The staged fit takes (mu, sigma) from fit_gumbel_mle and then maximizes
+    the likelihood in kappa alone with them held fixed. That is the classic
+    sequential recipe, not the joint maximum when the true shape is nonzero.
+    refine=True continues with Newton over all three parameters, which gives
+    the joint maximum likelihood estimate. converged means every score
+    component the last stage was free to move, in the scale-free form
+    (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per sample, is at most tol; for
+    the staged fit the Gumbel stage must have converged too. iterations
+    counts the Newton steps of all stages.
     """
     base = fit_gumbel_mle(samples, tol=tol, max_iter=max_iter)
     x = _as_finite_array(samples)
-    mu_hat, sigma_hat = base.params.mu, base.params.sigma
-    z = (x - mu_hat) / sigma_hat
-    iterations = base.iterations
-
-    margin = 1.0 - 1e-9
-    lo, hi = float(kappa_bracket[0]), float(kappa_bracket[1])
-    z_max, z_min = float(np.max(z)), float(np.min(z))
-    if z_max > 0:
-        lo = max(lo, -margin / z_max)
-    if z_min < 0:
-        hi = min(hi, margin / (-z_min))
-
-    kappa_hat = 0.0
-    converged = base.converged
-    if lo < hi:
-        score = lambda k: _kappa_score(k, z)
-        f_lo, f_hi = score(lo), score(hi)
-        iterations += 2
-        if np.sign(f_lo) != np.sign(f_hi) and f_lo != 0.0 and f_hi != 0.0:
-            kappa_hat, _, solve_iters, ok = _solve_scalar(
-                score, lo, hi, f_lo, f_hi, tol_x=tol, max_iter=max_iter,
-            )
-            iterations += solve_iters
-            converged = bool(converged and ok)
-        else:
-            logger.info(
-                "profile score has no interior stationary point in [%.3g, %.3g]; "
-                "keeping the Gumbel shape", lo, hi,
-            )
-    else:
-        logger.info("kappa bracket empty after support shrinkage; keeping the Gumbel shape")
-
-    params = GevParams(kappa_hat, mu_hat, sigma_hat)
+    theta = (0.0, base.params.mu, math.log(base.params.sigma))
+    theta, steps, converged = _newton(x, theta, (0,), tol, max_iter)
+    iterations = base.iterations + steps
+    converged = base.converged and converged
     if refine:
-        params, refine_iters = _refine_joint(x, params, tol, max_iter)
-        iterations += refine_iters
-    return FitReport(
-        params=params,
-        log_likelihood=log_likelihood(x, params),
-        iterations=iterations,
-        converged=converged,
-        sample_count=int(x.size),
-        solver_tol=tol,
-    )
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(func, lo: float, hi: float, tol_x: float, max_iter: int = 200):
-    """Golden-section maximization on [lo, hi]; returns (argmax, iterations)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = func(c), func(d)
-    iterations = 2
-    while abs(b - a) > tol_x and iterations < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = func(d)
-        iterations += 1
-    return 0.5 * (a + b), iterations
-
-
-def _refine_joint(x: np.ndarray, start: GevParams, tol: float, max_iter: int):
-    """Cyclic coordinate ascent of the full likelihood from the staged fit."""
-
-    def objective(kappa: float, mu: float, sigma: float) -> float:
-        if sigma <= 0:
-            return float("-inf")
-        try:
-            return log_likelihood(x, GevParams(kappa, mu, sigma))
-        except ValueError:
-            return float("-inf")
-
-    kappa, mu, sigma = start.kappa, start.mu, start.sigma
-    spread = float(np.std(x))
-    iterations = 0
-    for _ in range(60):
-        prev = (kappa, mu, sigma)
-        # keep the shape slice inside the support of every sample
-        z = (x - mu) / sigma
-        k_lo, k_hi = -0.95, 0.95
-        z_max, z_min = float(np.max(z)), float(np.min(z))
-        if z_max > 0:
-            k_lo = max(k_lo, -(1.0 - 1e-9) / z_max)
-        if z_min < 0:
-            k_hi = min(k_hi, (1.0 - 1e-9) / (-z_min))
-        kappa, it = _golden_max(
-            lambda k: objective(k, mu, sigma), k_lo, k_hi,
-            tol_x=max(tol, 1e-12), max_iter=max_iter,
-        )
-        iterations += it
-        mu, it = _golden_max(
-            lambda m: objective(kappa, m, sigma), mu - 4.0 * spread, mu + 4.0 * spread,
-            tol_x=max(tol * max(1.0, abs(mu)), 1e-12), max_iter=max_iter,
-        )
-        iterations += it
-        sigma, it = _golden_max(
-            lambda s: objective(kappa, mu, s), sigma / 8.0, sigma * 8.0,
-            tol_x=max(tol * sigma, 1e-12), max_iter=max_iter,
-        )
-        iterations += it
-        moved = max(
-            abs(kappa - prev[0]),
-            abs(mu - prev[1]) / max(1.0, abs(mu)),
-            abs(sigma - prev[2]) / sigma,
-        )
-        if moved <= 10.0 * tol:
-            break
-    return GevParams(kappa, mu, sigma), iterations
+        theta, steps, converged = _newton(x, theta, (0, 1, 2), tol, max_iter)
+        iterations += steps
+    return _report(x, theta, iterations, converged, tol)

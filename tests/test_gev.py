@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import genextreme
 
 import cyclosense as cs
-from cyclosense.gev import KAPPA_EPS, log_likelihood
+from cyclosense.gev import KAPPA_EPS, _derivatives, log_likelihood
 
 # frozen oracle constants
 PDF_GUMBEL01_AT_1 = 0.2546463800435825        # exp(-exp(-1) - 1)
@@ -182,6 +182,14 @@ class TestGumbelFit:
         assert scaled.params.mu == pytest.approx(3.0 * base.params.mu, rel=1e-6)
         assert scaled.params.sigma == pytest.approx(3.0 * base.params.sigma, rel=1e-6)
 
+    def test_one_far_low_outlier_converges(self):
+        # the moment estimate would put exp(-z) of the outlier beyond float range
+        draws = np.zeros(400_000)
+        draws[0] = -1.0
+        report = cs.fit_gumbel_mle(draws)
+        assert report.converged
+        assert np.isfinite(report.log_likelihood)
+
     def test_degenerate_samples_rejected(self):
         with pytest.raises(cs.DegenerateDataError):
             cs.fit_gumbel_mle(np.full(200, 3.25))
@@ -219,26 +227,20 @@ class TestGevFit:
         assert refined.params.mu == pytest.approx(loc, abs=5e-3)
         assert refined.params.sigma == pytest.approx(scale, abs=5e-3)
 
-    def test_empty_bracket_after_support_shrinkage_falls_back_to_gumbel(self):
-        # a one-sided bracket that support shrinkage closes entirely
-        draws = cs.sample_gev(gev(0.0, 0.0, 1.0), 500, seed=10)
-        z_min = (np.min(draws) - cs.fit_gumbel_mle(draws).params.mu)
-        assert z_min < 0  # guarantees the admissible upper cap is finite
-        report = cs.fit_gev_mle(draws, kappa_bracket=(0.45, 0.5))
-        assert report.params.kappa == 0.0
-        assert report.converged
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("n", [30, 500])
+    @pytest.mark.parametrize("kappa", [-0.3, 0.4])
+    def test_short_and_heavy_tailed_fits_stay_in_support(self, kappa, n, refine):
+        draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed=10)
+        report = cs.fit_gev_mle(draws, refine=refine)
+        assert np.isfinite(report.log_likelihood)  # every sample inside the support
+        assert report.params.kappa > -1.0
 
-    def test_no_interior_stationary_point_keeps_gumbel_shape(self):
-        # profile score is one-signed on a bracket away from the optimum
-        draws = cs.sample_gev(gev(0.0, 0.0, 1.0), 2000, seed=14)
-        report = cs.fit_gev_mle(draws, kappa_bracket=(0.2, 0.35))
-        assert report.params.kappa == 0.0
-        assert report.converged
-
-    def test_fit_equivariance_under_affine_map(self):
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_fit_equivariance_under_affine_map(self, refine):
         draws = cs.sample_gev(gev(0.2, 1.0, 0.5), 5000, seed=11)
-        base = cs.fit_gev_mle(draws)
-        mapped = cs.fit_gev_mle(2.5 * draws + 4.0)
+        base = cs.fit_gev_mle(draws, refine=refine)
+        mapped = cs.fit_gev_mle(2.5 * draws + 4.0, refine=refine)
         assert mapped.params.kappa == pytest.approx(base.params.kappa, abs=1e-6)
         assert mapped.params.mu == pytest.approx(2.5 * base.params.mu + 4.0, rel=1e-6)
         assert mapped.params.sigma == pytest.approx(2.5 * base.params.sigma, rel=1e-6)
@@ -250,3 +252,61 @@ class TestGevFit:
         assert report.solver_tol == 1e-9
         assert report.iterations > 0
         assert np.isfinite(report.log_likelihood)
+
+
+def scale_free_score(draws, params):
+    """Per-sample (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) at params."""
+    _, score, _ = _derivatives(draws, (params.kappa, params.mu, np.log(params.sigma)))
+    return score * np.array([1.0, params.sigma, 1.0]) / draws.size
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.1, 0.4])
+    def test_converged_fit_has_free_scores_within_tol(self, kappa):
+        draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), 10_000, 1234)
+        joint = cs.fit_gev_mle(draws, refine=True)
+        assert joint.converged
+        assert np.max(np.abs(scale_free_score(draws, joint.params))) <= joint.solver_tol
+        staged = cs.fit_gev_mle(draws)  # only the shape is free in its last stage
+        assert staged.converged
+        assert abs(scale_free_score(draws, staged.params)[0]) <= staged.solver_tol
+
+    def test_one_iteration_is_not_converged(self):
+        draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 10_000, 1234)
+        gumbel = cs.fit_gumbel_mle(draws, max_iter=1)
+        joint = cs.fit_gev_mle(draws, max_iter=1, refine=True)
+        assert not gumbel.converged and gumbel.iterations == 1
+        assert not joint.converged
+
+
+class TestDerivatives:
+    """_derivatives against central differences of log_likelihood.
+
+    Steps of 1e-4 in kappa and log sigma and 1e-4*sigma in mu keep every
+    evaluation of a point off the Gumbel branch on its own side of the
+    KAPPA_EPS switch. At kappa = 0 the Gumbel branch of log_likelihood does
+    not depend on kappa, so the kappa stencil there samples the GEV branch on
+    both sides, the law the Gumbel limit continues.
+    """
+
+    @pytest.mark.parametrize("kappa", [-0.3, -1e-3, 0.0, 1e-3, 0.4])
+    def test_score_and_hessian_match_central_differences(self, kappa):
+        draws = cs.sample_gev(gev(kappa, 0.5, 0.3), 200, seed=3)
+        theta = np.array([kappa, 0.49, np.log(0.31)])
+        steps = np.diag([1e-4, 1e-4 * 0.31, 1e-4])
+
+        def ll(t):
+            return log_likelihood(draws, cs.GevParams(t[0], t[1], np.exp(t[2])))
+
+        value, score, hessian = _derivatives(draws, theta)
+        assert value == pytest.approx(ll(theta), rel=1e-13)
+        fd_score = [(ll(theta + e) - ll(theta - e)) / (2 * e.sum()) for e in steps]
+        fd_hessian = [[(ll(theta + e + f) - ll(theta + e - f) - ll(theta - e + f)
+                        + ll(theta - e - f)) / (4 * e.sum() * f.sum()) for f in steps]
+                      for e in steps]
+        np.testing.assert_allclose(score, fd_score, rtol=1e-4)
+        np.testing.assert_allclose(hessian, fd_hessian, rtol=0, atol=1e-4 * np.max(np.abs(hessian)))
+
+    def test_off_support_point_has_no_derivatives(self):
+        draws = np.array([0.0, 1.0, 10.0])
+        assert _derivatives(draws, (-0.5, 0.0, 0.0)) == (float("-inf"), None, None)
