@@ -6,7 +6,6 @@ probabilities, and validates the model with Monte Carlo ROC sweeps on AM
 signals in white Gaussian noise.
 """
 
-from .detector import Decision, DetectorConfig, detect, theoretical_pf
 from .gev import (
     DegenerateDataError,
     FitReport,
@@ -31,14 +30,10 @@ from .harness import (
     run_roc,
 )
 from .scd import (
-    AlphaProfile,
-    AlphaSupportError,
     ScdConfig,
     ScdMatrix,
     alpha_maxima,
-    alpha_profile,
     estimate_scd,
-    segment_windows,
     snap_alpha_to_even_bin,
 )
 from .siggen import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_awgn, mix_at_snr
@@ -46,11 +41,7 @@ from .siggen import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_a
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaProfile",
-    "AlphaSupportError",
-    "Decision",
     "DegenerateDataError",
-    "DetectorConfig",
     "ExperimentPlan",
     "FitReport",
     "GevParams",
@@ -62,11 +53,9 @@ __all__ = [
     "ScdMatrix",
     "SignalSpec",
     "alpha_maxima",
-    "alpha_profile",
     "cdf",
     "collect_noise_profile",
     "desk_plan",
-    "detect",
     "estimate_scd",
     "fit_and_histogram",
     "fit_gev_mle",
@@ -80,8 +69,6 @@ __all__ = [
     "pdf",
     "run_roc",
     "sample_gev",
-    "segment_windows",
     "snap_alpha_to_even_bin",
-    "theoretical_pf",
     "threshold_for_pf",
 ]

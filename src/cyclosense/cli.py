@@ -30,8 +30,8 @@ from .harness import (
     run_roc,
     worker_pool,
 )
-from .scd import estimate_scd, segment_windows
-from .siggen import NoiseSpec, generate_am, generate_awgn, mix_at_snr
+from .scd import estimate_scd
+from .siggen import NoiseSpec, SampleBuffer, generate_am, generate_awgn, mix_at_snr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,7 +96,7 @@ def _cmd_scd(args: argparse.Namespace) -> int:
         plan.signal_spec.sample_rate_hz,
     )
     mixed = mix_at_snr(signal, noise, plan.snr_db_list[0])
-    window = segment_windows(mixed, plan.scd_cfg.window_length_k)[0]
+    window = SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
     matrix = estimate_scd(window, plan.scd_cfg)
     io.write_scd_matrix(out / "scd", matrix, plan.scd_cfg)
     io.write_plan_json(out / "plan.json", plan)

@@ -287,15 +287,9 @@ def _report(x: np.ndarray, theta, iterations: int, converged: bool, tol: float) 
     )
 
 
-def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport:
-    """Gumbel (kappa = 0) maximum likelihood fit.
-
-    Newton over (mu, log sigma) from the moment-estimate scale and the
-    location that maximizes the likelihood at that scale. converged means
-    both per-sample score residuals, |mean(w) - 1| and
-    |mean(z*(1 - w)) - 1| with z = (x - mu)/sigma and w = exp(-z), are at
-    most tol; iterations counts Newton steps.
-    """
+def _gumbel_stage(samples, tol: float, max_iter: int):
+    """The checks, start point and (mu, log sigma) Newton run of
+    fit_gumbel_mle: (validated samples, theta, Newton steps, converged)."""
     x = _as_finite_array(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
@@ -310,7 +304,19 @@ def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport
     mu_0 = shift - sigma_0 * math.log(float(np.mean(np.exp((shift - x) / sigma_0))))
     theta, iterations, converged = _newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2),
                                            tol, max_iter)
-    return _report(x, theta, iterations, converged, tol)
+    return x, theta, iterations, converged
+
+
+def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport:
+    """Gumbel (kappa = 0) maximum likelihood fit.
+
+    Newton over (mu, log sigma) from the moment-estimate scale and the
+    location that maximizes the likelihood at that scale. converged means
+    both per-sample score residuals, |mean(w) - 1| and
+    |mean(z*(1 - w)) - 1| with z = (x - mu)/sigma and w = exp(-z), are at
+    most tol; iterations counts Newton steps.
+    """
+    return _report(*_gumbel_stage(samples, tol, max_iter), tol)
 
 
 def fit_gev_mle(samples, tol: float = 1e-9, max_iter: int = 200,
@@ -327,12 +333,10 @@ def fit_gev_mle(samples, tol: float = 1e-9, max_iter: int = 200,
     the staged fit the Gumbel stage must have converged too. iterations
     counts the Newton steps of all stages.
     """
-    base = fit_gumbel_mle(samples, tol=tol, max_iter=max_iter)
-    x = _as_finite_array(samples)
-    theta = (0.0, base.params.mu, math.log(base.params.sigma))
+    x, theta, iterations, gumbel_converged = _gumbel_stage(samples, tol, max_iter)
     theta, steps, converged = _newton(x, theta, (0,), tol, max_iter)
-    iterations = base.iterations + steps
-    converged = base.converged and converged
+    iterations += steps
+    converged = gumbel_converged and converged
     if refine:
         theta, steps, converged = _newton(x, theta, (0, 1, 2), tol, max_iter)
         iterations += steps

@@ -214,6 +214,11 @@ def fit_and_histogram(samples, bins: int | None = None,
     )
 
 
+def _exceedance_rates(batch: np.ndarray, thresholds: np.ndarray) -> list[float]:
+    """Fraction of the batch's statistics strictly above each threshold."""
+    return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
+
+
 def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = None,
             pool: Executor | None = None) -> list[tuple[RocCurve, RocCurve]]:
     """Sweep the preset-pf grid into one (theoretical, empirical) curve pair per SNR.
@@ -222,7 +227,9 @@ def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = N
     closed-form quantile; the theoretical curve pairs the preset pf with a
     measured detection rate, while the empirical curve pairs a measured
     false-alarm rate (fresh noise windows) with a detection rate measured on
-    an independent signal batch at the same threshold.
+    an independent signal batch at the same threshold. A window counts as
+    occupied when its statistic T is strictly above the threshold, so an
+    exact tie decides unoccupied.
     """
     m = plan.signal_windows_m
     with worker_pool(jobs, pool) as pool:
@@ -232,15 +239,12 @@ def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = N
         h1 = [[_run_tasks([(plan, "h1", s, batch, i) for i in range(m)], jobs, pool)
                for batch in (0, 1)] for s in range(len(plan.snr_db_list))]
     thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
-
-    def rates(batch: np.ndarray) -> list[float]:
-        """Fraction of the batch's windows above each threshold."""
-        return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
-
-    pf_empirical = rates(h0)
+    pf_empirical = _exceedance_rates(h0, thresholds)
     return [
-        (RocCurve(tuple(zip(plan.pf_grid, rates(h1_theory))), "theoretical", snr_db),
-         RocCurve(tuple(zip(pf_empirical, rates(h1_empirical))), "empirical", snr_db))
+        (RocCurve(tuple(zip(plan.pf_grid, _exceedance_rates(h1_theory, thresholds))),
+                  "theoretical", snr_db),
+         RocCurve(tuple(zip(pf_empirical, _exceedance_rates(h1_empirical, thresholds))),
+                  "empirical", snr_db))
         for snr_db, (h1_theory, h1_empirical) in zip(plan.snr_db_list, h1)
     ]
 

@@ -22,7 +22,6 @@ from .siggen import SampleBuffer, SignalSpec
 
 __all__ = [
     "write_signal",
-    "read_signal",
     "write_scd_matrix",
     "write_profile_csv",
     "read_profile_samples",
@@ -30,7 +29,6 @@ __all__ = [
     "read_fit_json",
     "write_histogram_csv",
     "write_roc_csv",
-    "write_decisions_csv",
     "plan_to_dict",
     "plan_from_dict",
     "write_plan_json",
@@ -64,13 +62,6 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer,
     }
     _dump_json(meta_path, sidecar)
     return data_path, meta_path
-
-
-def read_signal(path_base: str | Path) -> SampleBuffer:
-    base = Path(path_base)
-    meta = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    samples = np.frombuffer(base.with_suffix(".f64").read_bytes(), dtype="<f8")
-    return SampleBuffer(samples, meta["sample_rate_hz"])
 
 
 def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix, cfg: ScdConfig) -> tuple[Path, Path]:
@@ -174,22 +165,6 @@ def write_roc_csv(path: str | Path, pf_grid, thresholds, pf_empirical,
         for pf, lam, pfe, pdt, pde in zip(pf_grid, thresholds, pf_empirical,
                                           pd_theoretical, pd_empirical):
             writer.writerow([_fmt(pf), _fmt(pfe), _fmt(pdt), _fmt(pde), _fmt(lam), int(trials)])
-    return path
-
-
-def write_decisions_csv(path: str | Path, decisions) -> Path:
-    """Decision stream: window_index,statistic,threshold,occupied."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["window_index", "statistic", "threshold", "occupied"])
-        for decision in decisions:
-            writer.writerow([
-                decision.window_index,
-                _fmt(decision.statistic_T),
-                _fmt(decision.threshold),
-                int(decision.occupied),
-            ])
     return path
 
 

@@ -14,8 +14,11 @@ noise level taper-invariant. Frequencies are indexed on the centered
 inside the K-bin axis, so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
-the per-alpha maximum magnitude over valid cells; alpha_maxima, the per-window
-statistic kernel, does so from the requested columns without the matrix.
+the per-alpha maximum magnitude over valid cells. alpha_maxima, the
+per-window statistic kernel, computes it from the requested columns without
+building the matrix; estimate_scd builds the matrix from the same spectrum
+and column helpers, so the maximum of |values| over a column's valid_mask
+cells equals alpha_maxima bit for bit.
 """
 
 from __future__ import annotations
@@ -33,19 +36,11 @@ __all__ = [
     "TAPERS",
     "ScdConfig",
     "ScdMatrix",
-    "AlphaProfile",
-    "AlphaSupportError",
     "taper_coefficients",
     "snap_alpha_to_even_bin",
-    "segment_windows",
     "estimate_scd",
-    "alpha_profile",
     "alpha_maxima",
 ]
-
-
-class AlphaSupportError(ValueError):
-    """An alpha column has no valid (f, alpha) cells to reduce over."""
 
 
 @dataclass(frozen=True)
@@ -110,22 +105,6 @@ class ScdMatrix:
             raise ValueError("alpha_bins length does not match the alpha axis")
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
-    """Per-alpha maxima of |SCD| over the valid frequency support."""
-
-    alphas_hz: np.ndarray
-    alpha_bins: tuple[int, ...]
-    maxima: np.ndarray
-    window_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.alphas_hz.size != self.maxima.size or len(self.alpha_bins) != self.maxima.size:
-            raise ValueError("profile axes disagree in length")
-        if not np.all(np.isfinite(self.maxima)) or np.any(self.maxima < 0):
-            raise ValueError("profile maxima must be finite and nonnegative")
-
-
 def _check_alpha_bin(a: int, k: int) -> None:
     if a % 2 != 0 or abs(a) >= k:
         raise ValueError(f"alpha bin offset {a} is not an even offset with |a| < {k}")
@@ -156,24 +135,6 @@ def snap_alpha_to_even_bin(alpha_hz: float, sample_rate_hz: float, window_length
     """Snap a cyclic frequency in Hz to the nearest even DFT-bin offset."""
     bins = alpha_hz * window_length_k / sample_rate_hz
     return 2 * int(round(bins / 2.0))
-
-
-def segment_windows(buffer: SampleBuffer, window_length_k: int) -> list[SampleBuffer]:
-    """Split a buffer into floor(len/K) contiguous non-overlapping windows.
-
-    Window i holds samples [i*K, (i+1)*K); the trailing remainder is dropped.
-    """
-    k = int(window_length_k)
-    if k < 1:
-        raise ValueError("window length must be positive")
-    n = len(buffer)
-    if k > n:
-        raise ValueError(f"window length {k} exceeds buffer length {n}")
-    count = n // k
-    return [
-        SampleBuffer(buffer.samples[i * k:(i + 1) * k], buffer.sample_rate_hz)
-        for i in range(count)
-    ]
 
 
 def _smoothed(column: np.ndarray, smoothing_length: int) -> np.ndarray:
@@ -226,19 +187,9 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     return ScdMatrix(values, f_axis, alpha_axis, cfg.alpha_grid, mask)
 
 
-def alpha_profile(scd: ScdMatrix, window_index: int = 0) -> AlphaProfile:
-    """Reduce an SCD matrix to per-alpha maxima of |values| over valid cells."""
-    empty = ~scd.valid_mask.any(axis=0)
-    if empty.any():
-        bin_ = scd.alpha_bins[int(np.argmax(empty))]
-        raise AlphaSupportError(f"alpha bin {bin_} has no valid frequency support")
-    maxima = np.max(np.abs(np.where(scd.valid_mask, scd.values, 0.0)), axis=0)
-    return AlphaProfile(scd.alpha_axis_hz.copy(), scd.alpha_bins, maxima, int(window_index))
-
-
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window, at
-    alpha_bins instead of cfg's grid; bit for bit alpha_profile(estimate_scd())."""
+    alpha_bins instead of cfg's grid."""
     for a in alpha_bins:
         _check_alpha_bin(a, cfg.window_length_k)
     spectrum = _spectrum(np.asarray(samples, dtype=np.float64), cfg)

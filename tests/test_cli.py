@@ -8,6 +8,7 @@ import pytest
 import cyclosense as cs
 from cyclosense import io
 from cyclosense.cli import main
+from cyclosense.harness import STREAM_EXPORT_NOISE, STREAM_EXPORT_SIGNAL, derived_seed
 
 
 @pytest.fixture
@@ -28,8 +29,9 @@ class TestGen:
         assert (out / "signal.f64").exists()
         assert (out / "signal.json").exists()
         assert (out / "plan.json").exists()
-        buf = io.read_signal(out / "signal")
-        assert len(buf) == 2048
+        samples = np.frombuffer((out / "signal.f64").read_bytes(), dtype="<f8")
+        assert samples.size == 2048
+        assert json.loads((out / "signal.json").read_text())["length"] == 2048
 
     def test_idempotent(self, tmp_path, plan_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -46,6 +48,22 @@ class TestScdCommand:
         assert header["shape"] == [1024, 1]
         payload = (out / "scd.c64").read_bytes()
         assert len(payload) == 1024 * 1 * 8
+
+    def test_matrix_is_first_window_of_export_mix(self, tmp_path, plan_path, mini_plan):
+        out = tmp_path / "s"
+        assert main(["scd", "--plan", str(plan_path), "--out", str(out)]) == 0
+        spec, k = mini_plan.signal_spec, mini_plan.scd_cfg.window_length_k
+        signal = cs.generate_am(spec, derived_seed(mini_plan.master_seed, STREAM_EXPORT_SIGNAL))
+        noise = cs.generate_awgn(
+            spec.duration_samples,
+            cs.NoiseSpec(1.0, derived_seed(mini_plan.master_seed, STREAM_EXPORT_NOISE)),
+            spec.sample_rate_hz,
+        )
+        mixed = cs.mix_at_snr(signal, noise, mini_plan.snr_db_list[0])
+        expected = cs.estimate_scd(cs.SampleBuffer(mixed.samples[:k], spec.sample_rate_hz),
+                                   mini_plan.scd_cfg).values.astype(np.complex64)
+        written = np.frombuffer((out / "scd.c64").read_bytes(), dtype="<c8")
+        assert np.array_equal(written.reshape(expected.shape), expected)
 
 
 class TestCollect:

@@ -67,7 +67,8 @@ class TestCollect:
                                   cs.NoiseSpec(1.0, seed),
                                   mini_plan.signal_spec.sample_rate_hz)
         column = replace(mini_plan.scd_cfg, alpha_grid=(mini_plan.alpha0_bin,))
-        direct = cs.alpha_profile(cs.estimate_scd(window, column)).maxima[0]
+        scd = cs.estimate_scd(window, column)
+        direct = np.max(np.abs(scd.values[scd.valid_mask[:, 0], 0]))
         assert samples[0] == direct
 
     def test_parallel_equals_serial(self, mini_plan):

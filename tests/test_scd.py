@@ -2,8 +2,8 @@
 
 The alpha=0 column must reproduce an ordinary smoothed periodogram computed
 through a different code path (scipy periodogram plus a cumulative-sum moving
-average); the remaining tests pin symmetry, scaling, segmentation, and the AM
-cyclic feature.
+average); the remaining tests pin symmetry, scaling, the per-alpha maxima and
+the AM cyclic feature.
 """
 
 import numpy as np
@@ -35,6 +35,12 @@ def smoothed_periodogram_oracle(x, fs, k, smoothing_length):
         (csum[min(i + half + 1, k)] - csum[max(i - half, 0)]) / smoothing_length
         for i in range(k)
     ])
+
+
+def valid_maxima(scd):
+    """Per-column maximum of |values| over the valid_mask cells of a matrix."""
+    return np.array([np.max(np.abs(scd.values[scd.valid_mask[:, c], c]))
+                     for c in range(scd.values.shape[1])])
 
 
 def convolved_oracle(column, smoothing_length):
@@ -94,31 +100,6 @@ class TestScdConfig:
     def test_alpha_grid_validation(self, alpha):
         with pytest.raises(ValueError):
             cs.ScdConfig(1024, 301, (alpha,))
-
-
-class TestSegmentWindows:
-    def test_floor_division_count(self):
-        buf = noise_window(10000)
-        windows = cs.segment_windows(buf, 4096)
-        assert len(windows) == 2
-        assert np.array_equal(windows[0].samples, buf.samples[:4096])
-        assert np.array_equal(windows[1].samples, buf.samples[4096:8192])
-
-    def test_exact_fit_returns_input(self):
-        buf = noise_window(4096)
-        windows = cs.segment_windows(buf, 4096)
-        assert len(windows) == 1
-        assert np.array_equal(windows[0].samples, buf.samples)
-
-    def test_window_count_scales_linearly(self):
-        # 40960000 samples / 4096 = 10000 windows; checked at 1/1000 scale
-        buf = noise_window(40960)
-        assert len(cs.segment_windows(buf, 4096)) == 10
-        assert 40960000 // 4096 == 10000
-
-    def test_rejects_window_longer_than_buffer(self):
-        with pytest.raises(ValueError):
-            cs.segment_windows(noise_window(100), 128)
 
 
 class TestSnap:
@@ -211,8 +192,8 @@ class TestAlphaMaxima:
         cfg = cs.ScdConfig(1024, 301, self.BINS, taper)
         for seed in range(3):
             buf = noise_window(1024, seed=seed)
-            expected = cs.alpha_profile(cs.estimate_scd(buf, cfg)).maxima
-            assert np.array_equal(cs.alpha_maxima(buf.samples, cfg, self.BINS), expected)
+            assert np.array_equal(cs.alpha_maxima(buf.samples, cfg, self.BINS),
+                                  valid_maxima(cs.estimate_scd(buf, cfg)))
 
     def test_bins_replace_the_config_grid(self):
         buf = noise_window(1024, seed=4)
@@ -235,23 +216,10 @@ class TestAlphaProfile:
         buf = noise_window(1024, seed=5)
         cfg = cs.ScdConfig(1024, 301, (0, 340))
         mat = cs.estimate_scd(buf, cfg)
-        profile = cs.alpha_profile(mat, window_index=4)
+        maxima = cs.alpha_maxima(buf.samples, cfg, cfg.alpha_grid)
         for col in range(2):
             cells = np.abs(mat.values[mat.valid_mask[:, col], col])
-            assert profile.maxima[col] == cells.max()
-        assert profile.window_index == 4
-        assert profile.alpha_bins == (0, 340)
-
-    def test_empty_support_raises(self):
-        mat = cs.ScdMatrix(
-            values=np.zeros((8, 1), dtype=complex),
-            f_axis_hz=np.arange(8.0),
-            alpha_axis_hz=np.array([0.0]),
-            alpha_bins=(0,),
-            valid_mask=np.zeros((8, 1), dtype=bool),
-        )
-        with pytest.raises(cs.AlphaSupportError):
-            cs.alpha_profile(mat)
+            assert maxima[col] == cells.max()
 
     def test_am_feature_exceeds_noise_alpha_neighborhood(self):
         # the 2fc column of a -10 dB AM window tops the noise-only alpha
@@ -265,15 +233,13 @@ class TestAlphaProfile:
         offsets = [d for d in range(40, 161, 12)]
         neighborhood = tuple(a0 + d for d in offsets) + tuple(a0 - d for d in offsets)
         cfg = cs.ScdConfig(k, 1300, (a0,) + neighborhood)
-        profile = cs.alpha_profile(cs.estimate_scd(mixed, cfg))
-        assert profile.maxima[0] > np.median(profile.maxima[1:])
+        maxima = valid_maxima(cs.estimate_scd(mixed, cfg))
+        assert maxima[0] > np.median(maxima[1:])
 
     def test_noise_collection_is_positive_and_finite(self):
         k = 1024
         a0 = cs.snap_alpha_to_even_bin(2.0e6, FS, k)
         cfg = cs.ScdConfig(k, 301, (a0,))
-        values = [
-            cs.alpha_profile(cs.estimate_scd(noise_window(k, seed=s), cfg)).maxima[0]
-            for s in range(32)
-        ]
+        values = [valid_maxima(cs.estimate_scd(noise_window(k, seed=s), cfg))[0]
+                  for s in range(32)]
         assert all(np.isfinite(v) and v > 0 for v in values)
