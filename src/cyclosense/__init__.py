@@ -20,11 +20,9 @@ from .gev import (
 )
 from .harness import (
     ExperimentPlan,
-    HistogramReport,
     RocCurve,
     collect_noise_profile,
     desk_plan,
-    fit_and_histogram,
     full_plan,
     ks_statistic,
     run_roc,
@@ -45,7 +43,6 @@ __all__ = [
     "ExperimentPlan",
     "FitReport",
     "GevParams",
-    "HistogramReport",
     "NoiseSpec",
     "RocCurve",
     "SampleBuffer",
@@ -57,7 +54,6 @@ __all__ = [
     "collect_noise_profile",
     "desk_plan",
     "estimate_scd",
-    "fit_and_histogram",
     "fit_gev_mle",
     "fit_gumbel_mle",
     "full_plan",

@@ -18,20 +18,16 @@ import sys
 from pathlib import Path
 
 from . import io
-from .gev import DegenerateDataError, fit_gev_mle, threshold_for_pf
+from .gev import DegenerateDataError, FitReport, fit_gev_mle, threshold_for_pf
 from .harness import (
-    STREAM_EXPORT_NOISE,
-    STREAM_EXPORT_SIGNAL,
     ExperimentPlan,
-    NOISE_VARIANCE,
     collect_noise_profile,
-    derived_seed,
-    fit_and_histogram,
+    export_signal,
+    export_window,
     run_roc,
     worker_pool,
 )
 from .scd import estimate_scd
-from .siggen import NoiseSpec, SampleBuffer, generate_am, generate_awgn, mix_at_snr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,8 +75,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _cmd_gen(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    seed = derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL)
-    buffer = generate_am(plan.signal_spec, seed)
+    buffer, seed = export_signal(plan)
     io.write_signal(out / "signal", buffer, plan.signal_spec, seed)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
@@ -89,15 +84,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_scd(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    signal = generate_am(plan.signal_spec, derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL))
-    noise = generate_awgn(
-        plan.signal_spec.duration_samples,
-        NoiseSpec(NOISE_VARIANCE, derived_seed(plan.master_seed, STREAM_EXPORT_NOISE)),
-        plan.signal_spec.sample_rate_hz,
-    )
-    mixed = mix_at_snr(signal, noise, plan.snr_db_list[0])
-    window = SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
-    matrix = estimate_scd(window, plan.scd_cfg)
+    matrix = estimate_scd(export_window(plan), plan.scd_cfg)
     io.write_scd_matrix(out / "scd", matrix, plan.scd_cfg)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
@@ -113,19 +100,25 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_noise_model(out: Path, samples, bins: int | None = None) -> FitReport:
+    """Fit the noise model to at least 100 samples and write histogram.csv and
+    fit.json, also when the fit did not converge (reported on stderr)."""
+    report = fit_gev_mle(samples)
+    if len(samples) < 100:
+        raise ValueError(f"need at least 100 samples, got {len(samples)}")
+    io.write_histogram_csv(out / "histogram.csv", samples, bins)
+    io.write_fit_json(out / "fit.json", report)
+    if not report.converged:
+        print("error: noise-model fit did not converge", file=sys.stderr)
+    return report
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    samples = io.read_profile_samples(args.samples)
-    report = fit_gev_mle(samples)
-    histogram = fit_and_histogram(samples, bins=args.bins, fit=report)
-    io.write_fit_json(out / "fit.json", report)
-    io.write_histogram_csv(out / "histogram.csv", histogram)
+    report = _write_noise_model(out, io.read_profile_samples(args.samples), args.bins)
     if args.plan is not None:
         io.write_plan_json(out / "plan.json", io.read_plan_json(args.plan))
-    if not report.converged:
-        print("error: fit did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
@@ -138,26 +131,14 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
     with worker_pool(args.jobs) as pool:
-        samples = collect_noise_profile(plan, jobs=args.jobs, pool=pool)
-        report = fit_gev_mle(samples)
+        report = _write_noise_model(out, collect_noise_profile(plan, jobs=args.jobs, pool=pool))
         if not report.converged:
-            print("error: noise-model fit did not converge", file=sys.stderr)
             return EXIT_NUMERIC
-        histogram = fit_and_histogram(samples, fit=report)
         curves = run_roc(plan, jobs=args.jobs, noise_fit=report, pool=pool)
     thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
     for theoretical, empirical in curves:
-        io.write_roc_csv(
-            out / f"roc_{theoretical.snr_db:g}.csv",
-            pf_grid=plan.pf_grid,
-            thresholds=thresholds,
-            pf_empirical=[pf for pf, _ in empirical.points],
-            pd_theoretical=[pd for _, pd in theoretical.points],
-            pd_empirical=[pd for _, pd in empirical.points],
-            trials=plan.signal_windows_m,
-        )
-    io.write_fit_json(out / "fit.json", report)
-    io.write_histogram_csv(out / "histogram.csv", histogram)
+        io.write_roc_csv(out / f"roc_{theoretical.snr_db:g}.csv", theoretical, empirical,
+                         thresholds, plan.signal_windows_m)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
 

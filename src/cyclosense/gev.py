@@ -129,9 +129,8 @@ def cdf(x, p: GevParams):
     return out if arr.ndim else float(out)
 
 
-def _quantile(prob: np.ndarray, p: GevParams) -> np.ndarray:
-    """Inverse CDF for probabilities in (0, 1)."""
-    v = -np.log(prob)  # t**(-1/kappa) at the quantile
+def _quantile(v, p: GevParams):
+    """Inverse CDF at F = exp(-v), v > 0: v is t**(-1/kappa) at the quantile."""
     if p.is_gumbel:
         return p.mu - p.sigma * np.log(v)
     # (v**-kappa - 1)/kappa, written with expm1 for small-kappa accuracy
@@ -147,10 +146,7 @@ def threshold_for_pf(pf: float, p: GevParams) -> float:
     """
     if not (np.isfinite(pf) and 0.0 < pf < 1.0):
         raise ValueError("pf must lie strictly between 0 and 1")
-    y_p = -np.log1p(-pf)
-    if p.is_gumbel:
-        return float(p.mu - p.sigma * np.log(y_p))
-    return float(p.mu + p.sigma * np.expm1(-p.kappa * np.log(y_p)) / p.kappa)
+    return float(_quantile(-np.log1p(-pf), p))
 
 
 def sample_gev(p: GevParams, n: int, seed: int) -> np.ndarray:
@@ -160,7 +156,7 @@ def sample_gev(p: GevParams, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(int(seed))
     u = rng.random(int(n))
     u = np.clip(u, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
-    return _quantile(u, p)
+    return _quantile(-np.log(u), p)
 
 
 def log_likelihood(samples, p: GevParams) -> float:

@@ -1,8 +1,9 @@
 """Monte Carlo experiment engine.
 
-Collects cyclic-domain noise maxima, fits the extreme-value noise model,
-checks the fit against the sample histogram, and sweeps preset false-alarm
-probabilities into paired theoretical/empirical ROC curves.
+Collects cyclic-domain noise maxima, measures the fitted noise model's
+Kolmogorov-Smirnov distance, and sweeps preset false-alarm probabilities into
+paired theoretical/empirical ROC curves. It also builds the signal and the
+mixed window that the gen and scd commands export.
 
 Every analysis window is generated from a seed derived deterministically
 from (master_seed, stream, indices...), so results are a pure function of
@@ -26,13 +27,13 @@ from .siggen import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_a
 __all__ = [
     "ExperimentPlan",
     "RocCurve",
-    "HistogramReport",
     "desk_plan",
     "full_plan",
     "derived_seed",
+    "export_signal",
+    "export_window",
     "worker_pool",
     "collect_noise_profile",
-    "fit_and_histogram",
     "ks_statistic",
     "run_roc",
 ]
@@ -118,39 +119,49 @@ class RocCurve:
             raise ValueError("probabilities must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class HistogramReport:
-    """Density histogram of the noise maxima with the fitted model and its
-    Kolmogorov-Smirnov distance."""
-
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
-    fitted: GevParams
-    ks_statistic: float
-
-
 def derived_seed(master_seed: int, *tags: int) -> int:
     """Counter-scheme seed fan-out: one 64-bit seed per (stream, index...) tag."""
     seq = np.random.SeedSequence([int(master_seed), *[int(t) for t in tags]])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _noise_window(plan: ExperimentPlan, *tags: int) -> SampleBuffer:
-    seed = derived_seed(plan.master_seed, *tags)
-    return generate_awgn(plan.scd_cfg.window_length_k, NoiseSpec(NOISE_VARIANCE, seed),
-                         plan.signal_spec.sample_rate_hz)
+def _noise(plan: ExperimentPlan, n: int, seed: int) -> SampleBuffer:
+    return generate_awgn(n, NoiseSpec(NOISE_VARIANCE, seed), plan.signal_spec.sample_rate_hz)
+
+
+def _mixture(plan: ExperimentPlan, n: int, signal_seed: int, noise_seed: int,
+             snr_db: float) -> SampleBuffer:
+    """n samples of the plan's AM signal plus unit-variance noise at snr_db."""
+    signal = generate_am(replace(plan.signal_spec, duration_samples=n), signal_seed)
+    return mix_at_snr(signal, _noise(plan, n, noise_seed), snr_db)
+
+
+def export_signal(plan: ExperimentPlan) -> tuple[SampleBuffer, int]:
+    """The plan's full-length AM signal and the seed it was drawn from."""
+    seed = derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL)
+    return generate_am(plan.signal_spec, seed), seed
+
+
+def export_window(plan: ExperimentPlan) -> SampleBuffer:
+    """First analysis window of the full-length export signal mixed with
+    export noise at the plan's first SNR."""
+    mixed = _mixture(plan, plan.signal_spec.duration_samples,
+                     derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL),
+                     derived_seed(plan.master_seed, STREAM_EXPORT_NOISE), plan.snr_db_list[0])
+    return SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
 
 
 def _statistic_task(args: tuple) -> float:
     """One window's detection statistic; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, index = args
+    k = plan.scd_cfg.window_length_k
     if kind == "noise":
-        window = _noise_window(plan, STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL, index)
+        stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
+        window = _noise(plan, k, derived_seed(plan.master_seed, stream, index))
     elif kind == "h1":
-        noise = _noise_window(plan, STREAM_H1_TRIAL, snr_index, batch, index, 1)
-        seed = derived_seed(plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index, 0)
-        signal = generate_am(replace(plan.signal_spec, duration_samples=len(noise)), seed)
-        window = mix_at_snr(signal, noise, plan.snr_db_list[snr_index])
+        tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
+        window = _mixture(plan, k, derived_seed(*tags, 0), derived_seed(*tags, 1),
+                          plan.snr_db_list[snr_index])
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
@@ -189,29 +200,6 @@ def ks_statistic(samples, params: GevParams) -> float:
     upper = np.max(np.arange(1, n + 1) / n - model)
     lower = np.max(model - np.arange(0, n) / n)
     return float(max(upper, lower))
-
-
-def fit_and_histogram(samples, bins: int | None = None,
-                      fit: FitReport | None = None) -> HistogramReport:
-    """Fit the noise model and bin the samples for overlay comparison.
-
-    bins defaults to the Sturges count. A precomputed fit may be passed to
-    avoid refitting the same samples.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 100:
-        raise ValueError(f"need at least 100 samples, got {x.size}")
-    if fit is None:
-        fit = fit_gev_mle(x)
-    if bins is None:
-        bins = int(np.ceil(np.log2(x.size))) + 1
-    counts, edges = np.histogram(x, bins=int(bins))
-    return HistogramReport(
-        bin_edges=edges,
-        bin_counts=counts,
-        fitted=fit.params,
-        ks_statistic=ks_statistic(x, fit.params),
-    )
 
 
 def _exceedance_rates(batch: np.ndarray, thresholds: np.ndarray) -> list[float]:

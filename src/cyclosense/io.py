@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .gev import FitReport, GevParams
-from .harness import ExperimentPlan, HistogramReport
+from .harness import ExperimentPlan, RocCurve
 from .scd import ScdConfig, ScdMatrix
 from .siggen import SampleBuffer, SignalSpec
 
@@ -141,20 +141,28 @@ def read_fit_json(path: str | Path) -> FitReport:
     )
 
 
-def write_histogram_csv(path: str | Path, report: HistogramReport) -> Path:
+def write_histogram_csv(path: str | Path, samples, bins: int | None = None) -> Path:
+    """Density histogram of the samples, bins defaulting to the Sturges count:
+    bin_lo,bin_hi,count,density."""
+    x = np.asarray(samples, dtype=np.float64)
+    if bins is None:
+        bins = int(np.ceil(np.log2(x.size))) + 1
+    counts, edges = np.histogram(x, bins=int(bins))
     path = Path(path)
-    total = int(report.bin_counts.sum())
+    total = int(counts.sum())
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-        for lo, hi, count in zip(report.bin_edges[:-1], report.bin_edges[1:], report.bin_counts):
+        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
             density = count / (total * (hi - lo)) if hi > lo else 0.0
             writer.writerow([_fmt(lo), _fmt(hi), int(count), _fmt(density)])
     return path
 
 
-def write_roc_csv(path: str | Path, pf_grid, thresholds, pf_empirical,
-                  pd_theoretical, pd_empirical, trials: int) -> Path:
+def write_roc_csv(path: str | Path, theoretical: RocCurve, empirical: RocCurve,
+                  thresholds, trials: int) -> Path:
+    """One row per preset pf of a (theoretical, empirical) curve pair and its
+    threshold."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -162,8 +170,7 @@ def write_roc_csv(path: str | Path, pf_grid, thresholds, pf_empirical,
             "pf_preset", "pf_empirical", "pd_theoretical_curve",
             "pd_empirical", "threshold", "trials",
         ])
-        for pf, lam, pfe, pdt, pde in zip(pf_grid, thresholds, pf_empirical,
-                                          pd_theoretical, pd_empirical):
+        for (pf, pdt), (pfe, pde), lam in zip(theoretical.points, empirical.points, thresholds):
             writer.writerow([_fmt(pf), _fmt(pfe), _fmt(pdt), _fmt(pde), _fmt(lam), int(trials)])
     return path
 

@@ -1,12 +1,13 @@
 """Command-line interface: commands, exit codes, provenance, idempotence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cyclosense as cs
-from cyclosense import io
+from cyclosense import cli, io
 from cyclosense.cli import main
 from cyclosense.harness import STREAM_EXPORT_NOISE, STREAM_EXPORT_SIGNAL, derived_seed
 
@@ -20,6 +21,12 @@ def plan_path(tmp_path, mini_plan):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.fixture
+def unconverged_fit(monkeypatch):
+    fit = cli.fit_gev_mle
+    monkeypatch.setattr(cli, "fit_gev_mle", lambda samples: replace(fit(samples), converged=False))
 
 
 class TestGen:
@@ -96,6 +103,25 @@ class TestFit:
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, constant, code", [(25, False, 3), (50, False, 2),
+                                                      (200, True, 3)])
+    def test_exit_code_by_sample_count_writes_no_file(self, tmp_path, rows, constant, code):
+        samples = np.full(rows, 0.5) if constant else 0.5 + 0.001 * np.arange(rows)
+        io.write_profile_csv(tmp_path / "p.csv", 2.0e6, samples)
+        out = tmp_path / "f"
+        assert main(["fit", "--samples", str(tmp_path / "p.csv"), "--out", str(out)]) == code
+        assert list(out.iterdir()) == []
+
+    def test_unconverged_fit_writes_model_and_exits_numeric(self, tmp_path, unconverged_fit,
+                                                            capsys):
+        samples = cs.sample_gev(cs.GevParams(0.0, 1.0, 0.5), 500, seed=3)
+        io.write_profile_csv(tmp_path / "p.csv", 2.0e6, samples)
+        fit_dir = tmp_path / "f"
+        assert main(["fit", "--samples", str(tmp_path / "p.csv"), "--out", str(fit_dir)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert sorted(p.name for p in fit_dir.iterdir()) == ["fit.json", "histogram.csv"]
+        assert json.loads((fit_dir / "fit.json").read_text())["converged"] is False
+
 
 class TestThreshold:
     def test_prints_gumbel_quantile(self, tmp_path, capsys):
@@ -122,6 +148,14 @@ class TestRoc:
         assert (out / "histogram.csv").exists()
         resolved = io.read_plan_json(out / "plan.json")
         assert resolved == mini_plan
+
+    def test_unconverged_fit_writes_model_and_no_curves(self, tmp_path, plan_path,
+                                                        unconverged_fit, capsys):
+        out = tmp_path / "r"
+        assert main(["roc", "--plan", str(plan_path), "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json", "histogram.csv"]
+        assert json.loads((out / "fit.json").read_text())["converged"] is False
 
     def test_byte_identical_across_runs_and_jobs(self, tmp_path, plan_path):
         out_a, out_b = tmp_path / "r1", tmp_path / "r2"

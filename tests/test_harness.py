@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import cyclosense as cs
+from cyclosense import io
+from cyclosense.cli import main
 from cyclosense.harness import STREAM_NOISE_FIT, derived_seed, _statistic_task, worker_pool
 
 
@@ -76,40 +78,55 @@ class TestCollect:
                               cs.collect_noise_profile(mini_plan, jobs=2))
 
 
+def histogram_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def write_samples(path, samples):
+    io.write_profile_csv(path, 2.0e6, samples)
+    return str(path)
+
+
 class TestFitAndHistogram:
-    def test_counts_and_ks(self, mini_plan):
+    """The noise model's outputs: its KS distance, the histogram.csv binning
+    and the sample checks of `cyclosense fit`."""
+
+    def test_counts_and_ks(self, mini_plan, tmp_path):
         samples = cs.collect_noise_profile(mini_plan)
-        report = cs.fit_and_histogram(samples)
-        assert report.bin_counts.sum() == samples.size
+        fitted = cs.fit_gev_mle(samples).params
+        rows = histogram_rows(io.write_histogram_csv(tmp_path / "h.csv", samples))
+        assert sum(int(count) for _, _, count, _ in rows) == samples.size
         # independent KS computation
         xs = np.sort(samples)
         n = xs.size
-        model = cs.cdf(xs, report.fitted)
+        model = cs.cdf(xs, fitted)
         expected = max(np.max(np.arange(1, n + 1) / n - model),
                        np.max(model - np.arange(n) / n))
-        assert report.ks_statistic == pytest.approx(expected, abs=1e-15)
+        assert cs.ks_statistic(samples, fitted) == pytest.approx(expected, abs=1e-15)
 
-    def test_synthetic_gev_recovery(self):
+    def test_synthetic_gev_recovery(self, tmp_path):
         truth = cs.GevParams(0.1, 3.0, 0.5)
         samples = cs.sample_gev(truth, 10000, seed=77)
-        report = cs.fit_and_histogram(samples, bins=40)
-        assert report.bin_edges.size == 41
-        assert abs(report.fitted.kappa - truth.kappa) <= 0.05
-        assert abs(report.fitted.mu - truth.mu) <= 0.05
-        assert abs(report.fitted.sigma - truth.sigma) <= 0.05
+        fitted = cs.fit_gev_mle(samples).params
+        assert len(histogram_rows(io.write_histogram_csv(tmp_path / "h.csv", samples, 40))) == 40
+        assert abs(fitted.kappa - truth.kappa) <= 0.05
+        assert abs(fitted.mu - truth.mu) <= 0.05
+        assert abs(fitted.sigma - truth.sigma) <= 0.05
 
-    def test_degenerate_samples_surface_fit_error(self):
-        with pytest.raises(cs.DegenerateDataError):
-            cs.fit_and_histogram(np.full(150, 2.0))
+    def test_degenerate_samples_surface_fit_error(self, tmp_path, capsys):
+        path = write_samples(tmp_path / "p.csv", np.full(150, 2.0))
+        assert main(["fit", "--samples", path, "--out", str(tmp_path / "f")]) == 3
+        assert "degenerate" in capsys.readouterr().err
 
-    def test_requires_hundred_samples(self):
-        with pytest.raises(ValueError):
-            cs.fit_and_histogram(np.arange(50.0))
+    def test_requires_hundred_samples(self, tmp_path, capsys):
+        path = write_samples(tmp_path / "p.csv", np.arange(50.0))
+        assert main(["fit", "--samples", path, "--out", str(tmp_path / "f")]) == 2
+        assert "at least 100 samples" in capsys.readouterr().err
 
-    def test_sturges_default_bins(self, mini_plan):
+    def test_sturges_default_bins(self, mini_plan, tmp_path):
         samples = cs.collect_noise_profile(mini_plan)
-        report = cs.fit_and_histogram(samples)
-        assert report.bin_counts.size == int(np.ceil(np.log2(samples.size))) + 1
+        rows = histogram_rows(io.write_histogram_csv(tmp_path / "h.csv", samples))
+        assert len(rows) == int(np.ceil(np.log2(samples.size))) + 1
 
 
 @pytest.fixture(scope="module")

@@ -90,9 +90,9 @@ class TestFitJson:
 class TestHistogramCsv:
     def test_densities_integrate_to_one(self, tmp_path):
         samples = cs.sample_gev(cs.GevParams(0.0, 1.0, 0.5), 1000, seed=3)
-        report = cs.fit_and_histogram(samples, bins=20)
-        path = io.write_histogram_csv(tmp_path / "h.csv", report)
+        path = io.write_histogram_csv(tmp_path / "h.csv", samples, bins=20)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 20
         total = sum(float(density) * (float(hi) - float(lo)) for lo, hi, _, density in rows)
         assert total == pytest.approx(1.0, rel=1e-6)
         assert sum(int(count) for _, _, count, _ in rows) == 1000
@@ -102,11 +102,9 @@ class TestRocCsv:
     def test_format_and_precision(self, tmp_path):
         path = io.write_roc_csv(
             tmp_path / "roc.csv",
-            pf_grid=[0.01, 0.5],
+            theoretical=cs.RocCurve(((0.01, 0.7771234567891), (0.5, 0.999)), "theoretical", -10.0),
+            empirical=cs.RocCurve(((0.012, 0.75), (0.498, 1.0)), "empirical", -10.0),
             thresholds=[0.123456789123, 0.05],
-            pf_empirical=[0.012, 0.498],
-            pd_theoretical=[0.7771234567891, 0.999],
-            pd_empirical=[0.75, 1.0],
             trials=1000,
         )
         lines = path.read_text().splitlines()
@@ -114,6 +112,8 @@ class TestRocCsv:
         first = lines[1].split(",")
         assert first[2] == "0.777123457"  # 9 significant digits
         assert first[5] == "1000"
+        assert lines[1:] == ["0.01,0.012,0.777123457,0.75,0.123456789,1000",
+                             "0.5,0.498,0.999,1,0.05,1000"]
 
 
 class TestPlanJson:
