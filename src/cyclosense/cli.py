@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Experiments are described by a JSON plan file; flags exist only as overrides
-(`--set key=value` with dotted keys into the plan document). Every
+(`--set key=value` with dotted keys into the plan document). Plan files are
+read strictly: the signal and scd sections take exactly the SignalSpec and
+ScdConfig fields, so an unknown key there is a configuration error. Every
 plan-driven command writes the fully resolved plan.json next to its outputs
 for provenance, and rerunning a command with the same plan produces
 byte-identical files.
@@ -114,10 +116,7 @@ def _write_noise_model(out: Path, samples, bins: int | None = None) -> FitReport
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    report = _write_noise_model(out, io.read_profile_samples(args.samples), args.bins)
-    if args.plan is not None:
-        io.write_plan_json(out / "plan.json", io.read_plan_json(args.plan))
+    report = _write_noise_model(_out_dir(args), io.read_profile_samples(args.samples), args.bins)
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
@@ -129,6 +128,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 def _cmd_roc(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
+    names = [f"roc_{snr:g}.csv" for snr in plan.snr_db_list]
+    if len(set(names)) < len(names):
+        raise ValueError(f"snr_db entries {list(plan.snr_db_list)} share roc_<snr>.csv names")
     out = _out_dir(args)
     with worker_pool(args.jobs) as pool:
         report = _write_noise_model(out, collect_noise_profile(plan, jobs=args.jobs, pool=pool))
@@ -136,9 +138,8 @@ def _cmd_roc(args: argparse.Namespace) -> int:
             return EXIT_NUMERIC
         curves = run_roc(plan, jobs=args.jobs, noise_fit=report, pool=pool)
     thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
-    for theoretical, empirical in curves:
-        io.write_roc_csv(out / f"roc_{theoretical.snr_db:g}.csv", theoretical, empirical,
-                         thresholds, plan.signal_windows_m)
+    for name, (theoretical, empirical) in zip(names, curves):
+        io.write_roc_csv(out / name, theoretical, empirical, thresholds, plan.signal_windows_m)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
 
@@ -168,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--samples", required=True, help="profile CSV from the collect command")
     fit.add_argument("--out", default=".", help="output directory")
     fit.add_argument("--bins", type=int, default=None, help="histogram bin count")
-    fit.add_argument("--plan", default=None, help="optional plan to copy alongside outputs")
     fit.set_defaults(func=_cmd_fit)
 
     thr = sub.add_parser("threshold", help="print the threshold for a preset pf")

@@ -19,7 +19,8 @@ then the shape alone with the location and scale held fixed. That is the
 classic sequential recipe, not the joint maximum likelihood estimate when
 the true shape is nonzero; refine=True then frees all three parameters.
 A fit reports converged only when every score component its last stage was
-free to move, in scale-free form per sample, is at most tol.
+free to move, in scale-free form per sample, is at most 1e-9; each stage
+stops after 200 Newton steps. Both limits are fixed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 KAPPA_EPS = 1e-6
+
+# solver limits: scale-free score per sample, Newton steps per stage
+_TOL = 1e-9
+_MAX_ITER = 200
 
 __all__ = [
     "KAPPA_EPS",
@@ -229,7 +234,7 @@ def _derivatives(x: np.ndarray, theta):
     return ll, score, hessian
 
 
-def _newton(x: np.ndarray, theta, free: tuple[int, ...], tol: float, max_iter: int):
+def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     """Damped Newton ascent of the log likelihood over the coordinates in free.
 
     Works in the scale-free coordinates (kappa, mu/sigma, log sigma). A step
@@ -237,18 +242,19 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], tol: float, max_iter: i
     likelihood is unbounded) or lowers the likelihood beyond rounding; when
     the Newton direction is not an ascent direction the per-sample score is
     the step. Stops once every free scale-free score component per sample is
-    at most tol. Returns (theta, Newton steps taken, converged).
+    at most _TOL, or after _MAX_ITER steps. Returns (theta, Newton steps
+    taken, converged).
     """
     theta = np.asarray(theta, dtype=np.float64)
     free = np.asarray(free)
     n = x.size
     ll, score, hessian = _derivatives(x, theta)
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         scale = np.array([1.0, np.exp(theta[2]), 1.0])[free]
         g = score[free] * scale
-        if np.max(np.abs(g)) <= tol * n:
+        if np.max(np.abs(g)) <= _TOL * n:
             return theta, iteration, True
-        if iteration == max_iter:
+        if iteration == _MAX_ITER:
             break
         h = hessian[np.ix_(free, free)] * np.outer(scale, scale)
         step = -np.linalg.solve(h, g)
@@ -268,10 +274,10 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], tol: float, max_iter: i
         else:
             return theta, iteration, False
         theta, ll, score, hessian = trial, trial_ll, trial_score, trial_hessian
-    return theta, max_iter, False
+    return theta, _MAX_ITER, False
 
 
-def _report(x: np.ndarray, theta, iterations: int, converged: bool, tol: float) -> FitReport:
+def _report(x: np.ndarray, theta, iterations: int, converged: bool) -> FitReport:
     params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
     return FitReport(
         params=params,
@@ -279,11 +285,11 @@ def _report(x: np.ndarray, theta, iterations: int, converged: bool, tol: float) 
         iterations=iterations,
         converged=converged,
         sample_count=int(x.size),
-        solver_tol=tol,
+        solver_tol=_TOL,
     )
 
 
-def _gumbel_stage(samples, tol: float, max_iter: int):
+def _gumbel_stage(samples):
     """The checks, start point and (mu, log sigma) Newton run of
     fit_gumbel_mle: (validated samples, theta, Newton steps, converged)."""
     x = _as_finite_array(samples)
@@ -291,32 +297,29 @@ def _gumbel_stage(samples, tol: float, max_iter: int):
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
     if np.var(x) == 0.0:
         raise DegenerateDataError("samples have zero variance")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
     sigma_0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
     # the location that maximizes the likelihood at sigma_0, which bounds every
     # exp(-z) by the sample count; the shift by min(x) keeps the sum finite
     shift = float(np.min(x))
     mu_0 = shift - sigma_0 * math.log(float(np.mean(np.exp((shift - x) / sigma_0))))
-    theta, iterations, converged = _newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2),
-                                           tol, max_iter)
+    theta, iterations, converged = _newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2))
     return x, theta, iterations, converged
 
 
-def fit_gumbel_mle(samples, tol: float = 1e-9, max_iter: int = 200) -> FitReport:
+def fit_gumbel_mle(samples) -> FitReport:
     """Gumbel (kappa = 0) maximum likelihood fit.
 
     Newton over (mu, log sigma) from the moment-estimate scale and the
     location that maximizes the likelihood at that scale. converged means
     both per-sample score residuals, |mean(w) - 1| and
     |mean(z*(1 - w)) - 1| with z = (x - mu)/sigma and w = exp(-z), are at
-    most tol; iterations counts Newton steps.
+    most 1e-9 (FitReport.solver_tol) within 200 steps; iterations counts
+    Newton steps.
     """
-    return _report(*_gumbel_stage(samples, tol, max_iter), tol)
+    return _report(*_gumbel_stage(samples))
 
 
-def fit_gev_mle(samples, tol: float = 1e-9, max_iter: int = 200,
-                refine: bool = False) -> FitReport:
+def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     """GEV maximum likelihood fit, staged by default.
 
     The staged fit takes (mu, sigma) from fit_gumbel_mle and then maximizes
@@ -325,15 +328,16 @@ def fit_gev_mle(samples, tol: float = 1e-9, max_iter: int = 200,
     refine=True continues with Newton over all three parameters, which gives
     the joint maximum likelihood estimate. converged means every score
     component the last stage was free to move, in the scale-free form
-    (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per sample, is at most tol; for
-    the staged fit the Gumbel stage must have converged too. iterations
-    counts the Newton steps of all stages.
+    (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per sample, is at most 1e-9
+    (FitReport.solver_tol) within 200 steps per stage; for the staged fit
+    the Gumbel stage must have converged too. iterations counts the Newton
+    steps of all stages.
     """
-    x, theta, iterations, gumbel_converged = _gumbel_stage(samples, tol, max_iter)
-    theta, steps, converged = _newton(x, theta, (0,), tol, max_iter)
+    x, theta, iterations, gumbel_converged = _gumbel_stage(samples)
+    theta, steps, converged = _newton(x, theta, (0,))
     iterations += steps
     converged = gumbel_converged and converged
     if refine:
-        theta, steps, converged = _newton(x, theta, (0, 1, 2), tol, max_iter)
+        theta, steps, converged = _newton(x, theta, (0, 1, 2))
         iterations += steps
-    return _report(x, theta, iterations, converged, tol)
+    return _report(x, theta, iterations, converged)

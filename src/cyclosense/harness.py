@@ -103,15 +103,12 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Ordered (pf, pd) operating points of one kind at one SNR."""
+    """Ordered (pf, pd) operating points at one SNR."""
 
     points: tuple[tuple[float, float], ...]
-    kind: str
     snr_db: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("theoretical", "empirical"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
         pfs = [p for p, _ in self.points]
         if any(b < a for a, b in zip(pfs, pfs[1:])):
             raise ValueError("pf coordinates must be ascending")
@@ -229,10 +226,8 @@ def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = N
     thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
     pf_empirical = _exceedance_rates(h0, thresholds)
     return [
-        (RocCurve(tuple(zip(plan.pf_grid, _exceedance_rates(h1_theory, thresholds))),
-                  "theoretical", snr_db),
-         RocCurve(tuple(zip(pf_empirical, _exceedance_rates(h1_empirical, thresholds))),
-                  "empirical", snr_db))
+        (RocCurve(tuple(zip(plan.pf_grid, _exceedance_rates(h1_theory, thresholds))), snr_db),
+         RocCurve(tuple(zip(pf_empirical, _exceedance_rates(h1_empirical, thresholds))), snr_db))
         for snr_db, (h1_theory, h1_empirical) in zip(plan.snr_db_list, h1)
     ]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .gev import FitReport, GevParams
-from .harness import ExperimentPlan, RocCurve
+from .harness import NOISE_VARIANCE, ExperimentPlan, RocCurve
 from .scd import ScdConfig, ScdMatrix
 from .siggen import SampleBuffer, SignalSpec
 
@@ -44,9 +44,10 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_signal(path_base: str | Path, buffer: SampleBuffer,
-                 spec: SignalSpec | None = None, seed: int | None = None) -> tuple[Path, Path]:
-    """Write samples as raw little-endian float64 plus a JSON sidecar."""
+def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
+                 seed: int) -> tuple[Path, Path]:
+    """Write samples as raw little-endian float64 plus a JSON sidecar that
+    records the spec and seed they were drawn from."""
     base = Path(path_base)
     data_path = base.with_suffix(".f64")
     meta_path = base.with_suffix(".json")
@@ -58,7 +59,7 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer,
         "dtype": "float64",
         "byte_order": "little",
         "seed": seed,
-        "spec": asdict(spec) if spec is not None else None,
+        "spec": asdict(spec),
     }
     _dump_json(meta_path, sidecar)
     return data_path, meta_path
@@ -83,12 +84,7 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix, cfg: ScdConfig) -
         "alpha_axis_hz": [float(v) for v in matrix.alpha_axis_hz],
         "alpha_bins": list(matrix.alpha_bins),
         "valid_runs": runs,
-        "config": {
-            "window_length_k": cfg.window_length_k,
-            "taper": cfg.taper,
-            "smoothing_length": cfg.smoothing_length,
-            "alpha_bins": list(cfg.alpha_grid),
-        },
+        "config": _scd_dict(cfg),
     }
     _dump_json(meta_path, header)
     return data_path, meta_path
@@ -175,22 +171,17 @@ def write_roc_csv(path: str | Path, theoretical: RocCurve, empirical: RocCurve,
     return path
 
 
+def _scd_dict(cfg: ScdConfig) -> dict:
+    """ScdConfig fields as written to files, with alpha_grid as alpha_bins."""
+    fields = asdict(cfg)
+    fields["alpha_bins"] = list(fields.pop("alpha_grid"))
+    return fields
+
+
 def plan_to_dict(plan: ExperimentPlan) -> dict:
     return {
-        "signal": {
-            "carrier_freq_hz": plan.signal_spec.carrier_freq_hz,
-            "baseband_bandwidth_hz": plan.signal_spec.baseband_bandwidth_hz,
-            "sample_rate_hz": plan.signal_spec.sample_rate_hz,
-            "duration_samples": plan.signal_spec.duration_samples,
-            "modulation": plan.signal_spec.modulation,
-            "modulation_index": plan.signal_spec.modulation_index,
-        },
-        "scd": {
-            "window_length_k": plan.scd_cfg.window_length_k,
-            "taper": plan.scd_cfg.taper,
-            "smoothing_length": plan.scd_cfg.smoothing_length,
-            "alpha_bins": list(plan.scd_cfg.alpha_grid),
-        },
+        "signal": asdict(plan.signal_spec),
+        "scd": _scd_dict(plan.scd_cfg),
         "noise_windows": plan.noise_windows_l,
         "signal_windows": plan.signal_windows_m,
         "snr_db": list(plan.snr_db_list),
@@ -198,30 +189,21 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "conventions": {
             "snr_bandwidth": "full sampling bandwidth",
-            "noise_variance": 1.0,
+            "noise_variance": NOISE_VARIANCE,
         },
     }
 
 
 def plan_from_dict(payload: dict) -> ExperimentPlan:
+    """Plan from its dict form. The signal and scd sections take exactly the
+    SignalSpec and ScdConfig fields (alpha_grid written as alpha_bins), and
+    their optional fields take the dataclass defaults; an unknown or missing
+    key raises ValueError."""
     try:
-        signal = payload["signal"]
-        scd = payload["scd"]
+        scd = dict(payload["scd"])
         return ExperimentPlan(
-            signal_spec=SignalSpec(
-                carrier_freq_hz=signal["carrier_freq_hz"],
-                baseband_bandwidth_hz=signal["baseband_bandwidth_hz"],
-                sample_rate_hz=signal["sample_rate_hz"],
-                duration_samples=signal["duration_samples"],
-                modulation=signal.get("modulation", "am"),
-                modulation_index=signal.get("modulation_index", 0.5),
-            ),
-            scd_cfg=ScdConfig(
-                window_length_k=scd["window_length_k"],
-                taper=scd.get("taper", "hamming"),
-                smoothing_length=scd["smoothing_length"],
-                alpha_grid=tuple(scd["alpha_bins"]),
-            ),
+            signal_spec=SignalSpec(**payload["signal"]),
+            scd_cfg=ScdConfig(alpha_grid=tuple(scd.pop("alpha_bins")), **scd),
             noise_windows_l=payload["noise_windows"],
             signal_windows_m=payload["signal_windows"],
             snr_db_list=tuple(payload["snr_db"]),
@@ -230,6 +212,8 @@ def plan_from_dict(payload: dict) -> ExperimentPlan:
         )
     except KeyError as exc:
         raise ValueError(f"plan is missing required key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"invalid plan: {exc}") from exc
 
 
 def write_plan_json(path: str | Path, plan: ExperimentPlan) -> Path:

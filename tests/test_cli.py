@@ -163,6 +163,14 @@ class TestRoc:
         main(["roc", "--plan", str(plan_path), "--out", str(out_b), "--jobs", "2"])
         assert tree_bytes(out_a) == tree_bytes(out_b)
 
+    def test_snrs_sharing_a_file_name_are_config_error(self, tmp_path, mini_plan, capsys):
+        bad = io.write_plan_json(tmp_path / "plan.json",
+                                 replace(mini_plan, snr_db_list=(-10.00001, -10.00002)))
+        out = tmp_path / "r"
+        assert main(["roc", "--plan", str(bad), "--out", str(out)]) == 2
+        assert "roc_<snr>.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_matches_run_roc_values(self, tmp_path, plan_path, mini_plan):
         out = tmp_path / "r"
         main(["roc", "--plan", str(plan_path), "--out", str(out)])
@@ -204,6 +212,19 @@ class TestOverridesAndErrors:
         code = main(["collect", "--plan", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "c")])
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["gen", "scd", "collect", "roc"])
+    @pytest.mark.parametrize("section, key", [("signal", "modulaton_index"), ("scd", "tapr")])
+    def test_unknown_plan_key_is_config_error_and_writes_no_file(self, tmp_path, mini_plan,
+                                                                 command, section, key, capsys):
+        payload = io.plan_to_dict(mini_plan)
+        payload[section][key] = 0.9
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_plan_invariant_is_config_error(self, tmp_path, plan_path, capsys):
         code = main(["collect", "--plan", str(plan_path), "--out", str(tmp_path / "c"),

@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.stats import genextreme
 
 import cyclosense as cs
+import cyclosense.gev as gev_module
 from cyclosense.gev import KAPPA_EPS, _derivatives, log_likelihood
 
 # frozen oracle constants
@@ -162,7 +163,8 @@ class TestGumbelFit:
 
     def test_score_residuals_within_tol(self):
         draws = cs.sample_gev(gev(0.0, 1.0, 3.0), 5000, seed=2)
-        report = cs.fit_gumbel_mle(draws, tol=1e-9)
+        report = cs.fit_gumbel_mle(draws)
+        assert report.solver_tol == 1e-9
         z = (draws - report.params.mu) / report.params.sigma
         w = np.exp(-z)
         assert abs(np.mean(w) - 1.0) <= 1e-9
@@ -247,7 +249,7 @@ class TestGevFit:
 
     def test_report_metadata(self):
         draws = cs.sample_gev(gev(0.0, 0.0, 1.0), 500, seed=12)
-        report = cs.fit_gev_mle(draws, tol=1e-9)
+        report = cs.fit_gev_mle(draws)
         assert report.sample_count == 500
         assert report.solver_tol == 1e-9
         assert report.iterations > 0
@@ -271,10 +273,11 @@ class TestConvergence:
         assert staged.converged
         assert abs(scale_free_score(draws, staged.params)[0]) <= staged.solver_tol
 
-    def test_one_iteration_is_not_converged(self):
+    def test_one_iteration_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(gev_module, "_MAX_ITER", 1)
         draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 10_000, 1234)
-        gumbel = cs.fit_gumbel_mle(draws, max_iter=1)
-        joint = cs.fit_gev_mle(draws, max_iter=1, refine=True)
+        gumbel = cs.fit_gumbel_mle(draws)
+        joint = cs.fit_gev_mle(draws, refine=True)
         assert not gumbel.converged and gumbel.iterations == 1
         assert not joint.converged
 

@@ -137,9 +137,8 @@ def curves(mini_plan):
 class TestRunRoc:
     def test_one_pair_per_snr(self, curves, mini_plan):
         assert len(curves) == len(mini_plan.snr_db_list)
-        for theoretical, empirical in curves:
-            assert theoretical.kind == "theoretical"
-            assert empirical.kind == "empirical"
+        for snr_db, (theoretical, empirical) in zip(mini_plan.snr_db_list, curves):
+            assert theoretical.snr_db == empirical.snr_db == snr_db
             assert len(theoretical.points) == len(mini_plan.pf_grid)
             assert len(empirical.points) == len(mini_plan.pf_grid)
 
@@ -198,15 +197,11 @@ class TestRunRoc:
 class TestRocCurveInvariants:
     def test_pf_must_ascend(self):
         with pytest.raises(ValueError):
-            cs.RocCurve(((0.2, 0.5), (0.1, 0.6)), "empirical", -10.0)
+            cs.RocCurve(((0.2, 0.5), (0.1, 0.6)), -10.0)
 
     def test_probabilities_bounded(self):
         with pytest.raises(ValueError):
-            cs.RocCurve(((0.1, 1.2),), "theoretical", -10.0)
-
-    def test_kind_restricted(self):
-        with pytest.raises(ValueError):
-            cs.RocCurve(((0.1, 0.5),), "simulated", -10.0)
+            cs.RocCurve(((0.1, 1.2),), -10.0)
 
 
 class TestH1Statistics:

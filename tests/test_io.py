@@ -36,7 +36,7 @@ class TestSignalFiles:
 
     def test_payload_is_little_endian_float64(self, tmp_path):
         buf = cs.SampleBuffer(np.array([1.0, -2.5, 3.25]), 8.0)
-        data_path, _ = io.write_signal(tmp_path / "x", buf)
+        data_path, _ = io.write_signal(tmp_path / "x", buf, cs.SignalSpec(2.0, 1.0, 8.0, 3), 0)
         raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
         assert np.array_equal(raw, buf.samples)
 
@@ -102,8 +102,8 @@ class TestRocCsv:
     def test_format_and_precision(self, tmp_path):
         path = io.write_roc_csv(
             tmp_path / "roc.csv",
-            theoretical=cs.RocCurve(((0.01, 0.7771234567891), (0.5, 0.999)), "theoretical", -10.0),
-            empirical=cs.RocCurve(((0.012, 0.75), (0.498, 1.0)), "empirical", -10.0),
+            theoretical=cs.RocCurve(((0.01, 0.7771234567891), (0.5, 0.999)), -10.0),
+            empirical=cs.RocCurve(((0.012, 0.75), (0.498, 1.0)), -10.0),
             thresholds=[0.123456789123, 0.05],
             trials=1000,
         )
@@ -130,3 +130,20 @@ class TestPlanJson:
     def test_missing_key_is_config_error(self, tmp_path):
         with pytest.raises(ValueError, match="missing required key"):
             io.plan_from_dict({"signal": {}})
+
+    def test_unknown_signal_key_is_config_error(self, mini_plan):
+        payload = io.plan_to_dict(mini_plan)
+        payload["signal"]["modulaton_index"] = 0.9
+        with pytest.raises(ValueError, match="modulaton_index"):
+            io.plan_from_dict(payload)
+
+    def test_missing_alpha_bins_is_config_error(self, mini_plan):
+        payload = io.plan_to_dict(mini_plan)
+        del payload["scd"]["alpha_bins"]
+        with pytest.raises(ValueError, match="alpha_bins"):
+            io.plan_from_dict(payload)
+
+    def test_optional_fields_take_dataclass_defaults(self, mini_plan):
+        payload = io.plan_to_dict(mini_plan)
+        del payload["signal"]["modulation_index"], payload["scd"]["taper"]
+        assert io.plan_from_dict(payload) == mini_plan  # mini_plan uses both defaults
