@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Experiments are described by a JSON plan file; flags exist only as overrides
-(`--set key=value` with dotted keys into the plan document). Plan files are
-read strictly: the signal and scd sections take exactly the SignalSpec and
-ScdConfig fields, so an unknown key there is a configuration error. Every
+(`--set key=value` with dotted keys into the plan document, optional keys
+included). Plan files are read strictly: the top level takes exactly the
+plan keys and the signal and scd sections exactly the SignalSpec and
+ScdConfig fields, so an unknown key is a configuration error. Every
 plan-driven command writes the fully resolved plan.json next to its outputs
 for provenance, and rerunning a command with the same plan produces
 byte-identical files.
@@ -56,9 +57,7 @@ def _apply_overrides(plan_dict: dict, overrides: list[str]) -> dict:
             if not isinstance(node.get(part), dict):
                 raise ValueError(f"override path {'.'.join(path)!r} does not exist in the plan")
             node = node[part]
-        if path[-1] not in node:
-            raise ValueError(f"override key {'.'.join(path)!r} does not exist in the plan")
-        node[path[-1]] = value
+        node[path[-1]] = value  # the strict plan reader rejects an unknown key
     return plan_dict
 
 
@@ -87,15 +86,16 @@ def _cmd_scd(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
     matrix = estimate_scd(export_window(plan), plan.scd_cfg)
-    io.write_scd_matrix(out / "scd", matrix, plan.scd_cfg)
+    io.write_scd_matrix(out / "scd", matrix)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    out = _out_dir(args)
-    samples = collect_noise_profile(plan, jobs=args.jobs)
+    with worker_pool(args.jobs) as run:
+        out = _out_dir(args)
+        samples = collect_noise_profile(plan, run)
     alpha_hz = plan.alpha0_bin * plan.signal_spec.sample_rate_hz / plan.scd_cfg.window_length_k
     io.write_profile_csv(out / "profile.csv", alpha_hz, samples)
     io.write_plan_json(out / "plan.json", plan)
@@ -131,12 +131,12 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     names = [f"roc_{snr:g}.csv" for snr in plan.snr_db_list]
     if len(set(names)) < len(names):
         raise ValueError(f"snr_db entries {list(plan.snr_db_list)} share roc_<snr>.csv names")
-    out = _out_dir(args)
-    with worker_pool(args.jobs) as pool:
-        report = _write_noise_model(out, collect_noise_profile(plan, jobs=args.jobs, pool=pool))
+    with worker_pool(args.jobs) as run:
+        out = _out_dir(args)
+        report = _write_noise_model(out, collect_noise_profile(plan, run))
         if not report.converged:
             return EXIT_NUMERIC
-        curves = run_roc(plan, jobs=args.jobs, noise_fit=report, pool=pool)
+        curves = run_roc(plan, noise_fit=report, run=run)
     thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
     for name, (theoretical, empirical) in zip(names, curves):
         io.write_roc_csv(out / name, theoretical, empirical, thresholds, plan.signal_windows_m)
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a plan entry, e.g. scd.smoothing_length=301")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker process count")
+        cmd.add_argument("--jobs", type=int, default=1, help="worker process count (collect and roc)")
         return cmd
 
     add_plan_command("gen", "write the AM test signal and its sidecar").set_defaults(func=_cmd_gen)

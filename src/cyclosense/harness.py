@@ -7,14 +7,15 @@ mixed window that the gen and scd commands export.
 
 Every analysis window is generated from a seed derived deterministically
 from (master_seed, stream, indices...), so results are a pure function of
-the plan and independent of worker count or scheduling. Aggregation uses
-only order-independent counts.
+the plan and independent of worker count or scheduling: worker_pool(jobs)
+yields the one runner of a command's windows. Aggregation uses only
+order-independent counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +56,8 @@ class ExperimentPlan:
 
     noise_windows_l windows feed the noise-model fit, a fresh batch of the
     same size measures empirical false alarms, and signal_windows_m
-    signal-plus-noise trials per batch measure detection probability.
+    signal-plus-noise trials per batch measure detection probability. The
+    feature column must hold at least smoothing_length valid cells.
     """
 
     signal_spec: SignalSpec
@@ -87,9 +89,10 @@ class ExperimentPlan:
                 f"signal duration {self.signal_spec.duration_samples} must cover at "
                 f"least two analysis windows of {k} samples"
             )
-        a0 = self.alpha0_bin
-        if abs(a0) >= k:
-            raise ValueError(f"cyclic feature bin {a0} falls outside the grid |a| < {k}")
+        support, length = k - abs(self.alpha0_bin), self.scd_cfg.smoothing_length
+        if support < length:
+            raise ValueError(f"cyclic feature bin {self.alpha0_bin} leaves {support} valid "
+                             f"cells, fewer than the smoothing length {length}")
 
     @property
     def alpha0_bin(self) -> int:
@@ -164,29 +167,28 @@ def _statistic_task(args: tuple) -> float:
     return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
 
 
-def worker_pool(jobs: int, pool: Executor | None = None):
-    """Context yielding the pool for a command's windows: the caller's `pool`,
-    None for jobs == 1 (run in this process), or a new pool of `jobs` workers."""
+def _in_process(tasks: list[tuple]) -> np.ndarray:
+    return np.array([_statistic_task(t) for t in tasks])
+
+
+@contextmanager
+def worker_pool(jobs: int):
+    """Context yielding run(tasks) -> statistics, the runner of a command's
+    windows: in this process for jobs == 1, otherwise on one pool of `jobs`
+    worker processes."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if pool is not None or jobs == 1:
-        return nullcontext(pool)
-    return ProcessPoolExecutor(max_workers=jobs)
+    if jobs == 1:
+        yield _in_process
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield lambda tasks: np.array(list(pool.map(
+            _statistic_task, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))))
 
 
-def _run_tasks(tasks: list[tuple], jobs: int, pool: Executor | None) -> np.ndarray:
-    if pool is None:
-        return np.array([_statistic_task(t) for t in tasks])
-    chunk = max(1, len(tasks) // (8 * jobs))
-    return np.array(list(pool.map(_statistic_task, tasks, chunksize=chunk)))
-
-
-def collect_noise_profile(plan: ExperimentPlan, jobs: int = 1,
-                          pool: Executor | None = None) -> np.ndarray:
+def collect_noise_profile(plan: ExperimentPlan, run=_in_process) -> np.ndarray:
     """Alpha-profile noise maxima at the feature bin for L disjoint windows."""
-    tasks = [(plan, "noise", 0, 0, i) for i in range(plan.noise_windows_l)]
-    with worker_pool(jobs, pool) as pool:
-        return _run_tasks(tasks, jobs, pool)
+    return run([(plan, "noise", 0, 0, i) for i in range(plan.noise_windows_l)])
 
 
 def ks_statistic(samples, params: GevParams) -> float:
@@ -204,8 +206,8 @@ def _exceedance_rates(batch: np.ndarray, thresholds: np.ndarray) -> list[float]:
     return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
 
 
-def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = None,
-            pool: Executor | None = None) -> list[tuple[RocCurve, RocCurve]]:
+def run_roc(plan: ExperimentPlan, noise_fit: FitReport | None = None,
+            run=_in_process) -> list[tuple[RocCurve, RocCurve]]:
     """Sweep the preset-pf grid into one (theoretical, empirical) curve pair per SNR.
 
     Protocol per grid point: the threshold comes from the fitted noise model's
@@ -214,15 +216,14 @@ def run_roc(plan: ExperimentPlan, jobs: int = 1, noise_fit: FitReport | None = N
     false-alarm rate (fresh noise windows) with a detection rate measured on
     an independent signal batch at the same threshold. A window counts as
     occupied when its statistic T is strictly above the threshold, so an
-    exact tie decides unoccupied.
+    exact tie decides unoccupied. `run` is a worker_pool runner.
     """
     m = plan.signal_windows_m
-    with worker_pool(jobs, pool) as pool:
-        if noise_fit is None:
-            noise_fit = fit_gev_mle(collect_noise_profile(plan, jobs, pool))
-        h0 = _run_tasks([(plan, "noise", 0, 1, i) for i in range(plan.noise_windows_l)], jobs, pool)
-        h1 = [[_run_tasks([(plan, "h1", s, batch, i) for i in range(m)], jobs, pool)
-               for batch in (0, 1)] for s in range(len(plan.snr_db_list))]
+    if noise_fit is None:
+        noise_fit = fit_gev_mle(collect_noise_profile(plan, run))
+    h0 = run([(plan, "noise", 0, 1, i) for i in range(plan.noise_windows_l)])
+    h1 = [[run([(plan, "h1", s, batch, i) for i in range(m)]) for batch in (0, 1)]
+          for s in range(len(plan.snr_db_list))]
     thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
     pf_empirical = _exceedance_rates(h0, thresholds)
     return [

@@ -65,16 +65,17 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
     return data_path, meta_path
 
 
-def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix, cfg: ScdConfig) -> tuple[Path, Path]:
+def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Path]:
     """Write SCD values as row-major little-endian complex64 plus a JSON header."""
     base = Path(path_base)
     data_path = base.with_suffix(".c64")
     meta_path = base.with_suffix(".json")
-    data_path.write_bytes(np.ascontiguousarray(matrix.values.astype("<c8")).tobytes())
+    matrix.values.astype("<c8").tofile(data_path)
     runs = []
-    for col in range(len(matrix.alpha_bins)):
-        idx = np.flatnonzero(matrix.valid_mask[:, col])
+    for column in matrix.valid_mask.T:
+        idx = np.flatnonzero(column)
         runs.append([int(idx[0]), int(idx[-1])] if idx.size else None)
+    config = _scd_dict(matrix.config)
     header = {
         "dtype": "complex64",
         "byte_order": "little",
@@ -82,9 +83,9 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix, cfg: ScdConfig) -
         "shape": list(matrix.values.shape),
         "f_axis_hz": [float(v) for v in matrix.f_axis_hz],
         "alpha_axis_hz": [float(v) for v in matrix.alpha_axis_hz],
-        "alpha_bins": list(matrix.alpha_bins),
+        "alpha_bins": config["alpha_bins"],
         "valid_runs": runs,
-        "config": _scd_dict(cfg),
+        "config": config,
     }
     _dump_json(meta_path, header)
     return data_path, meta_path
@@ -178,6 +179,10 @@ def _scd_dict(cfg: ScdConfig) -> dict:
     return fields
 
 
+# fixed by the implementation: a plan may restate them but not change them
+_CONVENTIONS = {"snr_bandwidth": "full sampling bandwidth", "noise_variance": NOISE_VARIANCE}
+
+
 def plan_to_dict(plan: ExperimentPlan) -> dict:
     return {
         "signal": asdict(plan.signal_spec),
@@ -187,33 +192,37 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
         "snr_db": list(plan.snr_db_list),
         "pf_grid": list(plan.pf_grid),
         "master_seed": plan.master_seed,
-        "conventions": {
-            "snr_bandwidth": "full sampling bandwidth",
-            "noise_variance": NOISE_VARIANCE,
-        },
+        "conventions": dict(_CONVENTIONS),
     }
 
 
 def plan_from_dict(payload: dict) -> ExperimentPlan:
-    """Plan from its dict form. The signal and scd sections take exactly the
-    SignalSpec and ScdConfig fields (alpha_grid written as alpha_bins), and
-    their optional fields take the dataclass defaults; an unknown or missing
-    key raises ValueError."""
+    """Plan from its dict form, read strictly: the top level takes exactly the
+    plan_to_dict keys (conventions may be omitted, not changed), and the signal
+    and scd sections exactly the SignalSpec and ScdConfig fields (alpha_grid
+    written as alpha_bins), whose optional fields take the dataclass defaults.
+    An unknown or missing key raises ValueError."""
+    rest = dict(payload)
+    if rest.pop("conventions", _CONVENTIONS) != _CONVENTIONS:
+        raise ValueError(f"plan conventions must be {_CONVENTIONS} or omitted")
     try:
-        scd = dict(payload["scd"])
-        return ExperimentPlan(
-            signal_spec=SignalSpec(**payload["signal"]),
+        scd = dict(rest.pop("scd"))
+        plan = ExperimentPlan(
+            signal_spec=SignalSpec(**rest.pop("signal")),
             scd_cfg=ScdConfig(alpha_grid=tuple(scd.pop("alpha_bins")), **scd),
-            noise_windows_l=payload["noise_windows"],
-            signal_windows_m=payload["signal_windows"],
-            snr_db_list=tuple(payload["snr_db"]),
-            pf_grid=tuple(payload["pf_grid"]),
-            master_seed=payload["master_seed"],
+            noise_windows_l=rest.pop("noise_windows"),
+            signal_windows_m=rest.pop("signal_windows"),
+            snr_db_list=tuple(rest.pop("snr_db")),
+            pf_grid=tuple(rest.pop("pf_grid")),
+            master_seed=rest.pop("master_seed"),
         )
     except KeyError as exc:
         raise ValueError(f"plan is missing required key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"invalid plan: {exc}") from exc
+    if rest:
+        raise ValueError(f"unknown plan key(s) {sorted(rest)}")
+    return plan
 
 
 def write_plan_json(path: str | Path, plan: ExperimentPlan) -> Path:

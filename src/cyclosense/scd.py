@@ -85,15 +85,16 @@ class ScdConfig:
 class ScdMatrix:
     """Complex SCD estimate on a (f bin, alpha bin) grid.
 
-    values has shape (K, n_alpha); f_axis_hz is the centered frequency axis
-    and alpha_axis_hz the cyclic frequency of each column. valid_mask marks
-    cells whose bin pair lies fully inside the K-bin axis.
+    values has shape (K, n_alpha), one column per bin of the config it was
+    estimated with; f_axis_hz is the centered frequency axis and alpha_axis_hz
+    the cyclic frequency of each column. valid_mask marks cells whose bin pair
+    lies fully inside the K-bin axis.
     """
 
     values: np.ndarray
     f_axis_hz: np.ndarray
     alpha_axis_hz: np.ndarray
-    alpha_bins: tuple[int, ...]
+    config: ScdConfig
     valid_mask: np.ndarray
 
     def __post_init__(self) -> None:
@@ -101,8 +102,8 @@ class ScdMatrix:
             raise ValueError("values and valid_mask shapes disagree")
         if self.values.shape != (self.f_axis_hz.size, self.alpha_axis_hz.size):
             raise ValueError("axis lengths do not match the value grid")
-        if len(self.alpha_bins) != self.alpha_axis_hz.size:
-            raise ValueError("alpha_bins length does not match the alpha axis")
+        if len(self.config.alpha_grid) != self.alpha_axis_hz.size:
+            raise ValueError("config.alpha_grid length does not match the alpha axis")
 
 
 def _check_alpha_bin(a: int, k: int) -> None:
@@ -184,7 +185,7 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     fs = window.sample_rate_hz
     f_axis = (np.arange(k) - k // 2) * fs / k
     alpha_axis = np.array(cfg.alpha_grid, dtype=np.float64) * fs / k
-    return ScdMatrix(values, f_axis, alpha_axis, cfg.alpha_grid, mask)
+    return ScdMatrix(values, f_axis, alpha_axis, cfg, mask)
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:

@@ -230,3 +230,50 @@ class TestOverridesAndErrors:
         code = main(["collect", "--plan", str(plan_path), "--out", str(tmp_path / "c"),
                      "--set", "noise_windows=10"])
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [("noise_windowz", 5),
+                                            ("conventions", {"noise_variance": 2.0})])
+    def test_unknown_top_level_key_or_conventions_is_config_error(self, tmp_path, mini_plan,
+                                                                 key, value, capsys):
+        payload = io.plan_to_dict(mini_plan)
+        payload[key] = value
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "g"
+        assert main(["gen", "--plan", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["noise_windowz=5", "conventions.noise_variance=2"])
+    def test_override_outside_the_plan_schema_is_config_error(self, tmp_path, plan_path,
+                                                              override):
+        out = tmp_path / "g"
+        assert main(["gen", "--plan", str(plan_path), "--out", str(out), "--set", override]) == 2
+        assert not out.exists()
+
+    def test_override_may_set_an_optional_key_the_file_omits(self, tmp_path, mini_plan):
+        payload = io.plan_to_dict(mini_plan)
+        del payload["scd"]["taper"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "g"
+        assert main(["gen", "--plan", str(path), "--out", str(out),
+                     "--set", "scd.taper=rectangular"]) == 0
+        assert json.loads((out / "plan.json").read_text())["scd"]["taper"] == "rectangular"
+
+    def test_feature_column_shorter_than_smoothing_is_config_error(self, tmp_path, plan_path,
+                                                                   capsys):
+        # K=1024: a 1.45 MHz carrier puts the feature at bin 990, 34 cells against L=301
+        out = tmp_path / "c"
+        assert main(["collect", "--plan", str(plan_path), "--out", str(out),
+                     "--set", "signal.carrier_freq_hz=1.45e6"]) == 2
+        assert "34 valid cells" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["collect", "roc"])
+    def test_zero_jobs_is_config_error_and_creates_no_out(self, tmp_path, plan_path, command,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(plan_path), "--out", str(out), "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()

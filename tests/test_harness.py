@@ -38,6 +38,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="two analysis windows"):
             replace(mini_plan, signal_spec=short)
 
+    def test_feature_column_must_cover_smoothing_length(self, mini_plan):
+        desk = cs.desk_plan()
+        with pytest.raises(ValueError, match="3960 leaves 136 valid cells"):
+            replace(desk, signal_spec=replace(desk.signal_spec, carrier_freq_hz=1.45e6))
+        # mini_plan's feature bin 682 of K=1024 leaves 342 cells
+        replace(mini_plan, scd_cfg=replace(mini_plan.scd_cfg, smoothing_length=341))
+        with pytest.raises(ValueError, match="342 valid cells"):
+            replace(mini_plan, scd_cfg=replace(mini_plan.scd_cfg, smoothing_length=343))
+
     def test_master_seed_nonnegative(self, mini_plan):
         with pytest.raises(ValueError):
             replace(mini_plan, master_seed=-1)
@@ -74,8 +83,11 @@ class TestCollect:
         assert samples[0] == direct
 
     def test_parallel_equals_serial(self, mini_plan):
-        assert np.array_equal(cs.collect_noise_profile(mini_plan, jobs=1),
-                              cs.collect_noise_profile(mini_plan, jobs=2))
+        with worker_pool(1) as serial:
+            expected = cs.collect_noise_profile(mini_plan, serial)
+        for jobs in (2, 3):  # chunks of 150 // (8 * jobs) = 9 and 6 windows
+            with worker_pool(jobs) as parallel:
+                assert np.array_equal(cs.collect_noise_profile(mini_plan, parallel), expected)
 
 
 def histogram_rows(path):
@@ -176,18 +188,21 @@ class TestRunRoc:
         assert again == curves
 
     def test_worker_count_does_not_change_results(self, curves, mini_plan):
-        assert cs.run_roc(mini_plan, jobs=2) == curves
+        for jobs in (2, 3):
+            with worker_pool(jobs) as run:
+                assert cs.run_roc(mini_plan, run=run) == curves
 
     def test_one_shared_pool_matches_serial(self, curves, mini_plan):
-        with worker_pool(2) as pool:
-            noise = cs.collect_noise_profile(mini_plan, jobs=2, pool=pool)
-            shared = cs.run_roc(mini_plan, jobs=2, pool=pool)
+        with worker_pool(2) as run:
+            noise = cs.collect_noise_profile(mini_plan, run)
+            shared = cs.run_roc(mini_plan, run=run)
         assert np.array_equal(noise, cs.collect_noise_profile(mini_plan))
         assert shared == curves
 
-    def test_rejects_zero_jobs(self, mini_plan):
-        with pytest.raises(ValueError):
-            cs.collect_noise_profile(mini_plan, jobs=0)
+    def test_rejects_zero_jobs(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            with worker_pool(0):
+                pass
 
     def test_injected_fit_matches_internal(self, curves, mini_plan):
         fit = cs.fit_gev_mle(cs.collect_noise_profile(mini_plan))

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclosense as cs
 from cyclosense import io
+from cyclosense.scd import TAPERS
 
 
 @pytest.fixture
@@ -46,7 +48,7 @@ class TestScdFiles:
         cfg = cs.ScdConfig(256, 31, (0, 84))
         buf = cs.SampleBuffer(rng.standard_normal(256), 3.0e6)
         mat = cs.estimate_scd(buf, cfg)
-        data_path, meta_path = io.write_scd_matrix(tmp_path / "scd", mat, cfg)
+        data_path, meta_path = io.write_scd_matrix(tmp_path / "scd", mat)
         header = json.loads(meta_path.read_text())
         assert header["shape"] == [256, 2]
         assert header["dtype"] == "complex64"
@@ -55,6 +57,15 @@ class TestScdFiles:
         raw = np.frombuffer(data_path.read_bytes(), dtype="<c8").reshape(256, 2)
         np.testing.assert_allclose(raw, mat.values.astype(np.complex64), rtol=0, atol=0)
         assert header["config"]["smoothing_length"] == cfg.smoothing_length
+
+    def test_header_alpha_bins_are_the_config_grid(self, tmp_path, rng):
+        cfg = cs.ScdConfig(256, 31, (84, -20, 0), taper="rectangular")
+        mat = cs.estimate_scd(cs.SampleBuffer(rng.standard_normal(256), 3.0e6), cfg)
+        assert mat.config == cfg
+        _, meta_path = io.write_scd_matrix(tmp_path / "scd", mat)
+        header = json.loads(meta_path.read_text())
+        assert header["alpha_bins"] == header["config"]["alpha_bins"] == [84, -20, 0]
+        assert header["config"]["taper"] == "rectangular"
 
 
 class TestProfileCsv:
@@ -147,3 +158,48 @@ class TestPlanJson:
         payload = io.plan_to_dict(mini_plan)
         del payload["signal"]["modulation_index"], payload["scd"]["taper"]
         assert io.plan_from_dict(payload) == mini_plan  # mini_plan uses both defaults
+
+    def test_unknown_top_level_key_is_config_error(self, mini_plan):
+        payload = io.plan_to_dict(mini_plan)
+        payload["noise_windowz"] = 5
+        with pytest.raises(ValueError, match="noise_windowz"):
+            io.plan_from_dict(payload)
+
+    @pytest.mark.parametrize("change", [{"noise_variance": 2.0},
+                                        {"snr_bandwidth": "occupied bandwidth"},
+                                        {"noise_figure_db": 0.0}])
+    def test_conventions_may_be_omitted_but_not_changed(self, mini_plan, change):
+        payload = io.plan_to_dict(mini_plan)
+        del payload["conventions"]
+        assert io.plan_from_dict(payload) == mini_plan
+        payload["conventions"] = {**io.plan_to_dict(mini_plan)["conventions"], **change}
+        with pytest.raises(ValueError, match="conventions"):
+            io.plan_from_dict(payload)
+
+
+@st.composite
+def plans(draw):
+    """Valid plans: the feature bin leaves at least smoothing_length cells."""
+    k = 2 ** draw(st.integers(4, 12))
+    length = draw(st.integers(1, k // 2)) | 1
+    fs = draw(st.floats(1.0, 1e9))
+    fc = fs / 2 * draw(st.floats(1e-3, (k - length - 2) / k))
+    signal = cs.SignalSpec(fc, fc * draw(st.floats(1e-3, 0.999)), fs,
+                           draw(st.integers(2 * k, 4 * k)),
+                           modulation_index=draw(st.floats(0.0, 1.0)))
+    bins = st.integers(1 - k // 2, k // 2 - 1).map(lambda half: 2 * half)
+    scd = cs.ScdConfig(k, length, tuple(draw(st.lists(bins, min_size=1, max_size=4, unique=True))),
+                       draw(st.sampled_from(TAPERS)))
+    pfs = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return cs.ExperimentPlan(
+        signal, scd, draw(st.integers(100, 10**6)), draw(st.integers(100, 10**6)),
+        tuple(draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=4))),
+        tuple(sorted(draw(st.lists(pfs, min_size=1, max_size=7, unique=True)))),
+        draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(plans())
+def test_plan_dict_round_trip_through_json(plan):
+    assert io.plan_from_dict(json.loads(json.dumps(io.plan_to_dict(plan)))) == plan
