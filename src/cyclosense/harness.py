@@ -23,7 +23,8 @@ import numpy as np
 from .detector import statistic_at_alpha0
 from .gev import FitReport, GevParams, cdf, fit_gev_mle, threshold_for_pf
 from .scd import ScdConfig, snap_alpha_to_even_bin
-from .siggen import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_awgn, mix_at_snr
+from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _power_ratio, generate_am,
+                     generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -69,10 +70,11 @@ class ExperimentPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.noise_windows_l < 100 or self.signal_windows_m < 100:
-            raise ValueError("noise_windows_l and signal_windows_m must be at least 100")
-        if self.master_seed != int(self.master_seed) or int(self.master_seed) < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        for name, low in (("noise_windows_l", 100), ("signal_windows_m", 100), ("master_seed", 0)):
+            value = getattr(self, name)
+            if value % 1 != 0 or value < low:  # value % 1 is nan for inf and nan
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         grid = tuple(float(p) for p in self.pf_grid)
         if not grid or any(not 0.0 < p < 1.0 for p in grid):
             raise ValueError("pf_grid entries must lie strictly between 0 and 1")
@@ -80,8 +82,10 @@ class ExperimentPlan:
             raise ValueError("pf_grid must be strictly increasing")
         object.__setattr__(self, "pf_grid", grid)
         snrs = tuple(float(s) for s in self.snr_db_list)
-        if not snrs or any(not np.isfinite(s) for s in snrs):
-            raise ValueError("snr_db_list must be nonempty and finite")
+        if not snrs:
+            raise ValueError("snr_db_list must not be empty")
+        for snr_db in snrs:
+            _power_ratio(snr_db)  # raises for a non-finite or overflowing SNR
         object.__setattr__(self, "snr_db_list", snrs)
         k = self.scd_cfg.window_length_k
         if self.signal_spec.duration_samples < 2 * k:
@@ -89,6 +93,8 @@ class ExperimentPlan:
                 f"signal duration {self.signal_spec.duration_samples} must cover at "
                 f"least two analysis windows of {k} samples"
             )
+        # one analysis window's spec, built once rather than once per window
+        object.__setattr__(self, "_window_spec", replace(self.signal_spec, duration_samples=k))
         support, length = k - abs(self.alpha0_bin), self.scd_cfg.smoothing_length
         if support < length:
             raise ValueError(f"cyclic feature bin {self.alpha0_bin} leaves {support} valid "
@@ -125,15 +131,14 @@ def derived_seed(master_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _noise(plan: ExperimentPlan, n: int, seed: int) -> SampleBuffer:
-    return generate_awgn(n, NoiseSpec(NOISE_VARIANCE, seed), plan.signal_spec.sample_rate_hz)
+def _noise(spec: SignalSpec, seed: int) -> SampleBuffer:
+    return generate_awgn(spec.duration_samples, NoiseSpec(NOISE_VARIANCE, seed),
+                         spec.sample_rate_hz)
 
 
-def _mixture(plan: ExperimentPlan, n: int, signal_seed: int, noise_seed: int,
-             snr_db: float) -> SampleBuffer:
-    """n samples of the plan's AM signal plus unit-variance noise at snr_db."""
-    signal = generate_am(replace(plan.signal_spec, duration_samples=n), signal_seed)
-    return mix_at_snr(signal, _noise(plan, n, noise_seed), snr_db)
+def _mixture(spec: SignalSpec, signal_seed: int, noise_seed: int, snr_db: float) -> SampleBuffer:
+    """The spec's AM signal plus unit-variance noise at snr_db."""
+    return mix_at_snr(generate_am(spec, signal_seed), _noise(spec, noise_seed), snr_db)
 
 
 def export_signal(plan: ExperimentPlan) -> tuple[SampleBuffer, int]:
@@ -145,8 +150,7 @@ def export_signal(plan: ExperimentPlan) -> tuple[SampleBuffer, int]:
 def export_window(plan: ExperimentPlan) -> SampleBuffer:
     """First analysis window of the full-length export signal mixed with
     export noise at the plan's first SNR."""
-    mixed = _mixture(plan, plan.signal_spec.duration_samples,
-                     derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL),
+    mixed = _mixture(plan.signal_spec, derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL),
                      derived_seed(plan.master_seed, STREAM_EXPORT_NOISE), plan.snr_db_list[0])
     return SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
 
@@ -154,13 +158,13 @@ def export_window(plan: ExperimentPlan) -> SampleBuffer:
 def _statistic_task(args: tuple) -> float:
     """One window's detection statistic; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, index = args
-    k = plan.scd_cfg.window_length_k
+    spec = plan._window_spec
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
-        window = _noise(plan, k, derived_seed(plan.master_seed, stream, index))
+        window = _noise(spec, derived_seed(plan.master_seed, stream, index))
     elif kind == "h1":
         tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
-        window = _mixture(plan, k, derived_seed(*tags, 0), derived_seed(*tags, 1),
+        window = _mixture(spec, derived_seed(*tags, 0), derived_seed(*tags, 1),
                           plan.snr_db_list[snr_index])
     else:
         raise ValueError(f"unknown task kind {kind!r}")

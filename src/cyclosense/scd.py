@@ -159,7 +159,8 @@ def _spectrum(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     k = cfg.window_length_k
     if samples.shape != (k,):
         raise ValueError(f"window length {samples.size} does not match K={k}")
-    return np.fft.fftshift(np.fft.fft(taper_coefficients(cfg.taper, k) * samples))
+    spectrum = np.fft.fft(taper_coefficients(cfg.taper, k) * samples)
+    return np.concatenate((spectrum[k // 2:], spectrum[:k // 2]))  # fftshift for even K
 
 
 def _smoothed_column(spectrum: np.ndarray, a: int, cfg: ScdConfig) -> np.ndarray:

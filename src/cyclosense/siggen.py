@@ -1,13 +1,16 @@
 """Seedable generation of AM test signals, white Gaussian noise, and SNR mixtures.
 
 Every generator is a pure function of its spec and seed, so identical inputs
-reproduce identical buffers. Buffers are immutable once created and safe to
-share across workers.
+reproduce identical buffers. Buffers are read-only and safe to share across
+workers. The public SampleBuffer constructor copies its input; the generators
+hand over the array they just allocated uncopied, through the same checks, and
+cache per spec the carrier and message stop bin, which no seed changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,25 +65,15 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Real-valued time-domain samples with their sample rate.
-
-    The sample array is coerced to float64 and frozen (read-only) so buffers
-    can be handed to concurrent consumers without copies.
-    """
+    """Real-valued time-domain samples with their sample rate, coerced to a
+    read-only float64 copy so buffers can be shared without further copies."""
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must all be finite")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _owning_buffer(arr, self.sample_rate_hz).samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -88,7 +81,22 @@ class SampleBuffer:
     @property
     def power(self) -> float:
         """Mean squared amplitude of the buffer."""
-        return float(np.mean(self.samples * self.samples))
+        return float(np.add.reduce(self.samples * self.samples) / self.samples.size)
+
+
+def _owning_buffer(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
+    """Buffer that takes over arr, a just-allocated float64 array, uncopied,
+    after every check of the public constructor."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("samples must be a nonempty 1-D sequence")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must all be finite")
+    if sample_rate_hz <= 0:
+        raise ValueError("sample_rate_hz must be positive")
+    arr.setflags(write=False)
+    buffer = object.__new__(SampleBuffer)
+    vars(buffer).update(samples=arr, sample_rate_hz=sample_rate_hz)  # frozen: no __setattr__
+    return buffer
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,22 @@ class NoiseSpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
-def _bandlimited_message(n: int, bandwidth_hz: float, sample_rate_hz: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean Gaussian message brickwall-filtered to [0, bandwidth] and
-    normalized to unit peak. Returns zeros when no DFT bin falls in band."""
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-    spec[freqs > bandwidth_hz] = 0.0
+@lru_cache(maxsize=16)
+def _am_tables(spec: SignalSpec) -> tuple[np.ndarray, int]:
+    """The spec's carrier cos(2*pi*fc*k/fs) for k < n, read-only, and its first
+    rfft bin above the message bandwidth."""
+    n = int(spec.duration_samples)
+    carrier = np.cos(2.0 * np.pi * spec.carrier_freq_hz / spec.sample_rate_hz * np.arange(n))
+    carrier.setflags(write=False)
+    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
+    return carrier, int(np.searchsorted(freqs, spec.baseband_bandwidth_hz, side="right"))
+
+
+def _bandlimited_message(n: int, stop_bin: int, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean Gaussian message brickwall-filtered to the rfft bins below
+    stop_bin and normalized to unit peak. Returns zeros when no bin is in band."""
+    spec = np.fft.rfft(rng.standard_normal(n))
+    spec[stop_bin:] = 0.0
     spec[0] = 0.0
     message = np.fft.irfft(spec, n)
     peak = np.max(np.abs(message))
@@ -131,13 +147,12 @@ def generate_am(spec: SignalSpec, seed: int) -> SampleBuffer:
     if seed != int(seed) or int(seed) < 0:
         raise ValueError("seed must be a nonnegative integer")
     n = int(spec.duration_samples)
-    rng = np.random.default_rng(int(seed))
-    message = _bandlimited_message(n, spec.baseband_bandwidth_hz, spec.sample_rate_hz, rng)
-    carrier = np.cos(
-        2.0 * np.pi * spec.carrier_freq_hz / spec.sample_rate_hz * np.arange(n)
-    )
-    wave = (1.0 + spec.modulation_index * message) * carrier
-    return SampleBuffer(wave, spec.sample_rate_hz)
+    carrier, stop_bin = _am_tables(spec)
+    wave = _bandlimited_message(n, stop_bin, np.random.default_rng(int(seed)))
+    wave *= spec.modulation_index
+    wave += 1.0
+    wave *= carrier
+    return _owning_buffer(wave, spec.sample_rate_hz)
 
 
 def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) -> SampleBuffer:
@@ -149,8 +164,9 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     if length != int(length) or int(length) < 1:
         raise ValueError("length must be a positive integer")
     rng = np.random.default_rng(int(noise.seed))
-    samples = np.sqrt(noise.variance) * rng.standard_normal(int(length))
-    return SampleBuffer(samples, sample_rate_hz)
+    samples = rng.standard_normal(int(length))
+    samples *= np.sqrt(noise.variance)
+    return _owning_buffer(samples, sample_rate_hz)
 
 
 def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> SampleBuffer:
@@ -163,13 +179,22 @@ def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> Samp
         raise ValueError("signal and noise must have equal length")
     if noise.sample_rate_hz != signal.sample_rate_hz:
         raise ValueError("signal and noise sample rates disagree")
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
+    ratio = _power_ratio(snr_db)
     p_signal = signal.power
     p_noise = noise.power
     if p_signal <= 0.0:
         raise ValueError("signal has zero power")
     if p_noise <= 0.0:
         raise ValueError("noise has zero power")
-    gain = np.sqrt(10.0 ** (snr_db / 10.0) * p_noise / p_signal)
-    return SampleBuffer(gain * signal.samples + noise.samples, signal.sample_rate_hz)
+    gain = np.sqrt(ratio * p_noise / p_signal)
+    return _owning_buffer(gain * signal.samples + noise.samples, signal.sample_rate_hz)
+
+
+def _power_ratio(snr_db: float) -> float:
+    """10**(snr_db/10); ValueError for a non-finite snr_db or a float64 overflow."""
+    if not np.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} overflows the float64 power ratio") from None

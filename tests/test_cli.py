@@ -270,6 +270,33 @@ class TestOverridesAndErrors:
         assert "34 valid cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["scd", "roc"])
+    def test_overflowing_snr_is_config_error_and_creates_no_out(self, tmp_path, plan_path,
+                                                                command, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(plan_path), "--out", str(out),
+                     "--set", "snr_db=[4000]"]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, override", [("collect", "noise_windows=150.5"),
+                                                   ("roc", "signal_windows=120.5"),
+                                                   ("gen", "master_seed=7.5")])
+    def test_non_integer_count_or_seed_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, command, override, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(plan_path), "--out", str(out),
+                     "--set", override]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_seed_writes_the_int_plan(self, tmp_path, plan_path):
+        for name, seed in (("int", "7"), ("float", "7.0")):
+            assert main(["gen", "--plan", str(plan_path), "--out", str(tmp_path / name),
+                         "--set", f"master_seed={seed}"]) == 0
+        assert tree_bytes(tmp_path / "float") == tree_bytes(tmp_path / "int")
+        assert json.loads((tmp_path / "int" / "plan.json").read_text())["master_seed"] == 7
+
     @pytest.mark.parametrize("command", ["collect", "roc"])
     def test_zero_jobs_is_config_error_and_creates_no_out(self, tmp_path, plan_path, command,
                                                           capsys):

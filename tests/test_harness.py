@@ -1,6 +1,7 @@
 """Monte Carlo harness: plan validation, determinism, curve structure, and
 statistical sanity of the ROC protocol at reduced scale."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestPlanValidation:
     def test_master_seed_nonnegative(self, mini_plan):
         with pytest.raises(ValueError):
             replace(mini_plan, master_seed=-1)
+
+    @pytest.mark.parametrize("field, value", [("noise_windows_l", 150.5),
+                                              ("signal_windows_m", 120.5),
+                                              ("master_seed", 7.5),
+                                              ("master_seed", float("inf"))])
+    def test_counts_and_seed_must_be_whole_numbers(self, mini_plan, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(mini_plan, **{field: value})
+
+    def test_integral_counts_and_seed_are_stored_as_int(self, mini_plan):
+        plan = replace(mini_plan, noise_windows_l=150.0, signal_windows_m=np.int64(120),
+                       master_seed=7.0)
+        values = (plan.noise_windows_l, plan.signal_windows_m, plan.master_seed)
+        assert values == (150, 120, 7) and all(type(v) is int for v in values)
+
+    def test_snr_power_ratio_must_fit_float64(self, mini_plan):
+        replace(mini_plan, snr_db_list=(3000.0, -4000.0))
+        with pytest.raises(ValueError, match="overflows"):
+            replace(mini_plan, snr_db_list=(0.0, 4000.0))
 
 
 class TestSeedFanOut:
@@ -217,6 +237,32 @@ class TestRocCurveInvariants:
     def test_probabilities_bounded(self):
         with pytest.raises(ValueError):
             cs.RocCurve(((0.1, 1.2),), -10.0)
+
+
+class TestWindowBits:
+    """float.hex of single desk windows, pinned so that a faster window path
+    keeps every bit of the statistic."""
+
+    @pytest.mark.parametrize("kind, snr_index, batch, expected", [
+        ("noise", 0, 0, "0x1.025d82eac04c3p-5"),   # noise-fit window
+        ("noise", 0, 1, "0x1.caf3998dcf7bep-5"),   # H0 trial window
+        ("h1", 0, 0, "0x1.a2a570d63ca56p-4"),      # -15 dB
+        ("h1", 1, 0, "0x1.156a62d7e2012p-3"),      # -10 dB
+        ("h1", 2, 0, "0x1.d3e43989efc6dp-2"),      # -5 dB
+        ("h1", 3, 0, "0x1.49f2dcb699841p+0"),      # 0 dB
+    ])
+    def test_desk_window_statistic_bits(self, kind, snr_index, batch, expected):
+        plan = cs.desk_plan()
+        assert _statistic_task((plan, kind, snr_index, batch, 0)).hex() == expected
+
+    def test_desk_window_batch_digest(self):
+        # 5 H1 windows per SNR and batch, then 10 noise-fit and 10 H0 windows
+        plan = cs.desk_plan()
+        tasks = ([(plan, "h1", s, b, i) for s in range(4) for b in (0, 1) for i in range(5)]
+                 + [(plan, "noise", 0, b, i) for b in (0, 1) for i in range(10)])
+        digest = hashlib.sha256(np.array([_statistic_task(t) for t in tasks]).tobytes())
+        assert digest.hexdigest() == (
+            "85ac1f86c5b4827f2e456ff73e0660123fb86f9339184da25c76c04f56e2f5b8")
 
 
 class TestH1Statistics:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclosense import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_awgn, mix_at_snr
+from cyclosense import siggen
 
 FC, BW, FS = 1.0e6, 1.0e4, 3.0e6
 
@@ -47,6 +48,32 @@ class TestSampleBuffer:
         buf = SampleBuffer(np.array([1.0, -1.0, 2.0, 0.0]), FS)
         assert buf.power == pytest.approx(1.5)
 
+    def test_public_constructor_copies_its_input(self):
+        arr = np.arange(4.0)
+        buf = SampleBuffer(arr, FS)
+        arr[0] = 9.0
+        assert buf.samples[0] == 0.0 and not np.shares_memory(buf.samples, arr)
+
+    def test_generated_buffers_own_their_array_without_a_copy(self):
+        arr = np.arange(4.0)
+        buf = siggen._owning_buffer(arr, FS)
+        assert buf.samples is arr and not arr.flags.writeable and buf.sample_rate_hz == FS
+        noise = generate_awgn(4096, NoiseSpec(1.0, 1), FS)
+        for generated in (generate_am(table_spec(), 1), noise,
+                          mix_at_snr(generate_am(table_spec(), 2), noise, -10.0)):
+            assert generated.samples.flags.owndata and not generated.samples.flags.writeable
+
+    @pytest.mark.parametrize("samples, rate", [(np.array([1.0, np.inf]), FS),
+                                               (np.array([np.nan, 1.0]), FS),
+                                               (np.zeros((2, 2)), FS),
+                                               (np.array([]), FS),
+                                               (np.ones(4), 0.0)])
+    def test_no_copy_path_runs_the_constructor_checks(self, samples, rate):
+        with pytest.raises(ValueError):
+            siggen._owning_buffer(samples, rate)
+        with pytest.raises(ValueError):
+            SampleBuffer(samples, rate)
+
 
 class TestGenerateAm:
     def test_dft_peak_at_carrier(self):
@@ -65,6 +92,21 @@ class TestGenerateAm:
     def test_pure_carrier_power_is_half(self):
         buf = generate_am(table_spec(index=0.0), seed=0)
         assert buf.power == pytest.approx(0.5, rel=0.01)
+
+    def test_carrier_cache_is_read_only_fresh_cosine(self):
+        carrier, _ = siggen._am_tables(table_spec())
+        assert not carrier.flags.writeable
+        assert np.array_equal(carrier, np.cos(2.0 * np.pi * FC / FS * np.arange(4096)))
+        assert siggen._am_tables(table_spec())[0] is carrier
+        assert not np.shares_memory(generate_am(table_spec(index=0.0), 3).samples, carrier)
+
+    @pytest.mark.parametrize("spec", [table_spec(), SignalSpec(100.0, 10.0, 4096.0, 4096),
+                                      SignalSpec(100.0, 10.0, 4095.0, 4095),
+                                      SignalSpec(20.0, 9.5, 64.0, 64)])
+    def test_stop_bin_is_first_bin_above_bandwidth(self, spec):
+        freqs = np.fft.rfftfreq(spec.duration_samples, d=1.0 / spec.sample_rate_hz)
+        first_above = np.flatnonzero(freqs > spec.baseband_bandwidth_hz)[0]
+        assert siggen._am_tables(spec)[1] == first_above
 
     def test_seed_determinism(self):
         a = generate_am(table_spec(), seed=11)
@@ -137,6 +179,13 @@ class TestMixAtSnr:
         out = mix_at_snr(s, n, 100.0)
         residual = out.samples - out.samples[0] / s.samples[0] * s.samples
         assert np.mean(residual**2) / out.power < 1e-9
+
+    @pytest.mark.parametrize("snr_db", [4000.0, np.float64(4000.0)], ids=["float", "float64"])
+    def test_overflowing_power_ratio_is_value_error(self, rng, snr_db):
+        s = generate_am(table_spec(), seed=4)
+        n = SampleBuffer(rng.standard_normal(4096), FS)
+        with pytest.raises(ValueError, match="overflows"):
+            mix_at_snr(s, n, snr_db)
 
     def test_rejects_degenerate_inputs(self, rng):
         s = SampleBuffer(rng.standard_normal(16), FS)
