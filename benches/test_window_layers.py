@@ -3,10 +3,10 @@
     PYTHONPATH=src python -m pytest benches -q --benchmark-columns=min,median,iqr,rounds
 
 One benchmark per stage of the statistic path (seed derivation, AWGN and AM
-synthesis, the SNR mix, taper + FFT, the cyclic product at the feature bin, the
-running-sum smoother, the max reduction), then whole noise and H1 windows
-as the Monte Carlo harness runs them. Inputs are built once outside the
-timed call. The directory is not in the test suite's `testpaths`.
+synthesis, the SNR mix, taper + real FFT + mirror, the cyclic product at the
+feature bin, the running-sum smoother, the max reduction), then whole noise
+and H1 windows as the Monte Carlo harness runs them. Inputs are built once
+outside the timed call. The directory is not in the test suite's `testpaths`.
 """
 
 from dataclasses import replace
@@ -66,7 +66,7 @@ def test_mix(benchmark, samples):
     benchmark(siggen.mix_at_snr, signal, noise, -10.0)
 
 
-def test_taper_fft(benchmark, samples):
+def test_taper_real_fft_mirror(benchmark, samples):
     benchmark(scd._spectrum, samples, CFG)
 
 

@@ -14,6 +14,7 @@ order-independent counts.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -168,7 +169,11 @@ def _statistic_task(args: tuple) -> float:
                           plan.snr_db_list[snr_index])
     else:
         raise ValueError(f"unknown task kind {kind!r}")
-    return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
+    statistic = statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
+    if not math.isfinite(statistic):  # a nan would silently count as unoccupied
+        snr = f" at {plan.snr_db_list[snr_index]:g} dB" if kind == "h1" else ""
+        raise ValueError(f"{kind} window statistic{snr} is {statistic}, not finite")
+    return statistic
 
 
 def _in_process(tasks: list[tuple]) -> np.ndarray:

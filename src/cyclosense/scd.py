@@ -9,9 +9,12 @@ is formed on a grid of even DFT-bin offsets a (the cyclic frequencies) and
 smoothed along f with a moving average of length L, computed as differences
 of a zero-padded running sum (fixed 1/L normalization, implicit zeros past
 the column ends). U is the mean squared taper coefficient, which keeps the
-noise level taper-invariant. Frequencies are indexed on the centered
-(fftshift) axis; a cell is valid only when both f + a/2 and f - a/2 fall
-inside the K-bin axis, so no wraparound ever mixes unrelated frequencies.
+noise level taper-invariant. Frequencies are indexed on the centered axis,
+bins -K/2 .. K/2-1. For real input X(-m) = conj X(m), so the centered
+spectrum is built from one real FFT: its upper half is rfft bins 0 .. K/2-1
+and its lower half their conjugate mirror, rfft bins K/2 .. 1. A cell is
+valid only when both f + a/2 and f - a/2 fall inside the K-bin axis, so no
+wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. alpha_maxima, the
@@ -155,12 +158,16 @@ def _smoothed(column: np.ndarray, smoothing_length: int) -> np.ndarray:
 
 
 def _spectrum(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
-    """Centered (fftshift) spectrum of one tapered window of K samples."""
+    """Centered spectrum, bins -K/2 .. K/2-1, of one tapered real window of
+    K samples, mirrored from its real FFT through X(-m) = conj X(m)."""
     k = cfg.window_length_k
     if samples.shape != (k,):
         raise ValueError(f"window length {samples.size} does not match K={k}")
-    spectrum = np.fft.fft(taper_coefficients(cfg.taper, k) * samples)
-    return np.concatenate((spectrum[k // 2:], spectrum[:k // 2]))  # fftshift for even K
+    half = np.fft.rfft(taper_coefficients(cfg.taper, k) * samples)
+    spectrum = np.empty(k, dtype=np.complex128)
+    spectrum[k // 2:] = half[:k // 2]
+    np.conjugate(half[k // 2:0:-1], out=spectrum[:k // 2])
+    return spectrum
 
 
 def _smoothed_column(spectrum: np.ndarray, a: int, cfg: ScdConfig) -> np.ndarray:

@@ -279,6 +279,20 @@ class TestOverridesAndErrors:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_statistic_is_config_error_and_writes_no_curves(self, tmp_path, plan_path,
+                                                                       jobs, capsys):
+        # 3075 dB passes the plan's power-ratio check, but the cyclic product
+        # of every H1 window overflows; the noise model is written before
+        # the first H1 window runs
+        out = tmp_path / "out"
+        assert main(["roc", "--plan", str(plan_path), "--out", str(out), "--jobs", jobs,
+                     "--set", "snr_db=[3075]"]) == 2
+        assert "h1 window statistic at 3075 dB is nan" in capsys.readouterr().err
+        assert not list(out.glob("roc_*.csv"))
+
     @pytest.mark.parametrize("command, override", [("collect", "noise_windows=150.5"),
                                                    ("roc", "signal_windows=120.5"),
                                                    ("gen", "master_seed=7.5")])

@@ -239,11 +239,27 @@ class TestRocCurveInvariants:
             cs.RocCurve(((0.1, 1.2),), -10.0)
 
 
+def ulps_apart(a: float, b: float) -> int:
+    """Distance in units in the last place between two positive floats."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
 class TestWindowBits:
     """float.hex of single desk windows, pinned so that a faster window path
-    keeps every bit of the statistic."""
+    keeps every bit of the statistic. The pins are those of the real-FFT
+    spectrum kernel; `parent` holds each window's value under the full
+    complex-FFT kernel it replaced, which moved the statistics by 0-4 ulp."""
 
-    @pytest.mark.parametrize("kind, snr_index, batch, expected", [
+    PINNED = {
+        ("noise", 0, 0): "0x1.025d82eac04c2p-5",
+        ("noise", 0, 1): "0x1.caf3998dcf7bbp-5",
+        ("h1", 0, 0): "0x1.a2a570d63ca52p-4",
+        ("h1", 1, 0): "0x1.156a62d7e2012p-3",
+        ("h1", 2, 0): "0x1.d3e43989efc6bp-2",
+        ("h1", 3, 0): "0x1.49f2dcb699841p+0",
+    }
+
+    @pytest.mark.parametrize("kind, snr_index, batch, parent", [
         ("noise", 0, 0, "0x1.025d82eac04c3p-5"),   # noise-fit window
         ("noise", 0, 1, "0x1.caf3998dcf7bep-5"),   # H0 trial window
         ("h1", 0, 0, "0x1.a2a570d63ca56p-4"),      # -15 dB
@@ -251,9 +267,11 @@ class TestWindowBits:
         ("h1", 2, 0, "0x1.d3e43989efc6dp-2"),      # -5 dB
         ("h1", 3, 0, "0x1.49f2dcb699841p+0"),      # 0 dB
     ])
-    def test_desk_window_statistic_bits(self, kind, snr_index, batch, expected):
+    def test_desk_window_statistic_bits(self, kind, snr_index, batch, parent):
         plan = cs.desk_plan()
-        assert _statistic_task((plan, kind, snr_index, batch, 0)).hex() == expected
+        statistic = _statistic_task((plan, kind, snr_index, batch, 0))
+        assert statistic.hex() == self.PINNED[kind, snr_index, batch]
+        assert ulps_apart(statistic, float.fromhex(parent)) <= 8
 
     def test_desk_window_batch_digest(self):
         # 5 H1 windows per SNR and batch, then 10 noise-fit and 10 H0 windows
@@ -262,7 +280,14 @@ class TestWindowBits:
                  + [(plan, "noise", 0, b, i) for b in (0, 1) for i in range(10)])
         digest = hashlib.sha256(np.array([_statistic_task(t) for t in tasks]).tobytes())
         assert digest.hexdigest() == (
-            "85ac1f86c5b4827f2e456ff73e0660123fb86f9339184da25c76c04f56e2f5b8")
+            "c7449aa3c3b47351708017106a5088c28490e3f4d3d7c83d96168f9e5bf50423")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_statistic_is_an_error(self, mini_plan):
+        plan = replace(mini_plan, snr_db_list=(3075.0,))
+        with pytest.raises(ValueError, match="h1 window statistic at 3075 dB is nan"):
+            _statistic_task((plan, "h1", 0, 0, 0))
 
 
 class TestH1Statistics:

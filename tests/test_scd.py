@@ -2,16 +2,20 @@
 
 The alpha=0 column must reproduce an ordinary smoothed periodogram computed
 through a different code path (scipy periodogram plus a cumulative-sum moving
-average); the remaining tests pin symmetry, scaling, the per-alpha maxima and
-the AM cyclic feature.
+average), the real-FFT spectrum must match the complex FFT, and the second
+moment of an alpha != 0 cell of white Gaussian noise must match its exact
+Isserlis-theorem value; the remaining tests pin symmetry, scaling, the
+per-alpha maxima and the AM cyclic feature.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
 
 import cyclosense as cs
-from cyclosense.scd import _smoothed, taper_coefficients
+from cyclosense.scd import TAPERS, _smoothed, _spectrum, taper_coefficients
 
 FS = 3.0e6
 
@@ -67,6 +71,92 @@ class TestSmoother:
         column = rng.standard_normal(1366) ** 2 + 1.0
         np.testing.assert_allclose(_smoothed(column, 1301), convolved_oracle(column, 1301),
                                    rtol=1e-12)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("taper", TAPERS)
+    @pytest.mark.parametrize("k", [2, 4, 1024, 4096])
+    def test_matches_shifted_complex_fft(self, rng, taper, k):
+        x = rng.standard_normal(k)
+        want = np.fft.fftshift(np.fft.fft(taper_coefficients(taper, k) * x))
+        got = _spectrum(x, cs.ScdConfig(k, 1, (0,), taper))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("taper", TAPERS)
+    def test_lower_half_is_conjugate_mirror_of_upper_half(self, rng, taper):
+        # centered bin i holds X(i - K/2), so X(-m) = conj X(m) pairs bin i
+        # with bin K - i for 0 < i < K/2
+        k = 1024
+        spectrum = _spectrum(rng.standard_normal(k), cs.ScdConfig(k, 1, (0,), taper))
+        assert np.array_equal(spectrum[1:k // 2], np.conj(spectrum[k - 1:k // 2:-1]))
+
+
+@st.composite
+def windows_and_configs(draw):
+    """A real window of K samples, bounded away from under- and overflow,
+    and a config with columns 0, a and -a for an even a != 0."""
+    k = draw(st.sampled_from([4, 16, 64, 256]))
+    a = 2 * draw(st.integers(1, k // 2 - 1))
+    cfg = cs.ScdConfig(k, draw(st.integers(1, k - 2)), (0, a, -a), draw(st.sampled_from(TAPERS)))
+    value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    return draw(hnp.arrays(np.float64, k, elements=value)), cfg
+
+
+# Rounding errors scale with the window's power, which the alpha = 0 column
+# measures, so both properties are checked relative to the largest |S| of
+# the whole matrix, not of the alpha != 0 column, which may be near zero.
+@settings(deadline=None, derandomize=True, database=None)
+@given(windows_and_configs())
+def test_negative_alpha_column_is_the_conjugate(case):
+    x, cfg = case
+    values = cs.estimate_scd(cs.SampleBuffer(x, FS), cfg).values
+    assert np.max(np.abs(values[:, 2] - np.conj(values[:, 1]))) <= 1e-12 * np.max(np.abs(values))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(windows_and_configs(), st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+def test_scaling_the_window_scales_the_scd_by_its_square(case, c):
+    x, cfg = case
+    base = cs.estimate_scd(cs.SampleBuffer(x, FS), cfg).values
+    scaled = cs.estimate_scd(cs.SampleBuffer(c * x, FS), cfg).values
+    assert np.max(np.abs(scaled - c * c * base)) <= 1e-12 * np.max(np.abs(scaled))
+
+
+class TestIsserlisOracle:
+    """E|S(c)|^2 of a cyclic cell for white unit-variance Gaussian input.
+
+    With W2 = DFT(w^2), E[X(m) X(n)] = W2[m + n] and E[X(m) conj X(n)] =
+    W2[m - n], so Isserlis' theorem gives, for the cells J(c) of c's
+    smoothing window inside the valid run,
+
+        E|S(c)|^2 = (L K U)^-2 sum_{j, l in J(c)} (|W2[a]|^2
+                    + |W2[f_j - f_l]|^2 + |W2[f_j + f_l]|^2)
+
+    with indices mod K. The estimator is checked against it by Monte Carlo.
+    """
+
+    K, L, A, N = 256, 31, 64, 4000
+
+    @pytest.mark.parametrize("taper", TAPERS)
+    def test_second_moment_matches_monte_carlo(self, rng, taper):
+        k, length, a = self.K, self.L, self.A
+        cfg = cs.ScdConfig(k, length, (a,), taper)
+        w = taper_coefficients(taper, k)
+        w2 = np.fft.fft(w * w)
+        scale = length * k * np.mean(w * w)
+        lo, hi = a // 2, k - 1 - a // 2
+        power = np.array([
+            np.abs(cs.estimate_scd(cs.SampleBuffer(rng.standard_normal(k), FS), cfg).values[:, 0])
+            ** 2 for _ in range(self.N)])
+        for cell in (k // 2, lo):  # the centre, and the first valid, edge-truncated cell
+            f = np.arange(max(cell - length // 2, lo), min(cell + length // 2, hi) + 1) - k // 2
+            pairs = (f.size ** 2 * np.abs(w2[a % k]) ** 2
+                     + np.sum(np.abs(w2[(f[:, None] - f[None, :]) % k]) ** 2)
+                     + np.sum(np.abs(w2[(f[:, None] + f[None, :]) % k]) ** 2))
+            expected = pairs / scale ** 2
+            samples = power[:, cell]
+            standard_error = samples.std(ddof=1) / np.sqrt(self.N)
+            assert abs(samples.mean() - expected) <= 4 * standard_error
 
 
 class TestTaper:
