@@ -7,6 +7,13 @@ synthesis, the SNR mix, taper + real FFT + mirror, the cyclic product at the
 feature bin, the running-sum smoother, the max reduction), then whole noise
 and H1 windows as the Monte Carlo harness runs them. Inputs are built once
 outside the timed call. The directory is not in the test suite's `testpaths`.
+
+The whole-window benchmarks time one block of harness.BLOCK_WINDOWS windows,
+the harness's unit of work; divide by BLOCK_WINDOWS for one window, which
+`--benchmark-json` also records as `per_window_us`. The seed stage has three
+figures: the scalar `derived_seed` reference, one H1 block's vectorized
+fan-out (its seeds and PCG64 state words, recorded per window the same way),
+and the Generator each drawn seed is built into.
 """
 
 from dataclasses import replace
@@ -52,6 +59,22 @@ def test_derived_seed(benchmark):
     benchmark(harness.derived_seed, PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, 7, 1)
 
 
+def h1_block_states():
+    """Signal and noise seeds of one H1 block, and their PCG64 state words."""
+    indices = np.arange(harness.BLOCK_WINDOWS, dtype=np.uint64)
+    return harness._pcg64_states(harness._derived_seeds(
+        PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, indices[:, None], np.arange(2)))
+
+
+def test_block_seed_fan_out(benchmark):
+    benchmark(h1_block_states)
+    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.BLOCK_WINDOWS * 1e6
+
+
+def test_generator_from_state_words(benchmark):
+    benchmark(harness._generator, h1_block_states()[7, 1])
+
+
 def test_awgn(benchmark):
     benchmark(siggen.generate_awgn, K, siggen.NoiseSpec(1.0, SEED), FS)
 
@@ -87,9 +110,15 @@ def test_kernel(benchmark, samples):
     benchmark(scd.alpha_maxima, samples, CFG, (A0,))
 
 
+def benchmark_block(benchmark, kind, snr_index):
+    """One block of windows as the harness runs it, and each window's share."""
+    benchmark(harness._block_task, (PLAN, kind, snr_index, 0, 0, harness.BLOCK_WINDOWS))
+    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.BLOCK_WINDOWS * 1e6
+
+
 def test_noise_window(benchmark):
-    benchmark(harness._statistic_task, (PLAN, "noise", 0, 0, 7))
+    benchmark_block(benchmark, "noise", 0)
 
 
 def test_h1_window(benchmark):
-    benchmark(harness._statistic_task, (PLAN, "h1", 1, 0, 7))
+    benchmark_block(benchmark, "h1", 1)

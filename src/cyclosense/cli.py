@@ -185,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except FloatingPointError as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,16 +8,21 @@ mixed window that the gen and scd commands export.
 Every analysis window is generated from a seed derived deterministically
 from (master_seed, stream, indices...), so results are a pure function of
 the plan and independent of worker count or scheduling: worker_pool(jobs)
-yields the one runner of a command's windows. Aggregation uses only
-order-independent counts.
+yields the one runner of a command's windows. A runner's task is a block of
+consecutive window indices of one batch, (plan, kind, snr_index, batch,
+start, stop), at most BLOCK_WINDOWS long; the block size is a constant and
+no window's statistic depends on it or on jobs. A block derives all its
+seeds, and the PCG64 state words default_rng would hash from each of them,
+in one vectorized port of numpy's SeedSequence hash; derived_seed stays the
+scalar reference. Aggregation uses only order-independent counts.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +55,15 @@ STREAM_EXPORT_NOISE = 4
 
 # H0/H1 windows carry unit-variance noise; SNR is set by scaling the signal
 NOISE_VARIANCE = 1.0
+
+# windows per runner task: a constant, so that no statistic depends on jobs
+BLOCK_WINDOWS = 256
+
+# numpy.random.SeedSequence's hash constants (pool size 4, 32-bit words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,8 @@ class ExperimentPlan:
         for snr_db in snrs:
             _power_ratio(snr_db)  # raises for a non-finite or overflowing SNR
         object.__setattr__(self, "snr_db_list", snrs)
+        if max(self.noise_windows_l, self.signal_windows_m) > 2**32:
+            raise ValueError("window counts above 2**32 exceed the seed fan-out's 32-bit index")
         k = self.scd_cfg.window_length_k
         if self.signal_spec.duration_samples < 2 * k:
             raise ValueError(
@@ -132,13 +148,103 @@ def derived_seed(master_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _noise(spec: SignalSpec, seed: int) -> SampleBuffer:
+@lru_cache(maxsize=None)
+def _hash_constants(start: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) uint32 columns of count successive SeedSequence hashes."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    column = np.array(chain, np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult  # uint32 arithmetic wraps mod 2**32
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    result ^= result >> 16
+    return result
+
+
+def _seed_sequence_states(words: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(n_words, np.uint64) for every column
+    of words, a (len(entropy), N) uint32 array of entropy words: a port of
+    numpy's pool-4 hash. Returns an (N, n_words) uint64 array."""
+    count = len(words)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * max(0, count - 4))
+    pool = np.zeros((4, words.shape[1]), np.uint32)  # absent words hash as 0
+    pool[:count] = words[:4]
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    step = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step:step + 3], mult[step:step + 3]))
+        step += 3
+    for word in words[4:]:
+        pool = _mix(pool, _hashmix(word, xor[step:step + 4], mult[step:step + 4]))
+        step += 4
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    out = _hashmix(pool[np.arange(2 * n_words) % 4], xor, mult).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)  # low word first
+
+
+def _derived_seeds(master_seed: int, *tags) -> np.ndarray:
+    """derived_seed(master_seed, *tags) for every element of the broadcast
+    tags, ints or integer arrays with values below 2**32, as uint64."""
+    words = []
+    for tag in (master_seed, *tags):
+        if isinstance(tag, np.ndarray):
+            words.append(tag)
+        else:  # an int entropy is its 32-bit words, low word first
+            value = int(tag)
+            words.append(value & _MASK32)
+            while value := value >> 32:
+                words.append(value & _MASK32)
+    columns = np.array(np.broadcast_arrays(*words), np.uint32)
+    return _seed_sequence_states(columns.reshape(len(words), -1), 1).reshape(columns.shape[1:])
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64), the PCG64 state words
+    of default_rng(seed), for every seed: a last axis of 4 is added."""
+    flat = seeds.reshape(-1)
+    # a seed below 2**32 is one entropy word; its absent high word hashes as 0
+    words = np.array([flat & _MASK32, flat >> 32], np.uint32)
+    return _seed_sequence_states(words, 4).reshape(*seeds.shape, 4)
+
+
+@lru_cache(maxsize=None)
+def _state_words() -> type:
+    """ISeedSequence that hands PCG64 precomputed state words. Built on first
+    use, so that importing cyclosense does not import numpy.random."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 words
+
+    return StateWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The Generator default_rng returns for the seed these state words came from."""
+    return np.random.Generator(np.random.PCG64(_state_words()(words)))
+
+
+def _noise(spec: SignalSpec, seed) -> SampleBuffer:
     return generate_awgn(spec.duration_samples, NoiseSpec(NOISE_VARIANCE, seed),
                          spec.sample_rate_hz)
 
 
-def _mixture(spec: SignalSpec, signal_seed: int, noise_seed: int, snr_db: float) -> SampleBuffer:
-    """The spec's AM signal plus unit-variance noise at snr_db."""
+def _mixture(spec: SignalSpec, signal_seed, noise_seed, snr_db: float) -> SampleBuffer:
+    """The spec's AM signal plus unit-variance noise at snr_db; each seed is an
+    int or a Generator."""
     return mix_at_snr(generate_am(spec, signal_seed), _noise(spec, noise_seed), snr_db)
 
 
@@ -156,48 +262,68 @@ def export_window(plan: ExperimentPlan) -> SampleBuffer:
     return SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
 
 
-def _statistic_task(args: tuple) -> float:
-    """One window's detection statistic; top-level so process pools can pickle it."""
-    plan, kind, snr_index, batch, index = args
+def _block_task(args: tuple) -> np.ndarray:
+    """Statistics of windows start .. stop-1 of one batch, each the value its
+    window has alone; top-level so process pools can pickle it."""
+    plan, kind, snr_index, batch, start, stop = args
     spec = plan._window_spec
+    indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
-        window = _noise(spec, derived_seed(plan.master_seed, stream, index))
+        states = _pcg64_states(_derived_seeds(plan.master_seed, stream, indices))
+        windows = (_noise(spec, _generator(words)) for words in states)
     elif kind == "h1":
-        tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
-        window = _mixture(spec, derived_seed(*tags, 0), derived_seed(*tags, 1),
-                          plan.snr_db_list[snr_index])
+        # per window: the signal seed's words, then the noise seed's
+        states = _pcg64_states(_derived_seeds(plan.master_seed, STREAM_H1_TRIAL, snr_index,
+                                              batch, indices[:, None], np.arange(2)))
+        snr_db = plan.snr_db_list[snr_index]
+        windows = (_mixture(spec, _generator(signal), _generator(noise), snr_db)
+                   for signal, noise in states)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
-    statistic = statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
-    if not math.isfinite(statistic):  # a nan would silently count as unoccupied
+    statistics = np.array([statistic_at_alpha0(w, plan.scd_cfg, plan.alpha0_bin)
+                           for w in windows])
+    bad = statistics[~np.isfinite(statistics)]
+    if bad.size:  # a nan would silently count as unoccupied
         snr = f" at {plan.snr_db_list[snr_index]:g} dB" if kind == "h1" else ""
-        raise ValueError(f"{kind} window statistic{snr} is {statistic}, not finite")
-    return statistic
+        raise ValueError(f"{kind} window statistic{snr} is {bad[0]}, not finite")
+    return statistics
+
+
+def _statistic_task(args: tuple) -> float:
+    """One window's detection statistic: a block of one window."""
+    plan, kind, snr_index, batch, index = args
+    return float(_block_task((plan, kind, snr_index, batch, index, index + 1))[0])
+
+
+def _blocks(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, count: int) -> list:
+    """Tasks covering windows 0 .. count-1 of one batch, BLOCK_WINDOWS at a time."""
+    return [(plan, kind, snr_index, batch, start, min(start + BLOCK_WINDOWS, count))
+            for start in range(0, count, BLOCK_WINDOWS)]
 
 
 def _in_process(tasks: list[tuple]) -> np.ndarray:
-    return np.array([_statistic_task(t) for t in tasks])
+    return np.concatenate([_block_task(t) for t in tasks])
 
 
 @contextmanager
 def worker_pool(jobs: int):
     """Context yielding run(tasks) -> statistics, the runner of a command's
     windows: in this process for jobs == 1, otherwise on one pool of `jobs`
-    worker processes."""
+    worker processes. Each task is a block from _blocks, and run returns the
+    statistics of all blocks in task order."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if jobs == 1:
         yield _in_process
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield lambda tasks: np.array(list(pool.map(
-            _statistic_task, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))))
+        yield lambda tasks: np.concatenate(list(pool.map(_block_task, tasks)))
 
 
 def collect_noise_profile(plan: ExperimentPlan, run=_in_process) -> np.ndarray:
     """Alpha-profile noise maxima at the feature bin for L disjoint windows."""
-    return run([(plan, "noise", 0, 0, i) for i in range(plan.noise_windows_l)])
+    return run(_blocks(plan, "noise", 0, 0, plan.noise_windows_l))
 
 
 def ks_statistic(samples, params: GevParams) -> float:
@@ -227,12 +353,13 @@ def run_roc(plan: ExperimentPlan, noise_fit: FitReport | None = None,
     occupied when its statistic T is strictly above the threshold, so an
     exact tie decides unoccupied. `run` is a worker_pool runner.
     """
-    m = plan.signal_windows_m
+    h0_count, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
     if noise_fit is None:
         noise_fit = fit_gev_mle(collect_noise_profile(plan, run))
-    h0 = run([(plan, "noise", 0, 1, i) for i in range(plan.noise_windows_l)])
-    h1 = [[run([(plan, "h1", s, batch, i) for i in range(m)]) for batch in (0, 1)]
-          for s in range(len(plan.snr_db_list))]
+    # one run for every H0 and H1 window, so that no batch waits for the last
+    statistics = run(_blocks(plan, "noise", 0, 1, h0_count) + [
+        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)])
+    h0, h1 = statistics[:h0_count], statistics[h0_count:].reshape(snrs, 2, m)
     thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
     pf_empirical = _exceedance_rates(h0, thresholds)
     return [

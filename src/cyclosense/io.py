@@ -66,11 +66,21 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
 
 
 def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Path]:
-    """Write SCD values as row-major little-endian complex64 plus a JSON header."""
+    """Write SCD values as row-major little-endian complex64 plus a JSON header.
+
+    Raises FloatingPointError, and writes no file, when a cell is not finite
+    in complex64: nan or inf, or beyond the float32 range the cast overflows.
+    """
     base = Path(path_base)
     data_path = base.with_suffix(".c64")
     meta_path = base.with_suffix(".json")
-    matrix.values.astype("<c8").tofile(data_path)
+    with np.errstate(over="ignore"):  # checked next
+        data = matrix.values.astype("<c8")
+    parts = data.view("<f4")
+    if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):  # min and max keep nan
+        bad = np.count_nonzero(~np.isfinite(data))
+        raise FloatingPointError(f"{bad} of {data.size} SCD cells are not finite in complex64")
+    data.tofile(data_path)
     runs = []
     for column in matrix.valid_mask.T:
         idx = np.flatnonzero(column)

@@ -1,7 +1,9 @@
 """Seedable generation of AM test signals, white Gaussian noise, and SNR mixtures.
 
 Every generator is a pure function of its spec and seed, so identical inputs
-reproduce identical buffers. Buffers are read-only and safe to share across
+reproduce identical buffers. Where a generator takes a seed it also takes a
+numpy Generator, which it draws from as np.random.default_rng passes one
+through unchanged. Buffers are read-only and safe to share across
 workers. The public SampleBuffer constructor copies its input; the generators
 hand over the array they just allocated uncopied, through the same checks, and
 cache per spec the carrier and message stop bin, which no seed changes.
@@ -101,16 +103,28 @@ def _owning_buffer(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """White Gaussian noise description: variance (power) and RNG seed."""
+    """White Gaussian noise description: variance (power) and RNG seed, a
+    nonnegative integer or a numpy Generator."""
 
     variance: float
-    seed: int
+    seed: int | np.random.Generator
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError("variance must be positive and finite")
-        if self.seed != int(self.seed) or int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, np.random.Generator) and (seed != int(seed) or int(seed) < 0):
+        raise ValueError("seed must be a nonnegative integer or a numpy Generator")
+
+
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for a checked seed: a Generator passes
+    through unchanged."""
+    _check_seed(seed)
+    return np.random.default_rng(seed if isinstance(seed, np.random.Generator) else int(seed))
 
 
 @lru_cache(maxsize=16)
@@ -137,18 +151,17 @@ def _bandlimited_message(n: int, stop_bin: int, rng: np.random.Generator) -> np.
     return message
 
 
-def generate_am(spec: SignalSpec, seed: int) -> SampleBuffer:
+def generate_am(spec: SignalSpec, seed: int | np.random.Generator) -> SampleBuffer:
     """Generate an AM waveform (1 + index*m(t)) * cos(2*pi*fc*t).
 
     The message m(t) is band-limited Gaussian noise, peak-normalized so the
     deviation never exceeds the modulation index. With index 0 the output is
     exactly the unmodulated carrier cos(2*pi*fc*k/fs).
     """
-    if seed != int(seed) or int(seed) < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    rng = _rng(seed)
     n = int(spec.duration_samples)
     carrier, stop_bin = _am_tables(spec)
-    wave = _bandlimited_message(n, stop_bin, np.random.default_rng(int(seed)))
+    wave = _bandlimited_message(n, stop_bin, rng)
     wave *= spec.modulation_index
     wave += 1.0
     wave *= carrier
@@ -163,8 +176,7 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     """
     if length != int(length) or int(length) < 1:
         raise ValueError("length must be a positive integer")
-    rng = np.random.default_rng(int(noise.seed))
-    samples = rng.standard_normal(int(length))
+    samples = _rng(noise.seed).standard_normal(int(length))
     samples *= np.sqrt(noise.variance)
     return _owning_buffer(samples, sample_rate_hz)
 

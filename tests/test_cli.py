@@ -72,6 +72,20 @@ class TestScdCommand:
         written = np.frombuffer((out / "scd.c64").read_bytes(), dtype="<c8")
         assert np.array_equal(written.reshape(expected.shape), expected)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("snr_db", [2900, 3075])
+    def test_non_finite_cells_exit_numeric_and_write_no_scd_file(self, tmp_path, plan_path,
+                                                                 snr_db, capsys):
+        # both SNRs pass the plan's power-ratio check; at 2900 dB every cell is
+        # finite in float64 but overflows complex64, at 3075 dB the cyclic
+        # product already overflows float64 and the smoother makes nan cells
+        out = tmp_path / "s"
+        assert main(["scd", "--plan", str(plan_path), "--out", str(out),
+                     "--set", f"snr_db=[{snr_db}]"]) == 3
+        assert "SCD cells are not finite in complex64" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestCollect:
     def test_writes_profile_csv(self, tmp_path, plan_path, mini_plan):
@@ -136,6 +150,26 @@ class TestThreshold:
     def test_missing_fit_file_is_io_error(self, tmp_path, capsys):
         code = main(["threshold", "--pf", "0.05", "--fit", str(tmp_path / "nope.json")])
         assert code == 4
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda text: text[:-3], "Expecting"),                        # truncated JSON
+        (lambda text: text.replace('"mu"', '"location"'), "'mu'"),    # missing key
+        (lambda text: text.replace('"sigma": 1.0', '"sigma": 0.0'), "sigma must be positive"),
+        (lambda text: text.replace('"sigma": 1.0', '"sigma": -1.0'), "sigma must be positive"),
+        (lambda text: text.replace('"kappa": 0.0', '"kappa": NaN'), "kappa must be finite"),
+        (lambda text: text.replace('"kappa": 0.0', '"kappa": Infinity'), "kappa must be finite"),
+        (lambda text: text.replace('"kappa": 0.0', '"kappa": -Infinity'), "kappa must be finite"),
+    ], ids=["bad-json", "missing-key", "sigma-zero", "sigma-negative", "kappa-nan",
+            "kappa-inf", "kappa-minus-inf"])
+    def test_malformed_fit_json_is_config_error(self, tmp_path, change, message, capsys):
+        path = tmp_path / "fit.json"
+        io.write_fit_json(path, cs.FitReport(cs.GevParams(0.0, 0.0, 1.0), -1.0, 5, True, 1000, 1e-9))
+        text = path.read_text()
+        path.write_text(change(text))
+        assert path.read_text() != text
+        assert main(["threshold", "--pf", "0.05", "--fit", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
 
 class TestRoc:

@@ -9,12 +9,13 @@ quantiles/thresholds. Oracle constants are frozen below.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import genextreme
 
 import cyclosense as cs
 import cyclosense.gev as gev_module
-from cyclosense.gev import KAPPA_EPS, _derivatives, log_likelihood
+from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, log_likelihood
 
 # frozen oracle constants
 PDF_GUMBEL01_AT_1 = 0.2546463800435825        # exp(-exp(-1) - 1)
@@ -106,6 +107,27 @@ class TestBranchContinuity:
         near = gev(1.01 * KAPPA_EPS)
         delta = np.abs(cs.cdf(xs, near) - cs.cdf(xs, gev(0.0)))
         assert np.max(delta) <= 1e-4
+
+
+# shapes on both sides of +KAPPA_EPS and of -KAPPA_EPS, and 0
+SHAPES_AT_SWITCH = st.sampled_from([-1.0, 1.0]).flatmap(
+    lambda sign: st.floats(0.5, 2.0).map(lambda factor: sign * factor * KAPPA_EPS)) | st.just(0.0)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(kappa=SHAPES_AT_SWITCH, probability=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(kappa=KAPPA_EPS, probability=0.5)
+@example(kappa=-KAPPA_EPS, probability=0.5)
+@example(kappa=KAPPA_EPS * (1 + 1e-9), probability=1e-300)
+@example(kappa=-KAPPA_EPS * (1 + 1e-9), probability=1 - 2**-53)
+def test_cdf_inverts_quantile_across_the_kappa_switch(kappa, probability):
+    # F = exp(-v) at the quantile; outside the switch v = t**(-1/kappa) turns a
+    # rounding error of t into a relative error of about 2.2e-16/|kappa| in v,
+    # which moves F by at most F*v <= 1/e times that: 8e-11 at the switch
+    params = gev(kappa, 0.0427, 0.0183)
+    x = _quantile(-np.log(probability), params)
+    assert np.isfinite(x)
+    assert abs(cs.cdf(x, params) - probability) <= 1e-10
 
 
 class TestThreshold:

@@ -6,11 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cyclosense as cs
-from cyclosense import io
+from cyclosense import harness, io
 from cyclosense.cli import main
-from cyclosense.harness import STREAM_NOISE_FIT, derived_seed, _statistic_task, worker_pool
+from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, _block_task,
+                                _derived_seeds, _generator, _pcg64_states, _statistic_task,
+                                derived_seed, worker_pool)
+
+STREAMS = [STREAM_NOISE_FIT, STREAM_H0_TRIAL, STREAM_H1_TRIAL, harness.STREAM_EXPORT_SIGNAL,
+           harness.STREAM_EXPORT_NOISE]
+MASTER_SEEDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96)
+WINDOW_INDICES = st.lists(st.integers(0, 10**6), min_size=1, max_size=16)
 
 
 class TestPlanValidation:
@@ -66,6 +74,12 @@ class TestPlanValidation:
         values = (plan.noise_windows_l, plan.signal_windows_m, plan.master_seed)
         assert values == (150, 120, 7) and all(type(v) is int for v in values)
 
+    def test_window_counts_fit_the_32_bit_seed_index(self, mini_plan):
+        replace(mini_plan, noise_windows_l=2**32, signal_windows_m=2**32)
+        for field in ("noise_windows_l", "signal_windows_m"):
+            with pytest.raises(ValueError, match="32-bit index"):
+                replace(mini_plan, **{field: 2**32 + 1})
+
     def test_snr_power_ratio_must_fit_float64(self, mini_plan):
         replace(mini_plan, snr_db_list=(3000.0, -4000.0))
         with pytest.raises(ValueError, match="overflows"):
@@ -79,6 +93,75 @@ class TestSeedFanOut:
         assert a != derived_seed(42, 0, 8)
         assert a != derived_seed(42, 1, 7)
         assert a != derived_seed(43, 0, 7)
+
+    def test_generator_from_state_words_draws_like_default_rng(self):
+        for seed in (0, 7, 2**32 - 1, 2**32, derived_seed(42, STREAM_H1_TRIAL, 1, 0, 7, 1)):
+            words = _pcg64_states(np.array([seed], np.uint64))[0]
+            assert np.array_equal(_generator(words).standard_normal(4096),
+                                  np.random.default_rng(seed).standard_normal(4096))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(master=MASTER_SEEDS, stream=st.sampled_from(STREAMS), indices=WINDOW_INDICES)
+def test_vectorized_seeds_equal_seed_sequence(master, stream, indices):
+    seeds = _derived_seeds(master, stream, np.array(indices, np.uint64))
+    assert seeds.dtype == np.uint64
+    assert [int(s) for s in seeds] == [derived_seed(master, stream, i) for i in indices]
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(master=MASTER_SEEDS, snr_index=st.integers(0, 9), batch=st.integers(0, 1),
+       indices=WINDOW_INDICES)
+def test_vectorized_h1_seed_pairs_equal_seed_sequence(master, snr_index, batch, indices):
+    seeds = _derived_seeds(master, STREAM_H1_TRIAL, snr_index, batch,
+                           np.array(indices, np.uint64)[:, None], np.arange(2))
+    assert seeds.tolist() == [[derived_seed(master, STREAM_H1_TRIAL, snr_index, batch, i, k)
+                               for k in (0, 1)] for i in indices]
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
+                      min_size=1, max_size=16))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_pcg64_state_words_equal_seed_sequence(seeds):
+    words = _pcg64_states(np.array(seeds, np.uint64))
+    expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert words.dtype == np.uint64 and np.array_equal(words, expected)
+
+
+def scalar_statistic(plan, kind, snr_index, batch, index):
+    """A window's statistic from integer derived_seed seeds, each drawn through
+    np.random.default_rng: the recipe the block tasks must reproduce."""
+    spec = plan._window_spec
+    if kind == "noise":
+        stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
+        window = harness._noise(spec, derived_seed(plan.master_seed, stream, index))
+    else:
+        tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
+        window = harness._mixture(spec, derived_seed(*tags, 0), derived_seed(*tags, 1),
+                                  plan.snr_db_list[snr_index])
+    return harness.statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
+
+
+SPLIT_WINDOWS = 24
+SPLIT_BATCHES = [("noise", 0, 0), ("noise", 0, 1), ("h1", 1, 1)]
+
+
+@pytest.fixture(scope="module")
+def scalar_batches(mini_plan):
+    return {batch: [scalar_statistic(mini_plan, *batch, i) for i in range(SPLIT_WINDOWS)]
+            for batch in SPLIT_BATCHES}
+
+
+@pytest.mark.parametrize("batch", SPLIT_BATCHES)
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
+@given(cuts=st.sets(st.integers(1, SPLIT_WINDOWS - 1), max_size=8))
+@example(cuts=set(range(1, SPLIT_WINDOWS)))
+def test_any_split_into_blocks_gives_the_same_statistics(mini_plan, scalar_batches, batch, cuts):
+    bounds = [0, *sorted(cuts), SPLIT_WINDOWS]
+    statistics = np.concatenate([_block_task((mini_plan, *batch, start, stop))
+                                 for start, stop in zip(bounds, bounds[1:])])
+    assert statistics.tolist() == scalar_batches[batch]
 
 
 class TestCollect:
@@ -105,9 +188,18 @@ class TestCollect:
     def test_parallel_equals_serial(self, mini_plan):
         with worker_pool(1) as serial:
             expected = cs.collect_noise_profile(mini_plan, serial)
-        for jobs in (2, 3):  # chunks of 150 // (8 * jobs) = 9 and 6 windows
+        for jobs in (2, 3):  # 150 windows: one block
             with worker_pool(jobs) as parallel:
                 assert np.array_equal(cs.collect_noise_profile(mini_plan, parallel), expected)
+
+    def test_block_size_and_jobs_do_not_change_results(self, mini_plan, monkeypatch):
+        expected = cs.collect_noise_profile(mini_plan)
+        for block in (16, 7):
+            monkeypatch.setattr(harness, "BLOCK_WINDOWS", block)
+            assert len(harness._blocks(mini_plan, "noise", 0, 0, 150)) == -(-150 // block)
+            for jobs in (1, 2):
+                with worker_pool(jobs) as run:
+                    assert np.array_equal(cs.collect_noise_profile(mini_plan, run), expected)
 
 
 def histogram_rows(path):
@@ -211,6 +303,11 @@ class TestRunRoc:
         for jobs in (2, 3):
             with worker_pool(jobs) as run:
                 assert cs.run_roc(mini_plan, run=run) == curves
+
+    def test_block_size_does_not_change_results(self, curves, mini_plan, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_WINDOWS", 16)
+        with worker_pool(2) as run:
+            assert cs.run_roc(mini_plan, run=run) == curves
 
     def test_one_shared_pool_matches_serial(self, curves, mini_plan):
         with worker_pool(2) as run:

@@ -115,6 +115,20 @@ class TestGenerateAm:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    def test_generator_is_drawn_from_like_its_seed(self):
+        # a Generator passes through as np.random.default_rng passes it
+        rng = np.random.default_rng(11)
+        first = generate_am(table_spec(), rng)
+        assert np.array_equal(first.samples, generate_am(table_spec(), 11).samples)
+        assert not np.array_equal(generate_am(table_spec(), rng).samples, first.samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            generate_am(table_spec(), seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            NoiseSpec(1.0, seed)
+
     def test_peak_normalized_message_respects_index(self):
         # envelope deviation is capped by the modulation index, so no overmodulation
         buf = generate_am(table_spec(index=1.0), seed=5)
@@ -137,6 +151,12 @@ class TestGenerateAwgn:
         a = generate_awgn(4096, NoiseSpec(2.0, 5))
         b = generate_awgn(4096, NoiseSpec(2.0, 5))
         assert np.array_equal(a.samples, b.samples)
+
+    def test_generator_is_drawn_from_like_its_seed(self):
+        rng = np.random.default_rng(5)
+        first = generate_awgn(4096, NoiseSpec(2.0, rng))
+        assert np.array_equal(first.samples, generate_awgn(4096, NoiseSpec(2.0, 5)).samples)
+        assert not np.array_equal(generate_awgn(4096, NoiseSpec(2.0, rng)).samples, first.samples)
 
     def test_variance_scaling(self):
         buf = generate_awgn(10**5, NoiseSpec(4.0, 9))
