@@ -3,19 +3,24 @@
     PYTHONPATH=src python -m pytest benches -q --benchmark-columns=min,median,iqr,rounds
 
 One benchmark per stage of the statistic path (seed derivation, AWGN and AM
-synthesis, the SNR mix, taper + real FFT + mirror, the cyclic product at the
-feature bin, the running-sum smoother, the max reduction), then whole noise
-and H1 windows as the Monte Carlo harness runs them. Inputs are built once
-outside the timed call. The directory is not in the test suite's `testpaths`.
+synthesis, the SNR mix, taper + real FFT, the cyclic product at the feature
+bin, the running-sum smoother, the max reduction), then whole noise and H1
+windows as the Monte Carlo harness runs them. Inputs are built once outside
+the timed call. The directory is not in the test suite's `testpaths`.
 
 The whole-window benchmarks time one block of harness.BLOCK_WINDOWS windows,
 the harness's unit of work; divide by BLOCK_WINDOWS for one window, which
-`--benchmark-json` also records as `per_window_us`. The seed stage has three
-figures: the scalar `derived_seed` reference, one H1 block's vectorized
-fan-out (its seeds and PCG64 state words, recorded per window the same way),
-and the Generator each drawn seed is built into.
+`--benchmark-json` also records as `per_window_us`, beside the block's
+minor page faults per window (`minor_faults_per_window`), which rise when
+the row buffers stop being allocated once per block. The seed stage has
+three figures: the scalar `derived_seed` reference, one H1 block's
+vectorized fan-out (its seeds and PCG64 state words, recorded per window the
+same way), and the Generator each drawn seed is built into. The FFT has two:
+one window alone, and one call over the harness.ROWS windows of a sub-block
+(`per_window_us` again).
 """
 
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -30,14 +35,20 @@ FS = PLAN.signal_spec.sample_rate_hz
 A0 = PLAN.alpha0_bin
 SEED = harness.derived_seed(PLAN.master_seed, harness.STREAM_NOISE_FIT, 0)
 WINDOW_SPEC = replace(PLAN.signal_spec, duration_samples=K)
-HALF = A0 // 2
-LO, HI = abs(HALF), K - 1 - abs(HALF)
+CELLS = K - abs(A0)
 SCALE = scd._periodogram_scale(CFG.taper, K)
 
 
-def cyclic_product_of(spectrum):
-    """Scaled cyclic periodogram at the feature bin, before smoothing."""
-    return spectrum[LO + HALF:HI + HALF + 1] * np.conj(spectrum[LO - HALF:HI - HALF + 1]) / SCALE
+def cyclic_product_of(half, pair):
+    """Scaled cyclic periodogram at the feature bin of one window, before
+    smoothing, gathered from its rfft half into pair as the kernel does."""
+    shift, lo = A0 // 2, abs(A0) // 2
+    upper = scd._centered_bins(half, lo + shift - K // 2, pair[0])
+    lower = scd._centered_bins(half, lo - shift - K // 2, pair[1])
+    np.conjugate(lower, out=lower)
+    np.multiply(upper, lower, out=upper)
+    upper /= SCALE
+    return upper[0]
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +57,13 @@ def samples():
 
 
 @pytest.fixture(scope="module")
-def spectrum(samples):
-    return scd._spectrum(samples, CFG)
+def half(samples):
+    return scd._half_spectra(samples[None], CFG)
 
 
 @pytest.fixture(scope="module")
-def cyclic_product(spectrum):
-    return cyclic_product_of(spectrum)
+def cyclic_product(half):
+    return cyclic_product_of(half, np.empty((2, 1, CELLS), complex)).copy()
 
 
 def test_derived_seed(benchmark):
@@ -89,12 +100,22 @@ def test_mix(benchmark, samples):
     benchmark(siggen.mix_at_snr, signal, noise, -10.0)
 
 
-def test_taper_real_fft_mirror(benchmark, samples):
-    benchmark(scd._spectrum, samples, CFG)
+def test_rfft(benchmark, samples):
+    benchmark(np.fft.rfft, samples)
 
 
-def test_cyclic_product(benchmark, spectrum):
-    benchmark(cyclic_product_of, spectrum)
+def test_rfft_rows(benchmark):
+    rows = np.random.default_rng(SEED).standard_normal((harness.ROWS, K))
+    benchmark(np.fft.rfft, rows, axis=-1)
+    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.ROWS * 1e6
+
+
+def test_taper_real_fft(benchmark, samples):
+    benchmark(scd._half_spectra, samples[None], CFG)
+
+
+def test_cyclic_product(benchmark, half):
+    benchmark(cyclic_product_of, half, np.empty((2, 1, CELLS), complex))
 
 
 def test_smoother(benchmark, cyclic_product):
@@ -111,9 +132,21 @@ def test_kernel(benchmark, samples):
 
 
 def benchmark_block(benchmark, kind, snr_index):
-    """One block of windows as the harness runs it, and each window's share."""
-    benchmark(harness._block_task, (PLAN, kind, snr_index, 0, 0, harness.BLOCK_WINDOWS))
+    """One block of windows as the harness runs it, each window's share, and
+    the block's minor page faults per window."""
+    task = (PLAN, kind, snr_index, 0, 0, harness.BLOCK_WINDOWS)
+    runs = faults = 0
+
+    def run():
+        nonlocal runs, faults
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        harness._block_task(task)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        runs += 1
+
+    benchmark(run)
     benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.BLOCK_WINDOWS * 1e6
+    benchmark.extra_info["minor_faults_per_window"] = faults / (runs * harness.BLOCK_WINDOWS)
 
 
 def test_noise_window(benchmark):

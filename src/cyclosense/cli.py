@@ -102,21 +102,28 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_noise_model(out: Path, samples, bins: int | None = None) -> FitReport:
-    """Fit the noise model to at least 100 samples and write histogram.csv and
-    fit.json, also when the fit did not converge (reported on stderr)."""
+def _fit_noise_model(samples) -> FitReport:
+    """The noise model fitted to at least 100 samples."""
     report = fit_gev_mle(samples)
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
+    return report
+
+
+def _write_noise_model(out: Path, samples, report: FitReport, bins: int | None = None) -> None:
+    """Write histogram.csv and fit.json, also when the fit did not converge
+    (reported on stderr)."""
     io.write_histogram_csv(out / "histogram.csv", samples, bins)
     io.write_fit_json(out / "fit.json", report)
     if not report.converged:
         print("error: noise-model fit did not converge", file=sys.stderr)
-    return report
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    report = _write_noise_model(_out_dir(args), io.read_profile_samples(args.samples), args.bins)
+    out = _out_dir(args)
+    samples = io.read_profile_samples(args.samples)
+    report = _fit_noise_model(samples)
+    _write_noise_model(out, samples, report, args.bins)
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
@@ -131,12 +138,15 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     names = [f"roc_{snr:g}.csv" for snr in plan.snr_db_list]
     if len(set(names)) < len(names):
         raise ValueError(f"snr_db entries {list(plan.snr_db_list)} share roc_<snr>.csv names")
+    # every output is written after the last window, so a failed run leaves none
     with worker_pool(args.jobs) as run:
-        out = _out_dir(args)
-        report = _write_noise_model(out, collect_noise_profile(plan, run))
-        if not report.converged:
-            return EXIT_NUMERIC
-        curves = run_roc(plan, noise_fit=report, run=run)
+        samples = collect_noise_profile(plan, run)
+        report = _fit_noise_model(samples)
+        curves = run_roc(plan, noise_fit=report, run=run) if report.converged else None
+    out = _out_dir(args)
+    _write_noise_model(out, samples, report)
+    if curves is None:
+        return EXIT_NUMERIC
     thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
     for name, (theoretical, empirical) in zip(names, curves):
         io.write_roc_csv(out / name, theoretical, empirical, thresholds, plan.signal_windows_m)

@@ -10,11 +10,16 @@ from (master_seed, stream, indices...), so results are a pure function of
 the plan and independent of worker count or scheduling: worker_pool(jobs)
 yields the one runner of a command's windows. A runner's task is a block of
 consecutive window indices of one batch, (plan, kind, snr_index, batch,
-start, stop), at most BLOCK_WINDOWS long; the block size is a constant and
-no window's statistic depends on it or on jobs. A block derives all its
-seeds, and the PCG64 state words default_rng would hash from each of them,
-in one vectorized port of numpy's SeedSequence hash; derived_seed stays the
-scalar reference. Aggregation uses only order-independent counts.
+start, stop), at most BLOCK_WINDOWS long. A block derives all its seeds,
+and the PCG64 state words default_rng would hash from each of them, in one
+vectorized port of numpy's SeedSequence hash; derived_seed stays the scalar
+reference. It then runs its windows in sub-blocks of ROWS consecutive
+windows: each window draws its normals from its own generator into its own
+row of a (ROWS, K) array, and every later stage (AM message, noise, SNR mix,
+taper, FFT, cyclic product, smoother, max) runs once per sub-block through
+the siggen and scd row helpers, on arrays allocated once per block. Each
+row's arithmetic is that of the window alone, so no statistic depends on
+ROWS, BLOCK_WINDOWS or jobs. Aggregation uses only order-independent counts.
 """
 
 from __future__ import annotations
@@ -26,11 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import statistic_at_alpha0
 from .gev import FitReport, GevParams, cdf, fit_gev_mle, threshold_for_pf
-from .scd import ScdConfig, snap_alpha_to_even_bin
-from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _power_ratio, generate_am,
-                     generate_awgn, mix_at_snr)
+from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
+from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _awgn_rows, _mix_rows,
+                     _power_ratio, generate_am, generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -58,6 +62,9 @@ NOISE_VARIANCE = 1.0
 
 # windows per runner task: a constant, so that no statistic depends on jobs
 BLOCK_WINDOWS = 256
+# windows per row-helper call inside a block; pocketfft transforms rows in
+# one call at about half the per-row cost, while more rows grow the buffers
+ROWS = 4
 
 # numpy.random.SeedSequence's hash constants (pool size 4, 32-bit words)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -266,23 +273,34 @@ def _block_task(args: tuple) -> np.ndarray:
     """Statistics of windows start .. stop-1 of one batch, each the value its
     window has alone; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, start, stop = args
-    spec = plan._window_spec
+    spec, cfg, alpha_bins = plan._window_spec, plan.scd_cfg, (plan.alpha0_bin,)
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
-        states = _pcg64_states(_derived_seeds(plan.master_seed, stream, indices))
-        windows = (_noise(spec, _generator(words)) for words in states)
+        states = _pcg64_states(_derived_seeds(plan.master_seed, stream, indices))[:, None]
     elif kind == "h1":
         # per window: the signal seed's words, then the noise seed's
         states = _pcg64_states(_derived_seeds(plan.master_seed, STREAM_H1_TRIAL, snr_index,
                                               batch, indices[:, None], np.arange(2)))
-        snr_db = plan.snr_db_list[snr_index]
-        windows = (_mixture(spec, _generator(signal), _generator(noise), snr_db)
-                   for signal, noise in states)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
-    statistics = np.array([statistic_at_alpha0(w, plan.scd_cfg, plan.alpha0_bin)
-                           for w in windows])
+    count, draws = states.shape[:2]  # per window: (noise,) or (signal, noise) draws
+    rows = min(ROWS, count)
+    normals = np.empty((draws, rows, cfg.window_length_k))
+    work = _KernelBuffers(rows, cfg, alpha_bins)
+    statistics = np.empty(count)
+    for first in range(0, count, ROWS):
+        sub = states[first:first + ROWS].swapaxes(0, 1)  # (draw, window, word)
+        n = sub.shape[1]
+        for draw, draw_states in zip(normals, sub):
+            for row, words in zip(draw, draw_states):
+                _generator(words).standard_normal(row.size, out=row)
+        windows = _awgn_rows(normals[-1, :n], NOISE_VARIANCE)
+        if kind == "h1":
+            signal = _am_rows(spec, normals[0, :n], work.half[:n])
+            windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
+        maxima = _maxima(windows, cfg, alpha_bins, work, tapered=windows)
+        statistics[first:first + n] = maxima[:, 0]
     bad = statistics[~np.isfinite(statistics)]
     if bad.size:  # a nan would silently count as unoccupied
         snr = f" at {plan.snr_db_list[snr_index]:g} dB" if kind == "h1" else ""

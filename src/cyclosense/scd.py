@@ -7,14 +7,13 @@ periodogram
 
 is formed on a grid of even DFT-bin offsets a (the cyclic frequencies) and
 smoothed along f with a moving average of length L, computed as differences
-of a zero-padded running sum (fixed 1/L normalization, implicit zeros past
-the column ends). U is the mean squared taper coefficient, which keeps the
-noise level taper-invariant. Frequencies are indexed on the centered axis,
-bins -K/2 .. K/2-1. For real input X(-m) = conj X(m), so the centered
-spectrum is built from one real FFT: its upper half is rfft bins 0 .. K/2-1
-and its lower half their conjugate mirror, rfft bins K/2 .. 1. A cell is
-valid only when both f + a/2 and f - a/2 fall inside the K-bin axis, so no
-wraparound ever mixes unrelated frequencies.
+of a running sum (fixed 1/L normalization, implicit zeros past the column
+ends). U is the mean squared taper coefficient, which keeps the noise level
+taper-invariant. Frequencies are indexed on the centered axis, bins
+-K/2 .. K/2-1. For real input X(-m) = conj X(m), so every centered bin comes
+from one real FFT: bin m >= 0 is rfft bin m, and bin -m is its conjugate. A
+cell is valid only when both f + a/2 and f - a/2 fall inside the K-bin axis,
+so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. alpha_maxima, the
@@ -22,6 +21,17 @@ per-window statistic kernel, computes it from the requested columns without
 building the matrix; estimate_scd builds the matrix from the same spectrum
 and column helpers, so the maximum of |values| over a column's valid_mask
 cells equals alpha_maxima bit for bit.
+
+The helpers work on the last axis of a (rows, K) array of windows, one
+window per row, and write into work arrays a caller allocates once and
+reuses (_KernelBuffers). Each cyclic column is gathered from the rfft half
+into its own buffer, so the centered spectrum is never built. Every step is
+elementwise or runs along one row, so a window's maxima are the same bits
+whatever other windows share its array, and estimate_scd calls the helpers
+with one row. Every product is written through out=, never into a
+temporary: for a temporary of 256 KiB or more (16,384 complex cells) numpy
+elides the copy by reusing the temporary as the output with the operands
+swapped, and conj(Y) * X rounds differently from X * conj(Y).
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .siggen import SampleBuffer
+from .siggen import SampleBuffer, _integer
 
 TAPERS = ("hamming", "rectangular")
 
@@ -61,11 +71,11 @@ class ScdConfig:
     taper: str = "hamming"
 
     def __post_init__(self) -> None:
-        k = int(self.window_length_k)
+        k = _integer("window_length_k", self.window_length_k)
         if k < 2 or (k & (k - 1)) != 0:
             raise ValueError("window_length_k must be a power of two >= 2")
         object.__setattr__(self, "window_length_k", k)
-        sm = int(self.smoothing_length)
+        sm = _integer("smoothing_length", self.smoothing_length)
         if sm < 1:
             raise ValueError("smoothing_length must be positive")
         sm |= 1  # odd coercion
@@ -74,7 +84,7 @@ class ScdConfig:
         object.__setattr__(self, "smoothing_length", sm)
         if self.taper not in TAPERS:
             raise ValueError(f"unknown taper {self.taper!r}")
-        grid = tuple(int(a) for a in self.alpha_grid)
+        grid = tuple(_integer("alpha bin offset", a) for a in self.alpha_grid)
         if not grid:
             raise ValueError("alpha_grid must not be empty")
         if len(set(grid)) != len(grid):
@@ -141,53 +151,103 @@ def snap_alpha_to_even_bin(alpha_hz: float, sample_rate_hz: float, window_length
     return 2 * int(round(bins / 2.0))
 
 
-def _smoothed(column: np.ndarray, smoothing_length: int) -> np.ndarray:
-    """Centered moving average with fixed 1/smoothing_length normalization.
+def _smoothed(column: np.ndarray, smoothing_length: int, sums: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Centered moving average along the last axis with fixed 1/smoothing_length
+    normalization.
 
     Cells whose window is truncated by the ends of the column average in
     implicit zeros; renormalizing by the surviving cell count would make the
     cell variance position-dependent and bias a max statistic toward the
-    edges. Window sums are differences of one zero-padded running sum.
+    edges. Window sums are differences of the column's running sum, which
+    goes to sums (column itself to sum in place); out must not be sums.
     """
-    n = column.size
-    lead = smoothing_length // 2
-    sums = np.zeros(n + smoothing_length, dtype=column.dtype)
-    np.cumsum(column, out=sums[lead + 1:lead + 1 + n])
-    sums[lead + 1 + n:] = sums[lead + n]
-    return (sums[smoothing_length:] - sums[:n]) / smoothing_length
+    sums = np.cumsum(column, axis=-1, out=sums)
+    n, lead = sums.shape[-1], smoothing_length // 2
+    # cell j: sums[min(j + lead, n - 1)], minus sums[j - lead - 1] from j = lead + 1
+    first_lower, last_inner = min(lead + 1, n), max(n - lead, 0)
+    if out is None:
+        out = np.empty_like(sums)
+    out[..., :last_inner] = sums[..., lead:]
+    out[..., last_inner:] = sums[..., n - 1:]
+    out[..., first_lower:] -= sums[..., :n - first_lower]
+    out /= smoothing_length
+    return out
 
 
-def _spectrum(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
-    """Centered spectrum, bins -K/2 .. K/2-1, of one tapered real window of
-    K samples, mirrored from its real FFT through X(-m) = conj X(m)."""
+class _KernelBuffers:
+    """Work arrays of the statistic kernel for up to `rows` windows and the
+    columns of alpha_bins, allocated once and reused by every call."""
+
+    def __init__(self, rows: int, cfg: ScdConfig, alpha_bins) -> None:
+        k = cfg.window_length_k
+        cells = max((k - abs(a) for a in alpha_bins), default=0)
+        self.half = np.empty((rows, k // 2 + 1), dtype=np.complex128)
+        self.pair = np.empty((2, rows, cells), dtype=np.complex128)
+        self.magnitudes = np.empty((rows, cells))
+
+
+def _half_spectra(windows: np.ndarray, cfg: ScdConfig, out: np.ndarray | None = None,
+                  tapered: np.ndarray | None = None) -> np.ndarray:
+    """Real FFT, bins 0 .. K/2, of each tapered row of windows. tapered
+    receives the tapered rows (a new array by default; windows itself to
+    taper in place)."""
     k = cfg.window_length_k
-    if samples.shape != (k,):
-        raise ValueError(f"window length {samples.size} does not match K={k}")
-    half = np.fft.rfft(taper_coefficients(cfg.taper, k) * samples)
-    spectrum = np.empty(k, dtype=np.complex128)
-    spectrum[k // 2:] = half[:k // 2]
-    np.conjugate(half[k // 2:0:-1], out=spectrum[:k // 2])
-    return spectrum
+    if windows.ndim != 2 or windows.shape[1] != k:
+        raise ValueError(f"window length {windows.shape[-1]} does not match K={k}")
+    tapered = np.multiply(windows, taper_coefficients(cfg.taper, k), out=tapered)
+    return np.fft.rfft(tapered, axis=-1, out=out)
 
 
-def _smoothed_column(spectrum: np.ndarray, a: int, cfg: ScdConfig) -> np.ndarray:
-    """Smoothed cyclic periodogram at even offset a over its valid run of
-    centered bins [|a|/2, K-1-|a|/2]."""
-    half = a // 2
-    lo, hi = abs(half), spectrum.size - 1 - abs(half)
-    raw = spectrum[lo + half:hi + half + 1] * np.conj(spectrum[lo - half:hi - half + 1])
-    return _smoothed(raw / _periodogram_scale(cfg.taper, spectrum.size), cfg.smoothing_length)
+def _centered_bins(half: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """Bins first, first+1, ... of each row's centered spectrum, as many as out
+    holds, taken from its rfft half (bins 0 .. K/2) through X(-m) = conj X(m)."""
+    count = out.shape[-1]
+    negative = min(max(-first, 0), count)
+    np.conjugate(half[:, -first:-first - negative:-1], out=out[:, :negative])
+    out[:, negative:] = half[:, first + negative:first + count]
+    return out
+
+
+def _smoothed_column(half: np.ndarray, a: int, cfg: ScdConfig,
+                     work: _KernelBuffers) -> np.ndarray:
+    """Smoothed cyclic periodogram of each row at even offset a over its valid
+    run of centered bins [|a|/2, K-1-|a|/2], in work's buffers."""
+    k, rows = cfg.window_length_k, len(half)
+    shift, lo = a // 2, abs(a) // 2
+    n = k - 2 * lo
+    upper = _centered_bins(half, lo + shift - k // 2, work.pair[0, :rows, :n])
+    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n])
+    np.conjugate(lower, out=lower)
+    np.multiply(upper, lower, out=upper)  # written through out=: see the module docstring
+    upper /= _periodogram_scale(cfg.taper, k)
+    return _smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)
+
+
+def _maxima(windows: np.ndarray, cfg: ScdConfig, alpha_bins, work: _KernelBuffers,
+            tapered: np.ndarray | None = None) -> np.ndarray:
+    """(rows, len(alpha_bins)) maxima of |SCD| over each column's valid cells
+    for each row of windows; see _half_spectra for tapered."""
+    rows = len(windows)
+    half = _half_spectra(windows, cfg, out=work.half[:rows], tapered=tapered)
+    maxima = np.empty((rows, len(alpha_bins)))
+    for j, a in enumerate(alpha_bins):
+        column = _smoothed_column(half, a, cfg, work)
+        magnitudes = np.abs(column, out=work.magnitudes[:rows, :column.shape[1]])
+        np.max(magnitudes, axis=-1, out=maxima[:, j])
+    return maxima
 
 
 def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     """Frequency-smoothed cyclic periodogram of one analysis window."""
     k = cfg.window_length_k
-    spectrum = _spectrum(window.samples, cfg)
+    work = _KernelBuffers(1, cfg, cfg.alpha_grid)
+    half = _half_spectra(window.samples[None], cfg, out=work.half)
     values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
     mask = np.zeros(values.shape, dtype=bool)
     for col, a in enumerate(cfg.alpha_grid):
         lo = abs(a) // 2
-        values[lo:k - lo, col] = _smoothed_column(spectrum, a, cfg)
+        values[lo:k - lo, col] = _smoothed_column(half, a, cfg, work)[0]
         mask[lo:k - lo, col] = True
 
     fs = window.sample_rate_hz
@@ -197,9 +257,13 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:
-    """Per-alpha maxima of |SCD| over the valid support of one window, at
-    alpha_bins instead of cfg's grid."""
+    """Per-alpha maxima of |SCD| over the valid support of each window, at
+    alpha_bins instead of cfg's grid: samples is one window of K samples, or
+    a (rows, K) array of windows, which gives one row of maxima per window."""
     for a in alpha_bins:
         _check_alpha_bin(a, cfg.window_length_k)
-    spectrum = _spectrum(np.asarray(samples, dtype=np.float64), cfg)
-    return np.array([np.max(np.abs(_smoothed_column(spectrum, a, cfg))) for a in alpha_bins])
+    samples = np.asarray(samples, dtype=np.float64)
+    windows = samples[None] if samples.ndim == 1 else samples
+    work = _KernelBuffers(len(windows), cfg, alpha_bins)
+    maxima = _maxima(windows, cfg, alpha_bins, work)
+    return maxima[0] if samples.ndim == 1 else maxima

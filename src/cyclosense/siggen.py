@@ -7,6 +7,13 @@ through unchanged. Buffers are read-only and safe to share across
 workers. The public SampleBuffer constructor copies its input; the generators
 hand over the array they just allocated uncopied, through the same checks, and
 cache per spec the carrier and message stop bin, which no seed changes.
+
+The AM, noise and mix steps are row helpers that work in place on the last
+axis of a (rows, n) array, one window per row, and run SampleBuffer's checks
+on every row: the Monte Carlo harness calls them on a few windows at a time,
+and generate_am, generate_awgn and mix_at_snr call them with one row. Every
+operation is elementwise or runs along one row, so a row's samples are the
+same bits whatever else shares its array.
 """
 
 from __future__ import annotations
@@ -57,12 +64,21 @@ class SignalSpec:
             )
         if not 0 < self.baseband_bandwidth_hz < self.carrier_freq_hz:
             raise ValueError("baseband_bandwidth_hz must lie in (0, carrier_freq_hz)")
-        if int(self.duration_samples) < 1 or self.duration_samples != int(self.duration_samples):
+        duration = _integer("duration_samples", self.duration_samples)
+        if duration < 1:
             raise ValueError("duration_samples must be a positive integer")
+        object.__setattr__(self, "duration_samples", duration)
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unsupported modulation {self.modulation!r}")
         if not 0.0 <= self.modulation_index <= 1.0:
             raise ValueError("modulation_index must lie in [0, 1]")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is a finite whole number."""
+    if value % 1 != 0:  # value % 1 is nan for inf and nan
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,7 @@ class SampleBuffer:
     @property
     def power(self) -> float:
         """Mean squared amplitude of the buffer."""
-        return float(np.add.reduce(self.samples * self.samples) / self.samples.size)
+        return float(_powers(self.samples))
 
 
 def _owning_buffer(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
@@ -91,14 +107,25 @@ def _owning_buffer(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
     after every check of the public constructor."""
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("samples must be a nonempty 1-D sequence")
-    if not np.isfinite(arr).all():
-        raise ValueError("samples must all be finite")
+    _check_finite(arr)
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
     arr.setflags(write=False)
     buffer = object.__new__(SampleBuffer)
     vars(buffer).update(samples=arr, sample_rate_hz=sample_rate_hz)  # frozen: no __setattr__
     return buffer
+
+
+def _check_finite(rows: np.ndarray) -> np.ndarray:
+    """rows, once SampleBuffer's check that every sample is finite passed."""
+    if not np.isfinite(rows).all():
+        raise ValueError("samples must all be finite")
+    return rows
+
+
+def _powers(rows: np.ndarray) -> np.ndarray:
+    """Mean squared amplitude along the last axis."""
+    return np.add.reduce(rows * rows, axis=-1) / rows.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -138,17 +165,47 @@ def _am_tables(spec: SignalSpec) -> tuple[np.ndarray, int]:
     return carrier, int(np.searchsorted(freqs, spec.baseband_bandwidth_hz, side="right"))
 
 
-def _bandlimited_message(n: int, stop_bin: int, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean Gaussian message brickwall-filtered to the rfft bins below
-    stop_bin and normalized to unit peak. Returns zeros when no bin is in band."""
-    spec = np.fft.rfft(rng.standard_normal(n))
-    spec[stop_bin:] = 0.0
-    spec[0] = 0.0
-    message = np.fft.irfft(spec, n)
-    peak = np.max(np.abs(message))
-    if peak > 0.0:
-        message /= peak
-    return message
+def _am_rows(spec: SignalSpec, rows: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
+    """Turn each row of standard normals in rows, a (rows, n) float64 array,
+    into the spec's AM waveform in place, and check it. The message is the
+    row brickwall-filtered to the rfft bins 1 .. stop_bin-1 and normalized to
+    unit peak (it stays zero when no bin is in band); spectra, if given, is a
+    (rows, n//2 + 1) complex128 array that receives the rows' rfft."""
+    carrier, stop_bin = _am_tables(spec)
+    spectra = np.fft.rfft(rows, axis=-1, out=spectra)
+    spectra[:, stop_bin:] = 0.0
+    spectra[:, 0] = 0.0
+    np.fft.irfft(spectra, rows.shape[-1], axis=-1, out=rows)
+    # max |row| without an |rows| temporary; a zero row divides by 1, exactly
+    peak = np.maximum(rows.max(axis=-1), -rows.min(axis=-1))
+    rows /= np.where(peak > 0.0, peak, 1.0)[:, None]
+    rows *= spec.modulation_index
+    rows += 1.0
+    rows *= carrier
+    return _check_finite(rows)
+
+
+def _awgn_rows(rows: np.ndarray, variance: float) -> np.ndarray:
+    """Scale each row of standard normals to the variance in place, and check it."""
+    rows *= np.sqrt(variance)
+    return _check_finite(rows)
+
+
+def _mix_rows(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
+    """Overwrite each row of signal with g*signal + noise, g chosen per row so
+    that the row's measured power ratio is snr_db, and check it."""
+    if signal.shape != noise.shape:
+        raise ValueError("signal and noise must have equal length")
+    ratio = _power_ratio(snr_db)
+    p_signal = _powers(signal)
+    p_noise = _powers(noise)
+    if (p_signal <= 0.0).any():
+        raise ValueError("signal has zero power")
+    if (p_noise <= 0.0).any():
+        raise ValueError("noise has zero power")
+    signal *= np.sqrt(ratio * p_noise / p_signal)[:, None]
+    signal += noise
+    return _check_finite(signal)
 
 
 def generate_am(spec: SignalSpec, seed: int | np.random.Generator) -> SampleBuffer:
@@ -158,13 +215,8 @@ def generate_am(spec: SignalSpec, seed: int | np.random.Generator) -> SampleBuff
     deviation never exceeds the modulation index. With index 0 the output is
     exactly the unmodulated carrier cos(2*pi*fc*k/fs).
     """
-    rng = _rng(seed)
-    n = int(spec.duration_samples)
-    carrier, stop_bin = _am_tables(spec)
-    wave = _bandlimited_message(n, stop_bin, rng)
-    wave *= spec.modulation_index
-    wave += 1.0
-    wave *= carrier
+    wave = _rng(seed).standard_normal(int(spec.duration_samples))
+    _am_rows(spec, wave[None])
     return _owning_buffer(wave, spec.sample_rate_hz)
 
 
@@ -174,10 +226,10 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     White noise has no band structure of its own; pass the sample rate of the
     signal it will accompany (default 1.0 for standalone statistical use).
     """
-    if length != int(length) or int(length) < 1:
+    if _integer("length", length) < 1:
         raise ValueError("length must be a positive integer")
     samples = _rng(noise.seed).standard_normal(int(length))
-    samples *= np.sqrt(noise.variance)
+    _awgn_rows(samples[None], noise.variance)
     return _owning_buffer(samples, sample_rate_hz)
 
 
@@ -187,19 +239,11 @@ def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> Samp
     The SNR is defined over the full sampling bandwidth:
     10*log10(P(g*signal) / P(noise)) == snr_db with P the mean square.
     """
-    if len(signal) != len(noise):
-        raise ValueError("signal and noise must have equal length")
     if noise.sample_rate_hz != signal.sample_rate_hz:
         raise ValueError("signal and noise sample rates disagree")
-    ratio = _power_ratio(snr_db)
-    p_signal = signal.power
-    p_noise = noise.power
-    if p_signal <= 0.0:
-        raise ValueError("signal has zero power")
-    if p_noise <= 0.0:
-        raise ValueError("noise has zero power")
-    gain = np.sqrt(ratio * p_noise / p_signal)
-    return _owning_buffer(gain * signal.samples + noise.samples, signal.sample_rate_hz)
+    mixed = np.array(signal.samples)
+    _mix_rows(mixed[None], noise.samples[None], snr_db)
+    return _owning_buffer(mixed, signal.sample_rate_hz)
 
 
 def _power_ratio(snr_db: float) -> float:

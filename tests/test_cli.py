@@ -319,13 +319,29 @@ class TestOverridesAndErrors:
     def test_non_finite_statistic_is_config_error_and_writes_no_curves(self, tmp_path, plan_path,
                                                                        jobs, capsys):
         # 3075 dB passes the plan's power-ratio check, but the cyclic product
-        # of every H1 window overflows; the noise model is written before
-        # the first H1 window runs
+        # of every H1 window overflows; roc writes nothing, not even the noise
+        # model, until the last window has run
         out = tmp_path / "out"
         assert main(["roc", "--plan", str(plan_path), "--out", str(out), "--jobs", jobs,
                      "--set", "snr_db=[3075]"]) == 2
         assert "h1 window statistic at 3075 dB is nan" in capsys.readouterr().err
-        assert not list(out.glob("roc_*.csv"))
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("override", ["scd.window_length_k=1e400",
+                                          "scd.smoothing_length=1e400",
+                                          "signal.duration_samples=1e400",
+                                          "scd.alpha_bins=[1e400]",
+                                          "scd.smoothing_length=301.5",
+                                          "scd.alpha_bins=[682.5]",
+                                          "signal.duration_samples=2048.5"])
+    def test_non_finite_or_fractional_spec_field_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, override, capsys):
+        # JSON reads 1e400 as inf, which int() cannot convert
+        out = tmp_path / "out"
+        assert main(["scd", "--plan", str(plan_path), "--out", str(out),
+                     "--set", override]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, override", [("collect", "noise_windows=150.5"),
                                                    ("roc", "signal_windows=120.5"),

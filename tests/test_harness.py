@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.cli import main
+from cyclosense.detector import statistic_at_alpha0
 from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, _block_task,
                                 _derived_seeds, _generator, _pcg64_states, _statistic_task,
                                 derived_seed, worker_pool)
@@ -140,7 +141,7 @@ def scalar_statistic(plan, kind, snr_index, batch, index):
         tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
         window = harness._mixture(spec, derived_seed(*tags, 0), derived_seed(*tags, 1),
                                   plan.snr_db_list[snr_index])
-    return harness.statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
+    return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
 
 
 SPLIT_WINDOWS = 24
@@ -162,6 +163,17 @@ def test_any_split_into_blocks_gives_the_same_statistics(mini_plan, scalar_batch
     statistics = np.concatenate([_block_task((mini_plan, *batch, start, stop))
                                  for start, stop in zip(bounds, bounds[1:])])
     assert statistics.tolist() == scalar_batches[batch]
+
+
+@pytest.mark.parametrize("batch", SPLIT_BATCHES)
+@settings(deadline=None, derandomize=True, database=None, max_examples=15)
+@given(start=st.integers(0, 40),
+       length=st.integers(1, 3 * harness.ROWS).filter(lambda n: n % harness.ROWS))
+def test_block_with_a_partial_sub_block_equals_each_window_alone(mini_plan, batch, start,
+                                                                  length):
+    statistics = _block_task((mini_plan, *batch, start, start + length))
+    assert statistics.tolist() == [_statistic_task((mini_plan, *batch, i))
+                                   for i in range(start, start + length)]
 
 
 class TestCollect:
@@ -378,6 +390,15 @@ class TestWindowBits:
         digest = hashlib.sha256(np.array([_statistic_task(t) for t in tasks]).tobytes())
         assert digest.hexdigest() == (
             "c7449aa3c3b47351708017106a5088c28490e3f4d3d7c83d96168f9e5bf50423")
+
+    def test_desk_export_sample_digests(self):
+        plan = cs.desk_plan()
+        signal, seed = harness.export_signal(plan)
+        assert seed == 18141372322412330060
+        assert hashlib.sha256(signal.samples.tobytes()).hexdigest() == (
+            "d4e836d4381f8eae5cfb553c3171d78a03a886800ae5efcca00b0762a0733753")
+        assert hashlib.sha256(harness.export_window(plan).samples.tobytes()).hexdigest() == (
+            "cbd05c41fcdc6950c712e55568639c7ef014a4bbc5e3335a4a00969d68b2bd8c")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
