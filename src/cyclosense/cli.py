@@ -138,12 +138,12 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     names = [f"roc_{snr:g}.csv" for snr in plan.snr_db_list]
     if len(set(names)) < len(names):
         raise ValueError(f"snr_db entries {list(plan.snr_db_list)} share roc_<snr>.csv names")
-    # every output is written after the last window, so a failed run leaves none
+    # every file is written after the last window, so a failed run leaves none
     with worker_pool(args.jobs) as run:
+        out = _out_dir(args)
         samples = collect_noise_profile(plan, run)
         report = _fit_noise_model(samples)
         curves = run_roc(plan, noise_fit=report, run=run) if report.converged else None
-    out = _out_dir(args)
     _write_noise_model(out, samples, report)
     if curves is None:
         return EXIT_NUMERIC

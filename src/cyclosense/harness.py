@@ -34,7 +34,7 @@ import numpy as np
 from .gev import FitReport, GevParams, cdf, fit_gev_mle, threshold_for_pf
 from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
 from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _awgn_rows, _mix_rows,
-                     _power_ratio, generate_am, generate_awgn, mix_at_snr)
+                     _integer, _power_ratio, generate_am, generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -93,10 +93,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name, low in (("noise_windows_l", 100), ("signal_windows_m", 100), ("master_seed", 0)):
-            value = getattr(self, name)
-            if value % 1 != 0 or value < low:  # value % 1 is nan for inf and nan
+            value = _integer(name, getattr(self, name))
+            if value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         grid = tuple(float(p) for p in self.pf_grid)
         if not grid or any(not 0.0 < p < 1.0 for p in grid):
             raise ValueError("pf_grid entries must lie strictly between 0 and 1")
