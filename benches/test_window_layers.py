@@ -66,6 +66,13 @@ def cyclic_product(half):
     return cyclic_product_of(half, np.empty((2, 1, CELLS), complex)).copy()
 
 
+def record_per_window(benchmark, windows):
+    """Record the minimum time per window; with --benchmark-disable the
+    function runs once, untimed, and there is nothing to record."""
+    if benchmark.stats is not None:
+        benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / windows * 1e6
+
+
 def test_derived_seed(benchmark):
     benchmark(harness.derived_seed, PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, 7, 1)
 
@@ -79,7 +86,7 @@ def h1_block_states():
 
 def test_block_seed_fan_out(benchmark):
     benchmark(h1_block_states)
-    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.BLOCK_WINDOWS * 1e6
+    record_per_window(benchmark, harness.BLOCK_WINDOWS)
 
 
 def test_generator_from_state_words(benchmark):
@@ -107,7 +114,7 @@ def test_rfft(benchmark, samples):
 def test_rfft_rows(benchmark):
     rows = np.random.default_rng(SEED).standard_normal((harness.ROWS, K))
     benchmark(np.fft.rfft, rows, axis=-1)
-    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.ROWS * 1e6
+    record_per_window(benchmark, harness.ROWS)
 
 
 def test_taper_real_fft(benchmark, samples):
@@ -145,7 +152,7 @@ def benchmark_block(benchmark, kind, snr_index):
         runs += 1
 
     benchmark(run)
-    benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / harness.BLOCK_WINDOWS * 1e6
+    record_per_window(benchmark, harness.BLOCK_WINDOWS)
     benchmark.extra_info["minor_faults_per_window"] = faults / (runs * harness.BLOCK_WINDOWS)
 
 

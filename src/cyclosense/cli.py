@@ -104,10 +104,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 def _fit_noise_model(samples) -> FitReport:
     """The noise model fitted to at least 100 samples."""
-    report = fit_gev_mle(samples)
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
-    return report
+    return fit_gev_mle(samples)
 
 
 def _write_noise_model(out: Path, samples, report: FitReport, bins: int | None = None) -> None:

@@ -17,9 +17,10 @@ reference. It then runs its windows in sub-blocks of ROWS consecutive
 windows: each window draws its normals from its own generator into its own
 row of a (ROWS, K) array, and every later stage (AM message, noise, SNR mix,
 taper, FFT, cyclic product, smoother, max) runs once per sub-block through
-the siggen and scd row helpers, on arrays allocated once per block. Each
-row's arithmetic is that of the window alone, so no statistic depends on
-ROWS, BLOCK_WINDOWS or jobs. Aggregation uses only order-independent counts.
+the siggen and scd row helpers, on arrays and a one-window signal spec
+built once per block. Each row's arithmetic is that of the window alone, so
+no statistic depends on ROWS, BLOCK_WINDOWS or jobs. Aggregation uses only
+order-independent counts.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ class ExperimentPlan:
                 f"signal duration {self.signal_spec.duration_samples} must cover at "
                 f"least two analysis windows of {k} samples"
             )
-        # one analysis window's spec, built once rather than once per window
-        object.__setattr__(self, "_window_spec", replace(self.signal_spec, duration_samples=k))
         support, length = k - abs(self.alpha0_bin), self.scd_cfg.smoothing_length
         if support < length:
             raise ValueError(f"cyclic feature bin {self.alpha0_bin} leaves {support} valid "
@@ -244,14 +243,13 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_state_words()(words)))
 
 
-def _noise(spec: SignalSpec, seed) -> SampleBuffer:
+def _noise(spec: SignalSpec, seed: int) -> SampleBuffer:
     return generate_awgn(spec.duration_samples, NoiseSpec(NOISE_VARIANCE, seed),
                          spec.sample_rate_hz)
 
 
-def _mixture(spec: SignalSpec, signal_seed, noise_seed, snr_db: float) -> SampleBuffer:
-    """The spec's AM signal plus unit-variance noise at snr_db; each seed is an
-    int or a Generator."""
+def _mixture(spec: SignalSpec, signal_seed: int, noise_seed: int, snr_db: float) -> SampleBuffer:
+    """The spec's AM signal plus unit-variance noise at snr_db."""
     return mix_at_snr(generate_am(spec, signal_seed), _noise(spec, noise_seed), snr_db)
 
 
@@ -273,7 +271,8 @@ def _block_task(args: tuple) -> np.ndarray:
     """Statistics of windows start .. stop-1 of one batch, each the value its
     window has alone; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, start, stop = args
-    spec, cfg, alpha_bins = plan._window_spec, plan.scd_cfg, (plan.alpha0_bin,)
+    cfg, alpha_bins = plan.scd_cfg, (plan.alpha0_bin,)
+    window_spec = replace(plan.signal_spec, duration_samples=cfg.window_length_k)
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
@@ -297,7 +296,7 @@ def _block_task(args: tuple) -> np.ndarray:
                 _generator(words).standard_normal(row.size, out=row)
         windows = _awgn_rows(normals[-1, :n], NOISE_VARIANCE)
         if kind == "h1":
-            signal = _am_rows(spec, normals[0, :n], work.half[:n])
+            signal = _am_rows(window_spec, normals[0, :n], work.half[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
         maxima = _maxima(windows, cfg, alpha_bins, work, tapered=windows)
         statistics[first:first + n] = maxima[:, 0]

@@ -81,10 +81,6 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Pa
         bad = np.count_nonzero(~np.isfinite(data))
         raise FloatingPointError(f"{bad} of {data.size} SCD cells are not finite in complex64")
     data.tofile(data_path)
-    runs = []
-    for column in matrix.valid_mask.T:
-        idx = np.flatnonzero(column)
-        runs.append([int(idx[0]), int(idx[-1])] if idx.size else None)
     config = _scd_dict(matrix.config)
     header = {
         "dtype": "complex64",
@@ -94,7 +90,7 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Pa
         "f_axis_hz": [float(v) for v in matrix.f_axis_hz],
         "alpha_axis_hz": [float(v) for v in matrix.alpha_axis_hz],
         "alpha_bins": config["alpha_bins"],
-        "valid_runs": runs,
+        "valid_runs": matrix.valid_runs,
         "config": config,
     }
     _dump_json(meta_path, header)

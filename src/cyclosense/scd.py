@@ -16,22 +16,24 @@ cell is valid only when both f + a/2 and f - a/2 fall inside the K-bin axis,
 so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
-the per-alpha maximum magnitude over valid cells. alpha_maxima, the
-per-window statistic kernel, computes it from the requested columns without
-building the matrix; estimate_scd builds the matrix from the same spectrum
-and column helpers, so the maximum of |values| over a column's valid_mask
-cells equals alpha_maxima bit for bit.
+the per-alpha maximum magnitude over valid cells. alpha_maxima computes it
+for one window from the requested columns without building the matrix;
+estimate_scd builds the matrix from the same spectrum and column helpers, so
+the maximum of |values| over a column's valid_mask cells equals
+alpha_maxima bit for bit. An ScdMatrix stores only its values, config and
+sample rate: its axes, valid runs and valid mask are derived from them.
 
 The helpers work on the last axis of a (rows, K) array of windows, one
 window per row, and write into work arrays a caller allocates once and
 reuses (_KernelBuffers). Each cyclic column is gathered from the rfft half
 into its own buffer, so the centered spectrum is never built. Every step is
 elementwise or runs along one row, so a window's maxima are the same bits
-whatever other windows share its array, and estimate_scd calls the helpers
-with one row. Every product is written through out=, never into a
-temporary: for a temporary of 256 KiB or more (16,384 complex cells) numpy
-elides the copy by reusing the temporary as the output with the operands
-swapped, and conj(Y) * X rounds differently from X * conj(Y).
+whatever other windows share its array: the Monte Carlo harness runs
+_maxima on a few windows at a time, and estimate_scd and alpha_maxima call
+the helpers with one row. Every product is written through out=, never into
+a temporary: for a temporary of 256 KiB or more (16,384 complex cells)
+numpy elides the copy by reusing the temporary as the output with the
+operands swapped, and conj(Y) * X rounds differently from X * conj(Y).
 """
 
 from __future__ import annotations
@@ -99,24 +101,46 @@ class ScdMatrix:
     """Complex SCD estimate on a (f bin, alpha bin) grid.
 
     values has shape (K, n_alpha), one column per bin of the config it was
-    estimated with; f_axis_hz is the centered frequency axis and alpha_axis_hz
-    the cyclic frequency of each column. valid_mask marks cells whose bin pair
-    lies fully inside the K-bin axis.
+    estimated with, from a window sampled at sample_rate_hz. Column a is
+    valid on its run of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2
+    and f - a/2 lie inside the K-bin axis, and zero elsewhere. The axes and
+    the valid cells follow from the config and the sample rate.
     """
 
     values: np.ndarray
-    f_axis_hz: np.ndarray
-    alpha_axis_hz: np.ndarray
     config: ScdConfig
-    valid_mask: np.ndarray
+    sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.values.shape != self.valid_mask.shape:
-            raise ValueError("values and valid_mask shapes disagree")
-        if self.values.shape != (self.f_axis_hz.size, self.alpha_axis_hz.size):
-            raise ValueError("axis lengths do not match the value grid")
-        if len(self.config.alpha_grid) != self.alpha_axis_hz.size:
-            raise ValueError("config.alpha_grid length does not match the alpha axis")
+        shape = (self.config.window_length_k, len(self.config.alpha_grid))
+        if self.values.shape != shape:
+            raise ValueError(f"values shape {self.values.shape} does not match {shape}, "
+                             "(K, len(config.alpha_grid))")
+
+    @property
+    def f_axis_hz(self) -> np.ndarray:
+        """Centered frequency of each row, bins -K/2 .. K/2-1."""
+        k = self.config.window_length_k
+        return (np.arange(k) - k // 2) * self.sample_rate_hz / k
+
+    @property
+    def alpha_axis_hz(self) -> np.ndarray:
+        """Cyclic frequency of each column."""
+        alpha_bins = np.array(self.config.alpha_grid, dtype=np.float64)
+        return alpha_bins * self.sample_rate_hz / self.config.window_length_k
+
+    @property
+    def valid_runs(self) -> list[tuple[int, int]]:
+        """First and last valid bin of each column."""
+        k = self.config.window_length_k
+        return [(abs(a) // 2, k - 1 - abs(a) // 2) for a in self.config.alpha_grid]
+
+    @property
+    def valid_mask(self) -> np.ndarray:
+        """Cells on their column's valid run, as a (K, n_alpha) bool array."""
+        first, last = np.array(self.valid_runs).T
+        bins = np.arange(self.config.window_length_k)[:, None]
+        return (first <= bins) & (bins <= last)
 
 
 def _check_alpha_bin(a: int, k: int) -> None:
@@ -244,26 +268,16 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     work = _KernelBuffers(1, cfg, cfg.alpha_grid)
     half = _half_spectra(window.samples[None], cfg, out=work.half)
     values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
-    mask = np.zeros(values.shape, dtype=bool)
     for col, a in enumerate(cfg.alpha_grid):
         lo = abs(a) // 2
         values[lo:k - lo, col] = _smoothed_column(half, a, cfg, work)[0]
-        mask[lo:k - lo, col] = True
-
-    fs = window.sample_rate_hz
-    f_axis = (np.arange(k) - k // 2) * fs / k
-    alpha_axis = np.array(cfg.alpha_grid, dtype=np.float64) * fs / k
-    return ScdMatrix(values, f_axis, alpha_axis, cfg, mask)
+    return ScdMatrix(values, cfg, window.sample_rate_hz)
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:
-    """Per-alpha maxima of |SCD| over the valid support of each window, at
-    alpha_bins instead of cfg's grid: samples is one window of K samples, or
-    a (rows, K) array of windows, which gives one row of maxima per window."""
+    """Per-alpha maxima of |SCD| over the valid support of one window of K
+    samples, at alpha_bins instead of cfg's grid."""
     for a in alpha_bins:
         _check_alpha_bin(a, cfg.window_length_k)
-    samples = np.asarray(samples, dtype=np.float64)
-    windows = samples[None] if samples.ndim == 1 else samples
-    work = _KernelBuffers(len(windows), cfg, alpha_bins)
-    maxima = _maxima(windows, cfg, alpha_bins, work)
-    return maxima[0] if samples.ndim == 1 else maxima
+    window = np.asarray(samples, dtype=np.float64)[None]
+    return _maxima(window, cfg, alpha_bins, _KernelBuffers(1, cfg, alpha_bins))[0]

@@ -1,12 +1,10 @@
 """Seedable generation of AM test signals, white Gaussian noise, and SNR mixtures.
 
-Every generator is a pure function of its spec and seed, so identical inputs
-reproduce identical buffers. Where a generator takes a seed it also takes a
-numpy Generator, which it draws from as np.random.default_rng passes one
-through unchanged. Buffers are read-only and safe to share across
-workers. The public SampleBuffer constructor copies its input; the generators
-hand over the array they just allocated uncopied, through the same checks, and
-cache per spec the carrier and message stop bin, which no seed changes.
+Every generator is a pure function of its spec and its seed, a nonnegative
+integer that seeds np.random.default_rng, so identical inputs reproduce
+identical buffers. Buffers are read-only copies, safe to share across
+workers. The carrier and message stop bin, which no seed changes, are cached
+per spec.
 
 The AM, noise and mix steps are row helpers that work in place on the last
 axis of a (rows, n) array, one window per row, and run SampleBuffer's checks
@@ -91,7 +89,13 @@ class SampleBuffer:
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.float64, copy=True)
-        object.__setattr__(self, "samples", _owning_buffer(arr, self.sample_rate_hz).samples)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("samples must be a nonempty 1-D sequence")
+        _check_finite(arr)
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -100,20 +104,6 @@ class SampleBuffer:
     def power(self) -> float:
         """Mean squared amplitude of the buffer."""
         return float(_powers(self.samples))
-
-
-def _owning_buffer(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
-    """Buffer that takes over arr, a just-allocated float64 array, uncopied,
-    after every check of the public constructor."""
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("samples must be a nonempty 1-D sequence")
-    _check_finite(arr)
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
-    arr.setflags(write=False)
-    buffer = object.__new__(SampleBuffer)
-    vars(buffer).update(samples=arr, sample_rate_hz=sample_rate_hz)  # frozen: no __setattr__
-    return buffer
 
 
 def _check_finite(rows: np.ndarray) -> np.ndarray:
@@ -131,27 +121,26 @@ def _powers(rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NoiseSpec:
     """White Gaussian noise description: variance (power) and RNG seed, a
-    nonnegative integer or a numpy Generator."""
+    nonnegative integer."""
 
     variance: float
-    seed: int | np.random.Generator
+    seed: int
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError("variance must be positive and finite")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, np.random.Generator) and (seed != int(seed) or int(seed) < 0):
-        raise ValueError("seed must be a nonnegative integer or a numpy Generator")
-
-
-def _rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed) for a checked seed: a Generator passes
-    through unchanged."""
-    _check_seed(seed)
-    return np.random.default_rng(seed if isinstance(seed, np.random.Generator) else int(seed))
+def _seed(seed) -> int:
+    """seed as an int; ValueError unless it is a nonnegative integer."""
+    try:
+        valid = seed == int(seed) >= 0
+    except (TypeError, ValueError, OverflowError):  # int() of a str, nan or inf
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 @lru_cache(maxsize=16)
@@ -208,16 +197,16 @@ def _mix_rows(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarra
     return _check_finite(signal)
 
 
-def generate_am(spec: SignalSpec, seed: int | np.random.Generator) -> SampleBuffer:
+def generate_am(spec: SignalSpec, seed: int) -> SampleBuffer:
     """Generate an AM waveform (1 + index*m(t)) * cos(2*pi*fc*t).
 
     The message m(t) is band-limited Gaussian noise, peak-normalized so the
     deviation never exceeds the modulation index. With index 0 the output is
     exactly the unmodulated carrier cos(2*pi*fc*k/fs).
     """
-    wave = _rng(seed).standard_normal(int(spec.duration_samples))
+    wave = np.random.default_rng(_seed(seed)).standard_normal(spec.duration_samples)
     _am_rows(spec, wave[None])
-    return _owning_buffer(wave, spec.sample_rate_hz)
+    return SampleBuffer(wave, spec.sample_rate_hz)
 
 
 def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) -> SampleBuffer:
@@ -228,9 +217,9 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     """
     if _integer("length", length) < 1:
         raise ValueError("length must be a positive integer")
-    samples = _rng(noise.seed).standard_normal(int(length))
+    samples = np.random.default_rng(noise.seed).standard_normal(int(length))
     _awgn_rows(samples[None], noise.variance)
-    return _owning_buffer(samples, sample_rate_hz)
+    return SampleBuffer(samples, sample_rate_hz)
 
 
 def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> SampleBuffer:
@@ -243,7 +232,7 @@ def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> Samp
         raise ValueError("signal and noise sample rates disagree")
     mixed = np.array(signal.samples)
     _mix_rows(mixed[None], noise.samples[None], snr_db)
-    return _owning_buffer(mixed, signal.sample_rate_hz)
+    return SampleBuffer(mixed, signal.sample_rate_hz)
 
 
 def _power_ratio(snr_db: float) -> float:

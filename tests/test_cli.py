@@ -117,7 +117,7 @@ class TestFit:
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows, constant, code", [(25, False, 3), (50, False, 2),
+    @pytest.mark.parametrize("rows, constant, code", [(25, False, 2), (50, False, 2),
                                                       (200, True, 3)])
     def test_exit_code_by_sample_count_writes_no_file(self, tmp_path, rows, constant, code):
         samples = np.full(rows, 0.5) if constant else 0.5 + 0.001 * np.arange(rows)

@@ -133,7 +133,7 @@ def test_pcg64_state_words_equal_seed_sequence(seeds):
 def scalar_statistic(plan, kind, snr_index, batch, index):
     """A window's statistic from integer derived_seed seeds, each drawn through
     np.random.default_rng: the recipe the block tasks must reproduce."""
-    spec = plan._window_spec
+    spec = replace(plan.signal_spec, duration_samples=plan.scd_cfg.window_length_k)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
         window = harness._noise(spec, derived_seed(plan.master_seed, stream, index))
@@ -254,8 +254,9 @@ class TestFitAndHistogram:
         assert main(["fit", "--samples", path, "--out", str(tmp_path / "f")]) == 3
         assert "degenerate" in capsys.readouterr().err
 
-    def test_requires_hundred_samples(self, tmp_path, capsys):
-        path = write_samples(tmp_path / "p.csv", np.arange(50.0))
+    @pytest.mark.parametrize("count", [20, 50])
+    def test_requires_hundred_samples(self, tmp_path, capsys, count):
+        path = write_samples(tmp_path / "p.csv", np.arange(float(count)))
         assert main(["fit", "--samples", path, "--out", str(tmp_path / "f")]) == 2
         assert "at least 100 samples" in capsys.readouterr().err
 

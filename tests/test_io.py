@@ -1,5 +1,6 @@
 """File format round trips and schema pins."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclosense as cs
-from cyclosense import io
+from cyclosense import harness, io
 from cyclosense.scd import TAPERS
 
 
@@ -66,6 +67,15 @@ class TestScdFiles:
         header = json.loads(meta_path.read_text())
         assert header["alpha_bins"] == header["config"]["alpha_bins"] == [84, -20, 0]
         assert header["config"]["taper"] == "rectangular"
+
+    def test_desk_export_digests(self, tmp_path):
+        # what `cyclosense scd` writes for the desk plan, header included
+        plan = cs.desk_plan()
+        mat = cs.estimate_scd(harness.export_window(plan), plan.scd_cfg)
+        paths = io.write_scd_matrix(tmp_path / "scd", mat)
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths] == [
+            "317699a932e530afa4fba62107d41460ded056c7434e277b038799c8debf09bb",
+            "be2e1b97c1d6b725de142d7da1beb358f55aba91f574a8009fab7f310b055e93"]
 
 
 class TestProfileCsv:

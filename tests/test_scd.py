@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
 
 import cyclosense as cs
-from cyclosense.scd import TAPERS, _centered_bins, _half_spectra, _smoothed, taper_coefficients
+from cyclosense.scd import (TAPERS, _centered_bins, _half_spectra, _KernelBuffers, _maxima,
+                            _smoothed, taper_coefficients)
 
 FS = 3.0e6
 
@@ -156,7 +157,7 @@ def window_rows_and_bins(draw):
           cs.ScdConfig(4096, 1301, (0,), "rectangular"), (-2730, 4094)))
 def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
     rows, cfg, bins = case
-    maxima = cs.alpha_maxima(rows, cfg, bins)
+    maxima = _maxima(rows, cfg, bins, _KernelBuffers(len(rows), cfg, bins))
     assert maxima.shape == (len(rows), len(bins))
     alone = np.array([cs.alpha_maxima(window, cfg, bins) for window in rows])
     assert maxima.tobytes() == alone.tobytes()
@@ -306,6 +307,20 @@ class TestEstimateScd:
         run = np.flatnonzero(mat.valid_mask[:, 0])
         assert run[0] == 170 and run[-1] == k - 1 - 170
         assert not np.any(mat.values[: run[0], 0])
+
+    def test_valid_runs_are_the_ends_of_the_valid_mask(self):
+        k = 1024
+        cfg = cs.ScdConfig(k, 101, (0, 2, -2, k - 2, 2 - k))
+        mat = cs.estimate_scd(noise_window(k, seed=13), cfg)
+        ends = [(int(run[0]), int(run[-1])) for run in map(np.flatnonzero, mat.valid_mask.T)]
+        assert mat.valid_runs == ends == [(0, k - 1), (1, k - 2), (1, k - 2),
+                                          (k // 2 - 1, k // 2), (k // 2 - 1, k // 2)]
+
+    def test_matrix_rejects_values_of_another_shape(self):
+        cfg = cs.ScdConfig(1024, 101, (0, 340))
+        for shape in ((1024, 1), (1024, 3), (512, 2)):
+            with pytest.raises(ValueError, match="does not match"):
+                cs.ScdMatrix(np.zeros(shape, complex), cfg, FS)
 
     def test_rejects_mismatched_window_length(self):
         with pytest.raises(ValueError):

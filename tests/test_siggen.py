@@ -33,12 +33,6 @@ class TestSignalSpec:
 
 
 class TestSampleBuffer:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            SampleBuffer(np.array([]), FS)
-        with pytest.raises(ValueError):
-            SampleBuffer(np.array([1.0, np.nan]), FS)
-
     def test_immutable_after_creation(self):
         buf = SampleBuffer(np.arange(4.0), FS)
         with pytest.raises(ValueError):
@@ -54,23 +48,12 @@ class TestSampleBuffer:
         arr[0] = 9.0
         assert buf.samples[0] == 0.0 and not np.shares_memory(buf.samples, arr)
 
-    def test_generated_buffers_own_their_array_without_a_copy(self):
-        arr = np.arange(4.0)
-        buf = siggen._owning_buffer(arr, FS)
-        assert buf.samples is arr and not arr.flags.writeable and buf.sample_rate_hz == FS
-        noise = generate_awgn(4096, NoiseSpec(1.0, 1), FS)
-        for generated in (generate_am(table_spec(), 1), noise,
-                          mix_at_snr(generate_am(table_spec(), 2), noise, -10.0)):
-            assert generated.samples.flags.owndata and not generated.samples.flags.writeable
-
     @pytest.mark.parametrize("samples, rate", [(np.array([1.0, np.inf]), FS),
                                                (np.array([np.nan, 1.0]), FS),
                                                (np.zeros((2, 2)), FS),
                                                (np.array([]), FS),
                                                (np.ones(4), 0.0)])
-    def test_no_copy_path_runs_the_constructor_checks(self, samples, rate):
-        with pytest.raises(ValueError):
-            siggen._owning_buffer(samples, rate)
+    def test_rejects_bad_samples_or_rate(self, samples, rate):
         with pytest.raises(ValueError):
             SampleBuffer(samples, rate)
 
@@ -115,14 +98,7 @@ class TestGenerateAm:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_generator_is_drawn_from_like_its_seed(self):
-        # a Generator passes through as np.random.default_rng passes it
-        rng = np.random.default_rng(11)
-        first = generate_am(table_spec(), rng)
-        assert np.array_equal(first.samples, generate_am(table_spec(), 11).samples)
-        assert not np.array_equal(generate_am(table_spec(), rng).samples, first.samples)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", float("inf"), float("nan")])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             generate_am(table_spec(), seed)
@@ -151,12 +127,6 @@ class TestGenerateAwgn:
         a = generate_awgn(4096, NoiseSpec(2.0, 5))
         b = generate_awgn(4096, NoiseSpec(2.0, 5))
         assert np.array_equal(a.samples, b.samples)
-
-    def test_generator_is_drawn_from_like_its_seed(self):
-        rng = np.random.default_rng(5)
-        first = generate_awgn(4096, NoiseSpec(2.0, rng))
-        assert np.array_equal(first.samples, generate_awgn(4096, NoiseSpec(2.0, 5)).samples)
-        assert not np.array_equal(generate_awgn(4096, NoiseSpec(2.0, rng)).samples, first.samples)
 
     def test_variance_scaling(self):
         buf = generate_awgn(10**5, NoiseSpec(4.0, 9))
