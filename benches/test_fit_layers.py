@@ -7,8 +7,15 @@ The staged fit (the default every command runs), the joint fit
 short-tailed, a Gumbel and a heavy-tailed law with the location and scale
 of the desk noise maxima. Draws and fits are made once outside the timed
 call. The directory is not in the test suite's `testpaths`.
+
+One log likelihood evaluation per Newton stage, `gev._derivatives` with
+that stage's free coordinates, is timed at the point the stage ends on:
+the Gumbel stage's (mu, log sigma), the staged fit's shape and the joint
+fit's three parameters. `--benchmark-json` records each call's minimum
+time as `per_call_us`.
 """
 
+import numpy as np
 import pytest
 
 from cyclosense import gev, harness
@@ -16,6 +23,9 @@ from cyclosense import gev, harness
 N = 10_000
 KAPPAS = (-0.3, 0.0, 0.4)
 PF_GRID = harness.desk_plan().pf_grid
+STAGES = {"gumbel": ((1, 2), gev.fit_gumbel_mle),
+          "shape": ((0,), gev.fit_gev_mle),
+          "joint": ((0, 1, 2), lambda x: gev.fit_gev_mle(x, refine=True))}
 
 
 @pytest.fixture(scope="module", params=KAPPAS, ids=lambda k: f"kappa={k:g}")
@@ -34,3 +44,13 @@ def test_joint_fit(benchmark, draws):
 def test_threshold_grid(benchmark, draws):
     params = gev.fit_gev_mle(draws).params
     benchmark(lambda: [gev.threshold_for_pf(pf, params) for pf in PF_GRID])
+
+
+@pytest.mark.parametrize("stage", STAGES.keys())
+def test_derivatives(benchmark, stage):
+    free, fit = STAGES[stage]
+    x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), N, seed=1)
+    p = fit(x).params
+    benchmark(gev._derivatives, x, np.array([p.kappa, p.mu, np.log(p.sigma)]), free)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["per_call_us"] = benchmark.stats.stats.min * 1e6

@@ -47,7 +47,7 @@ def cyclic_product_of(half, pair):
     lower = scd._centered_bins(half, lo - shift - K // 2, pair[1])
     np.conjugate(lower, out=lower)
     np.multiply(upper, lower, out=upper)
-    upper /= SCALE
+    scd._scale_parts(upper, 1.0 / SCALE)
     return upper[0]
 
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .siggen import _integer, _seed
+
 KAPPA_EPS = 1e-6
 
 # solver limits: scale-free score per sample, Newton steps per stage
@@ -156,10 +158,10 @@ def threshold_for_pf(pf: float, p: GevParams) -> float:
 
 def sample_gev(p: GevParams, n: int, seed: int) -> np.ndarray:
     """Draw n values by inverse-CDF sampling of uniform variates."""
-    if n != int(n) or int(n) < 1:
+    n = _integer("n", n)
+    if n < 1:
         raise ValueError("n must be a positive integer")
-    rng = np.random.default_rng(int(seed))
-    u = rng.random(int(n))
+    u = np.random.default_rng(_seed(seed)).random(n)
     u = np.clip(u, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
     return _quantile(-np.log(u), p)
 
@@ -181,22 +183,27 @@ def log_likelihood(samples, p: GevParams) -> float:
     )
 
 
-def _derivatives(x: np.ndarray, theta):
+def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
     """Log likelihood, score and observed Hessian in theta = (kappa, mu, log sigma).
 
     With y = log(t)/kappa and u = exp(-y) each sample contributes
     -log sigma - log t - y - u. |kappa| <= KAPPA_EPS uses the Gumbel limit of
     every term (t = 1, y = z, dy/dkappa = -z**2/2, d2y/dkappa2 = 2*z**3/3), the
-    same switch log_likelihood makes. Returns (-inf, None, None) when a sample
-    lies outside the support.
+    same switch log_likelihood makes. Only the score and Hessian entries of
+    the coordinates in free are formed, each by the expression the full
+    evaluation uses; the others are nan. Returns (-inf, None, None) when a
+    sample lies outside the support.
     """
     kappa, mu, log_sigma = theta
+    shape, location = 0 in free, 1 in free or 2 in free
     sigma = np.exp(log_sigma)
     z = (x - mu) / sigma
     if abs(kappa) <= KAPPA_EPS:
-        kappa, sum_log_t, r, zr, y = 0.0, 0.0, 1.0, z, z
-        y_k = -0.5 * z * z
-        y_kk = (-4.0 / 3.0) * z * y_k
+        # t = 1: r is None where the general branch multiplies by 1/t
+        kappa, sum_log_t, r, zr, y = 0.0, 0.0, None, z, z
+        if shape:
+            y_k = -0.5 * z * z
+            y_kk = (-4.0 / 3.0) * z * y_k
     else:
         t = 1.0 + kappa * z
         if np.any(t <= 0):
@@ -205,9 +212,10 @@ def _derivatives(x: np.ndarray, theta):
         sum_log_t = y.sum()
         y /= kappa
         r = np.reciprocal(t, out=t)
-        zr = z * r
-        y_k = (zr - y) / kappa
-        y_kk = -(zr * zr + 2.0 * y_k) / kappa
+        if shape:
+            zr = z * r
+            y_k = (zr - y) / kappa
+            y_kk = -(zr * zr + 2.0 * y_k) / kappa
     u = np.exp(-y)
     ll = float(-x.size * log_sigma - sum_log_t - y.sum() - u.sum())
     if not ll > float("-inf"):
@@ -216,22 +224,32 @@ def _derivatives(x: np.ndarray, theta):
     # per-sample derivatives g of f = -log t - y - u in z and kappa, each
     # reduced at once to the sums (s_ = sum g, zs_ = sum z*g, zzs_ = sum z*z*g)
     # that the chain rule through z = (x - mu)/sigma needs
-    a = kappa + 1.0 - u
-    g = -a * r                                    # df/dz
-    s_z, zs_z = g.sum(), z @ g
-    g = (kappa * a - u) * r * r                   # d2f/dz2
-    s_zz, zs_zz, zzs_zz = g.sum(), z @ g, (z * z) @ g
-    g = (a * zr - 1.0 - u * y_k) * r              # d2f/dz dkappa
-    s_zk, zs_zk = g.sum(), z @ g
-    u_c = 1.0 - u
-    s_k = -zr.sum() - u_c @ y_k
-    s_kk = zr @ zr - (u * y_k) @ y_k - u_c @ y_kk
-    score = np.array([s_k, -s_z / sigma, -x.size - zs_z])
-    h_k_mu, h_k_s, h_mu_s = -s_zk / sigma, -zs_zk, (zs_zz + s_z) / sigma
-    hessian = np.array([[s_kk, h_k_mu, h_k_s],
-                        [h_k_mu, s_zz / sigma**2, h_mu_s],
-                        [h_k_s, h_mu_s, zzs_zz + zs_z]])
+    score, hessian = np.full(3, np.nan), np.full((3, 3), np.nan)
+    if location:
+        a = kappa + 1.0 - u
+        g = _times_r(-a, r)                           # df/dz
+        s_z, zs_z = g.sum(), z @ g
+        g = _times_r(_times_r(kappa * a - u, r), r)   # d2f/dz2
+        s_zz, zs_zz, zzs_zz = g.sum(), z @ g, (z * z) @ g
+        score[1:] = -s_z / sigma, -x.size - zs_z
+        h_mu_s = (zs_zz + s_z) / sigma
+        hessian[1:, 1:] = [[s_zz / sigma**2, h_mu_s], [h_mu_s, zzs_zz + zs_z]]
+    if shape:
+        u_c = 1.0 - u
+        score[0] = -zr.sum() - u_c @ y_k
+        hessian[0, 0] = zr @ zr - (u * y_k) @ y_k - u_c @ y_kk
+    if shape and location:
+        g = _times_r(a * zr - 1.0 - u * y_k, r)       # d2f/dz dkappa
+        s_zk, zs_zk = g.sum(), z @ g
+        hessian[0, 1:] = hessian[1:, 0] = -s_zk / sigma, -zs_zk
     return ll, score, hessian
+
+
+def _times_r(g: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+    """g * r, in place; g itself when r is None (t = 1 on the Gumbel branch)."""
+    if r is not None:
+        g *= r
+    return g
 
 
 def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
@@ -246,28 +264,30 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     taken, converged).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    free = np.asarray(free)
+    index, block = list(free), np.ix_(free, free)
+    # the scale-free coordinates scale mu's entries by sigma and no other
+    scale, mu_at = np.ones(len(free)), [index.index(1)] if 1 in free else []
     n = x.size
-    ll, score, hessian = _derivatives(x, theta)
+    ll, score, hessian = _derivatives(x, theta, free)
     for iteration in range(_MAX_ITER + 1):
-        scale = np.array([1.0, np.exp(theta[2]), 1.0])[free]
-        g = score[free] * scale
+        scale[mu_at] = np.exp(theta[2])
+        g = score[index] * scale
         if np.max(np.abs(g)) <= _TOL * n:
             return theta, iteration, True
         if iteration == _MAX_ITER:
             break
-        h = hessian[np.ix_(free, free)] * np.outer(scale, scale)
+        h = hessian[block] * np.outer(scale, scale)
         step = -np.linalg.solve(h, g)
         if not step @ g > 0:
             step = g / n
         delta = np.zeros(3)
-        delta[free] = step * scale
+        delta[index] = step * scale
         slack = 1e-12 * (n + abs(ll))
         for _ in range(60):
             trial = theta + delta
             if trial[0] > -1.0:
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial)
+                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial, free)
                 if trial_ll >= ll - slack:
                     break
             delta *= 0.5
@@ -295,9 +315,10 @@ def _gumbel_stage(samples):
     x = _as_finite_array(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
-    if np.var(x) == 0.0:
+    variance = float(np.var(x))
+    if variance == 0.0:
         raise DegenerateDataError("samples have zero variance")
-    sigma_0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
+    sigma_0 = math.sqrt(variance) * math.sqrt(6.0) / math.pi
     # the location that maximizes the likelihood at sigma_0, which bounds every
     # exp(-z) by the sample count; the shift by min(x) keeps the sum finite
     shift = float(np.min(x))

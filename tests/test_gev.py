@@ -7,6 +7,8 @@ differences for the pdf/cdf relation, and numeric CDF inversion for
 quantiles/thresholds. Oracle constants are frozen below.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +18,10 @@ from scipy.stats import genextreme
 import cyclosense as cs
 import cyclosense.gev as gev_module
 from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, log_likelihood
+
+# SHA-256 of every fit in fit_digest(), taken before the Newton stages
+# formed only the derivative entries of their free coordinates
+FIT_DIGEST = "875271d6d2891d28cc6b96554ee4515b1ec66afc1567c216754999b044126464"
 
 # frozen oracle constants
 PDF_GUMBEL01_AT_1 = 0.2546463800435825        # exp(-exp(-1) - 1)
@@ -174,6 +180,16 @@ class TestSampleGev:
         for q in (0.1, 0.5, 0.9):
             assert np.mean(cs.cdf(draws, params) <= q) == pytest.approx(q, abs=0.01)
 
+    @pytest.mark.parametrize("n", [1.5, float("inf"), float("nan"), -1, 0])
+    def test_rejects_bad_count(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            cs.sample_gev(gev(0.1), n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, float("inf"), float("nan"), -1])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            cs.sample_gev(gev(0.1), 10, seed=seed)
+
 
 class TestGumbelFit:
     def test_recovers_parameters(self):
@@ -331,3 +347,52 @@ class TestDerivatives:
     def test_off_support_point_has_no_derivatives(self):
         draws = np.array([0.0, 1.0, 10.0])
         assert _derivatives(draws, (-0.5, 0.0, 0.0)) == (float("-inf"), None, None)
+
+
+def fit_digest():
+    """SHA-256 over (kappa, mu, sigma, log likelihood, Newton steps, converged)
+    of the staged and joint fits of sample_gev draws at n = 200 and 10**4,
+    and of the staged fit of desk_plan(42)'s noise maxima."""
+    digest = hashlib.sha256()
+
+    def add(report):
+        p = report.params
+        digest.update(repr((p.kappa, p.mu, p.sigma, report.log_likelihood,
+                            report.iterations, report.converged)).encode())
+
+    for n in (200, 10_000):
+        for kappa in (-0.3, 0.0, 0.1, 0.4):
+            draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed=7)
+            add(cs.fit_gev_mle(draws))
+            add(cs.fit_gev_mle(draws, refine=True))
+    add(cs.fit_gev_mle(cs.collect_noise_profile(cs.desk_plan(42))))
+    return digest.hexdigest()
+
+
+def test_fits_are_pinned_bit_for_bit():
+    assert fit_digest() == FIT_DIGEST
+
+
+FREE_SETS = {"gumbel": (1, 2), "shape": (0,), "joint": (0, 1, 2)}
+
+
+@pytest.mark.parametrize("free", FREE_SETS.values(), ids=FREE_SETS.keys())
+@settings(deadline=None, derandomize=True, database=None)
+@given(kappa=st.sampled_from([0.0, KAPPA_EPS, -KAPPA_EPS]) | st.floats(-0.5, 1.0),
+       n=st.integers(30, 300), seed=st.integers(0, 2**32 - 1),
+       d_mu=st.floats(-0.1, 0.1), d_log_sigma=st.floats(-0.1, 0.1))
+def test_stage_derivatives_equal_the_full_evaluation_bit_for_bit(free, kappa, n, seed, d_mu,
+                                                                  d_log_sigma):
+    draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed)
+    theta = (kappa, 0.0427 + d_mu * 0.0183, np.log(0.0183) + d_log_sigma)
+    ll, score, hessian = _derivatives(draws, theta)
+    stage_ll, stage_score, stage_hessian = _derivatives(draws, theta, free)
+    assert stage_ll == ll
+    if score is None:  # a sample off the support
+        assert stage_score is None and stage_hessian is None
+        return
+    block, fixed = np.ix_(free, free), [i for i in range(3) if i not in free]
+    assert stage_score[list(free)].tobytes() == score[list(free)].tobytes()
+    assert stage_hessian[block].tobytes() == hessian[block].tobytes()
+    assert np.isnan(stage_score[fixed]).all()
+    assert np.isnan(stage_hessian[fixed]).all() and np.isnan(stage_hessian[:, fixed]).all()

@@ -16,7 +16,8 @@ from scipy import signal as sp_signal
 
 import cyclosense as cs
 from cyclosense.scd import (TAPERS, _centered_bins, _half_spectra, _KernelBuffers, _maxima,
-                            _smoothed, taper_coefficients)
+                            _periodogram_scale, _smoothed, _smoothed_column,
+                            taper_coefficients)
 
 FS = 3.0e6
 
@@ -79,6 +80,67 @@ class TestSmoother:
         column = rng.standard_normal(1366) ** 2 + 1.0
         np.testing.assert_allclose(_smoothed(column, 1301), convolved_oracle(column, 1301),
                                    rtol=1e-12)
+
+
+def divided_smoothed(column, smoothing_length, sums=None, out=None):
+    """_smoothed as it was written with complex division by the length."""
+    sums = np.cumsum(column, axis=-1, out=sums)
+    n, lead = sums.shape[-1], smoothing_length // 2
+    first_lower, last_inner = min(lead + 1, n), max(n - lead, 0)
+    if out is None:
+        out = np.empty_like(sums)
+    out[..., :last_inner] = sums[..., lead:]
+    out[..., last_inner:] = sums[..., n - 1:]
+    out[..., first_lower:] -= sums[..., :n - first_lower]
+    out /= smoothing_length
+    return out
+
+
+def divided_smoothed_column(half, a, cfg, work):
+    """_smoothed_column as it was written with complex division by K * U."""
+    k, rows = cfg.window_length_k, len(half)
+    shift, lo = a // 2, abs(a) // 2
+    n = k - 2 * lo
+    upper = _centered_bins(half, lo + shift - k // 2, work.pair[0, :rows, :n])
+    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n])
+    np.conjugate(lower, out=lower)
+    np.multiply(upper, lower, out=upper)
+    upper /= _periodogram_scale(cfg.taper, k)
+    return divided_smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)
+
+
+def complex_rows(seed, rows, cells, magnitude):
+    """rows x cells complex values whose parts have magnitudes in
+    [magnitude, 2*magnitude], so no part is zero (the sign of a zero part is
+    the one thing the reciprocal product may round differently)."""
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(1.0, 2.0, (rows, cells, 2)) * rng.choice([-1.0, 1.0], (rows, cells, 2))
+    return (parts * magnitude).view(np.complex128)[..., 0]
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+MAGNITUDES = st.sampled_from([1e-150, 1e150]) | st.floats(1e-150, 1e150)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(data=st.data(), cells=st.integers(1, 300), magnitude=MAGNITUDES)
+def test_smoother_equals_complex_division_bit_for_bit(data, cells, magnitude):
+    smoothing_length = 2 * data.draw(st.integers(0, cells + 1)) + 1
+    column = complex_rows(data.draw(SEEDS), data.draw(st.integers(1, 4)), cells, magnitude)
+    want = divided_smoothed(column, smoothing_length)
+    assert _smoothed(column, smoothing_length).tobytes() == want.tobytes()
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(data=st.data(), k=st.sampled_from([4, 16, 256, 4096]),
+       magnitude=st.sampled_from([1e-75, 1e75]) | st.floats(1e-75, 1e75))
+def test_smoothed_column_equals_complex_division_bit_for_bit(data, k, magnitude):
+    cfg = cs.ScdConfig(k, data.draw(st.integers(1, k - 2)), (0,), data.draw(st.sampled_from(TAPERS)))
+    a = 2 * data.draw(st.integers(1 - k // 2, k // 2 - 1))
+    half = complex_rows(data.draw(SEEDS), data.draw(st.integers(1, 4)), k // 2 + 1, magnitude)
+    got = _smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg, (a,)))
+    want = divided_smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg, (a,)))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSpectrum:
