@@ -266,7 +266,8 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     theta = np.asarray(theta, dtype=np.float64)
     index, block = list(free), np.ix_(free, free)
     # the scale-free coordinates scale mu's entries by sigma and no other
-    scale, mu_at = np.ones(len(free)), [index.index(1)] if 1 in free else []
+    scale = np.ones(len(free))
+    mu_at = [index.index(1)] if 1 in free else []
     n = x.size
     ll, score, hessian = _derivatives(x, theta, free)
     for iteration in range(_MAX_ITER + 1):

@@ -19,8 +19,8 @@ import cyclosense as cs
 import cyclosense.gev as gev_module
 from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, log_likelihood
 
-# SHA-256 of every fit in fit_digest(), taken before the Newton stages
-# formed only the derivative entries of their free coordinates
+# SHA-256 of every fit in fit_digest(); a solver change that is meant to
+# keep the fits must keep these bits, and one that moves them re-pins it
 FIT_DIGEST = "875271d6d2891d28cc6b96554ee4515b1ec66afc1567c216754999b044126464"
 
 # frozen oracle constants

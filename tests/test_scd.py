@@ -83,7 +83,8 @@ class TestSmoother:
 
 
 def divided_smoothed(column, smoothing_length, sums=None, out=None):
-    """_smoothed as it was written with complex division by the length."""
+    """Reference for _smoothed: the same running sums, divided by the length
+    as a complex array."""
     sums = np.cumsum(column, axis=-1, out=sums)
     n, lead = sums.shape[-1], smoothing_length // 2
     first_lower, last_inner = min(lead + 1, n), max(n - lead, 0)
@@ -97,7 +98,8 @@ def divided_smoothed(column, smoothing_length, sums=None, out=None):
 
 
 def divided_smoothed_column(half, a, cfg, work):
-    """_smoothed_column as it was written with complex division by K * U."""
+    """Reference for _smoothed_column: the same product, divided by K * U as
+    a complex array, then divided_smoothed."""
     k, rows = cfg.window_length_k, len(half)
     shift, lo = a // 2, abs(a) // 2
     n = k - 2 * lo
