@@ -135,7 +135,7 @@ def test_max_reduction(benchmark, cyclic_product):
 
 
 def test_kernel(benchmark, samples):
-    benchmark(scd.alpha_maxima, samples, CFG, (A0,))
+    benchmark(scd.alpha_maxima, samples, replace(CFG, alpha_grid=(A0,)))
 
 
 def benchmark_block(benchmark, kind, snr_index):

@@ -8,6 +8,8 @@ the fitted noise model.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .scd import ScdConfig, alpha_maxima
 from .siggen import SampleBuffer
 
@@ -17,4 +19,4 @@ __all__ = ["statistic_at_alpha0"]
 def statistic_at_alpha0(window: SampleBuffer, scd_cfg: ScdConfig, alpha0_bin: int) -> float:
     """Detection statistic T of one window: its alpha-profile value at the
     tested cyclic frequency."""
-    return float(alpha_maxima(window.samples, scd_cfg, (alpha0_bin,))[0])
+    return float(alpha_maxima(window.samples, replace(scd_cfg, alpha_grid=(alpha0_bin,)))[0])

@@ -17,10 +17,10 @@ reference. It then runs its windows in sub-blocks of ROWS consecutive
 windows: each window draws its normals from its own generator into its own
 row of a (ROWS, K) array, and every later stage (AM message, noise, SNR mix,
 taper, FFT, cyclic product, smoother, max) runs once per sub-block through
-the siggen and scd row helpers, on arrays and a one-window signal spec
-built once per block. Each row's arithmetic is that of the window alone, so
-no statistic depends on ROWS, BLOCK_WINDOWS or jobs. Aggregation uses only
-order-independent counts.
+the siggen and scd row helpers, on arrays, a one-window signal spec and a
+one-column feature config built once per block. Each row's arithmetic is
+that of the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS or
+jobs. Aggregation uses only order-independent counts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gev import FitReport, GevParams, cdf, fit_gev_mle, threshold_for_pf
+from .gev import FitReport, GevParams, cdf, threshold_for_pf
 from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
 from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _awgn_rows, _mix_rows,
                      _integer, _power_ratio, generate_am, generate_awgn, mix_at_snr)
@@ -271,7 +271,7 @@ def _block_task(args: tuple) -> np.ndarray:
     """Statistics of windows start .. stop-1 of one batch, each the value its
     window has alone; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, start, stop = args
-    cfg, alpha_bins = plan.scd_cfg, (plan.alpha0_bin,)
+    cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
     window_spec = replace(plan.signal_spec, duration_samples=cfg.window_length_k)
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
@@ -286,7 +286,7 @@ def _block_task(args: tuple) -> np.ndarray:
     count, draws = states.shape[:2]  # per window: (noise,) or (signal, noise) draws
     rows = min(ROWS, count)
     normals = np.empty((draws, rows, cfg.window_length_k))
-    work = _KernelBuffers(rows, cfg, alpha_bins)
+    work = _KernelBuffers(rows, cfg)
     statistics = np.empty(count)
     for first in range(0, count, ROWS):
         sub = states[first:first + ROWS].swapaxes(0, 1)  # (draw, window, word)
@@ -298,7 +298,7 @@ def _block_task(args: tuple) -> np.ndarray:
         if kind == "h1":
             signal = _am_rows(window_spec, normals[0, :n], work.half[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
-        maxima = _maxima(windows, cfg, alpha_bins, work, tapered=windows)
+        maxima = _maxima(windows, cfg, work, tapered=windows)
         statistics[first:first + n] = maxima[:, 0]
     bad = statistics[~np.isfinite(statistics)]
     if bad.size:  # a nan would silently count as unoccupied
@@ -358,21 +358,20 @@ def _exceedance_rates(batch: np.ndarray, thresholds: np.ndarray) -> list[float]:
     return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
 
 
-def run_roc(plan: ExperimentPlan, noise_fit: FitReport | None = None,
+def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
             run=_in_process) -> list[tuple[RocCurve, RocCurve]]:
     """Sweep the preset-pf grid into one (theoretical, empirical) curve pair per SNR.
 
-    Protocol per grid point: the threshold comes from the fitted noise model's
-    closed-form quantile; the theoretical curve pairs the preset pf with a
-    measured detection rate, while the empirical curve pairs a measured
-    false-alarm rate (fresh noise windows) with a detection rate measured on
-    an independent signal batch at the same threshold. A window counts as
+    Protocol per grid point: the threshold comes from the closed-form
+    quantile of noise_fit, the model the caller fitted to the plan's noise
+    maxima; the theoretical curve pairs the preset pf with a measured
+    detection rate, while the empirical curve pairs a measured false-alarm
+    rate (fresh noise windows) with a detection rate measured on an
+    independent signal batch at the same threshold. A window counts as
     occupied when its statistic T is strictly above the threshold, so an
     exact tie decides unoccupied. `run` is a worker_pool runner.
     """
     h0_count, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
-    if noise_fit is None:
-        noise_fit = fit_gev_mle(collect_noise_profile(plan, run))
     # one run for every H0 and H1 window, so that no batch waits for the last
     statistics = run(_blocks(plan, "noise", 0, 1, h0_count) + [
         task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)])

@@ -17,10 +17,12 @@ so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. alpha_maxima computes it
-for one window from the requested columns without building the matrix;
+for one window at the config's columns without building the matrix;
 estimate_scd builds the matrix from the same spectrum and column helpers, so
 the maximum of |values| over a column's valid_mask cells equals
-alpha_maxima bit for bit. An ScdMatrix stores only its values, config and
+alpha_maxima bit for bit. A config's alpha_grid is the only list of columns
+the kernel computes: a caller that wants one column passes a config whose
+grid is that column. An ScdMatrix stores only its values, config and
 sample rate: its axes, valid runs and valid mask are derived from them.
 
 The helpers work on the last axis of a (rows, K) array of windows, one
@@ -97,7 +99,8 @@ class ScdConfig:
         if len(set(grid)) != len(grid):
             raise ValueError("alpha_grid entries must be unique")
         for a in grid:
-            _check_alpha_bin(a, k)
+            if a % 2 != 0 or abs(a) >= k:
+                raise ValueError(f"alpha bin offset {a} is not an even offset with |a| < {k}")
         object.__setattr__(self, "alpha_grid", grid)
 
 
@@ -131,8 +134,8 @@ class ScdMatrix:
     @property
     def alpha_axis_hz(self) -> np.ndarray:
         """Cyclic frequency of each column."""
-        alpha_bins = np.array(self.config.alpha_grid, dtype=np.float64)
-        return alpha_bins * self.sample_rate_hz / self.config.window_length_k
+        grid = np.array(self.config.alpha_grid, dtype=np.float64)
+        return grid * self.sample_rate_hz / self.config.window_length_k
 
     @property
     def valid_runs(self) -> list[tuple[int, int]]:
@@ -146,11 +149,6 @@ class ScdMatrix:
         first, last = np.array(self.valid_runs).T
         bins = np.arange(self.config.window_length_k)[:, None]
         return (first <= bins) & (bins <= last)
-
-
-def _check_alpha_bin(a: int, k: int) -> None:
-    if a % 2 != 0 or abs(a) >= k:
-        raise ValueError(f"alpha bin offset {a} is not an even offset with |a| < {k}")
 
 
 @lru_cache(maxsize=16)
@@ -212,11 +210,11 @@ def _scale_parts(values: np.ndarray, factor: float) -> None:
 
 class _KernelBuffers:
     """Work arrays of the statistic kernel for up to `rows` windows and the
-    columns of alpha_bins, allocated once and reused by every call."""
+    columns of cfg's alpha_grid, allocated once and reused by every call."""
 
-    def __init__(self, rows: int, cfg: ScdConfig, alpha_bins) -> None:
+    def __init__(self, rows: int, cfg: ScdConfig) -> None:
         k = cfg.window_length_k
-        cells = max((k - abs(a) for a in alpha_bins), default=0)
+        cells = max(k - abs(a) for a in cfg.alpha_grid)
         self.half = np.empty((rows, k // 2 + 1), dtype=np.complex128)
         self.pair = np.empty((2, rows, cells), dtype=np.complex128)
         self.magnitudes = np.empty((rows, cells))
@@ -259,14 +257,14 @@ def _smoothed_column(half: np.ndarray, a: int, cfg: ScdConfig,
     return _smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)
 
 
-def _maxima(windows: np.ndarray, cfg: ScdConfig, alpha_bins, work: _KernelBuffers,
+def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
             tapered: np.ndarray | None = None) -> np.ndarray:
-    """(rows, len(alpha_bins)) maxima of |SCD| over each column's valid cells
-    for each row of windows; see _half_spectra for tapered."""
+    """(rows, len(cfg.alpha_grid)) maxima of |SCD| over each column's valid
+    cells for each row of windows; see _half_spectra for tapered."""
     rows = len(windows)
     half = _half_spectra(windows, cfg, out=work.half[:rows], tapered=tapered)
-    maxima = np.empty((rows, len(alpha_bins)))
-    for j, a in enumerate(alpha_bins):
+    maxima = np.empty((rows, len(cfg.alpha_grid)))
+    for j, a in enumerate(cfg.alpha_grid):
         column = _smoothed_column(half, a, cfg, work)
         magnitudes = np.abs(column, out=work.magnitudes[:rows, :column.shape[1]])
         np.max(magnitudes, axis=-1, out=maxima[:, j])
@@ -276,7 +274,7 @@ def _maxima(windows: np.ndarray, cfg: ScdConfig, alpha_bins, work: _KernelBuffer
 def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     """Frequency-smoothed cyclic periodogram of one analysis window."""
     k = cfg.window_length_k
-    work = _KernelBuffers(1, cfg, cfg.alpha_grid)
+    work = _KernelBuffers(1, cfg)
     half = _half_spectra(window.samples[None], cfg, out=work.half)
     values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
     for col, a in enumerate(cfg.alpha_grid):
@@ -285,10 +283,8 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
     return ScdMatrix(values, cfg, window.sample_rate_hz)
 
 
-def alpha_maxima(samples: np.ndarray, cfg: ScdConfig, alpha_bins) -> np.ndarray:
+def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window of K
-    samples, at alpha_bins instead of cfg's grid."""
-    for a in alpha_bins:
-        _check_alpha_bin(a, cfg.window_length_k)
+    samples, one per column of cfg's alpha_grid."""
     window = np.asarray(samples, dtype=np.float64)[None]
-    return _maxima(window, cfg, alpha_bins, _KernelBuffers(1, cfg, alpha_bins))[0]
+    return _maxima(window, cfg, _KernelBuffers(1, cfg))[0]

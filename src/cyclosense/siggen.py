@@ -51,8 +51,8 @@ class SignalSpec:
     modulation_index: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0.0 < self.sample_rate_hz < np.inf:  # false for nan too
+            raise ValueError("sample_rate_hz must be positive and finite")
         if self.carrier_freq_hz <= 0:
             raise ValueError("carrier_freq_hz must be positive")
         if self.carrier_freq_hz >= self.sample_rate_hz / 2:
@@ -92,8 +92,8 @@ class SampleBuffer:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-D sequence")
         _check_finite(arr)
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0.0 < self.sample_rate_hz < np.inf:  # false for nan too
+            raise ValueError("sample_rate_hz must be positive and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

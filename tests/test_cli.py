@@ -208,7 +208,7 @@ class TestRoc:
     def test_csv_matches_run_roc_values(self, tmp_path, plan_path, mini_plan):
         out = tmp_path / "r"
         main(["roc", "--plan", str(plan_path), "--out", str(out)])
-        curves = cs.run_roc(mini_plan)
+        curves = cs.run_roc(mini_plan, cs.fit_gev_mle(cs.collect_noise_profile(mini_plan)))
         lines = (out / f"roc_{mini_plan.snr_db_list[0]:g}.csv").read_text().splitlines()
         theoretical, empirical = curves[0]
         for line, preset, (pf_e, pd_e), (_, pd_t) in zip(
@@ -344,6 +344,16 @@ class TestOverridesAndErrors:
         assert main([command, "--plan", str(plan_path), "--out", str(out),
                      "--set", override]) == 2
         assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["Infinity", "NaN"])
+    @pytest.mark.parametrize("command", ["gen", "scd", "collect", "roc"])
+    def test_non_finite_sample_rate_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, command, rate, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(plan_path), "--out", str(out),
+                     "--set", f"signal.sample_rate_hz={rate}"]) == 2
+        assert "sample_rate_hz must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_seed_writes_the_int_plan(self, tmp_path, plan_path):

@@ -51,7 +51,9 @@ class TestDetect:
         window = noise_window(7)
         statistic = statistic_at_alpha0(window, scd_cfg(), A0)
         assert type(statistic) is float
-        assert statistic == cs.alpha_maxima(window.samples, scd_cfg(), (A0,))[0]
+        assert statistic == cs.alpha_maxima(window.samples, scd_cfg())[0]
+        # the config's own grid does not change the tested column
+        assert statistic_at_alpha0(window, cs.ScdConfig(K, 301, (0, -A0)), A0) == statistic
 
     def test_statistic_is_pure(self):
         window = noise_window(4)

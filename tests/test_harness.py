@@ -266,9 +266,15 @@ class TestFitAndHistogram:
         assert len(rows) == int(np.ceil(np.log2(samples.size))) + 1
 
 
+def fitted_roc(plan, run=harness._in_process):
+    """run_roc with the noise model fitted to the plan's noise maxima, both
+    collected and swept through run."""
+    return cs.run_roc(plan, cs.fit_gev_mle(cs.collect_noise_profile(plan, run)), run=run)
+
+
 @pytest.fixture(scope="module")
 def curves(mini_plan):
-    return cs.run_roc(mini_plan)
+    return fitted_roc(mini_plan)
 
 
 class TestRunRoc:
@@ -309,23 +315,23 @@ class TestRunRoc:
         assert all(pd >= 0.99 for _, pd in empirical.points)
 
     def test_pure_function_of_plan(self, curves, mini_plan):
-        again = cs.run_roc(mini_plan)
+        again = fitted_roc(mini_plan)
         assert again == curves
 
     def test_worker_count_does_not_change_results(self, curves, mini_plan):
         for jobs in (2, 3):
             with worker_pool(jobs) as run:
-                assert cs.run_roc(mini_plan, run=run) == curves
+                assert fitted_roc(mini_plan, run) == curves
 
     def test_block_size_does_not_change_results(self, curves, mini_plan, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_WINDOWS", 16)
         with worker_pool(2) as run:
-            assert cs.run_roc(mini_plan, run=run) == curves
+            assert fitted_roc(mini_plan, run) == curves
 
     def test_one_shared_pool_matches_serial(self, curves, mini_plan):
         with worker_pool(2) as run:
             noise = cs.collect_noise_profile(mini_plan, run)
-            shared = cs.run_roc(mini_plan, run=run)
+            shared = cs.run_roc(mini_plan, cs.fit_gev_mle(noise), run=run)
         assert np.array_equal(noise, cs.collect_noise_profile(mini_plan))
         assert shared == curves
 
@@ -333,10 +339,6 @@ class TestRunRoc:
         with pytest.raises(ValueError, match="at least 1"):
             with worker_pool(0):
                 pass
-
-    def test_injected_fit_matches_internal(self, curves, mini_plan):
-        fit = cs.fit_gev_mle(cs.collect_noise_profile(mini_plan))
-        assert cs.run_roc(mini_plan, noise_fit=fit) == curves
 
 
 class TestRocCurveInvariants:

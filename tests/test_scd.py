@@ -8,6 +8,8 @@ Isserlis-theorem value; the remaining tests pin symmetry, scaling, the
 per-alpha maxima and the AM cyclic feature.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,11 +139,12 @@ def test_smoother_equals_complex_division_bit_for_bit(data, cells, magnitude):
 @given(data=st.data(), k=st.sampled_from([4, 16, 256, 4096]),
        magnitude=st.sampled_from([1e-75, 1e75]) | st.floats(1e-75, 1e75))
 def test_smoothed_column_equals_complex_division_bit_for_bit(data, k, magnitude):
-    cfg = cs.ScdConfig(k, data.draw(st.integers(1, k - 2)), (0,), data.draw(st.sampled_from(TAPERS)))
+    smoothing_length, taper = data.draw(st.integers(1, k - 2)), data.draw(st.sampled_from(TAPERS))
     a = 2 * data.draw(st.integers(1 - k // 2, k // 2 - 1))
+    cfg = cs.ScdConfig(k, smoothing_length, (a,), taper)
     half = complex_rows(data.draw(SEEDS), data.draw(st.integers(1, 4)), k // 2 + 1, magnitude)
-    got = _smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg, (a,)))
-    want = divided_smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg, (a,)))
+    got = _smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg))
+    want = divided_smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg))
     assert got.tobytes() == want.tobytes()
 
 
@@ -195,17 +198,17 @@ def test_scaling_the_window_scales_the_scd_by_its_square(case, c):
 
 
 @st.composite
-def window_rows_and_bins(draw):
-    """1-20 windows of K samples as rows, and 1-4 alpha bins among 0, +-2,
-    +-(K-4), +-(K-2) and the even offsets in between."""
+def window_rows_and_config(draw):
+    """1-20 windows of K samples as rows, and a config whose grid holds 1-4
+    alpha bins among 0, +-2, +-(K-4), +-(K-2) and the even offsets in between."""
     k = draw(st.sampled_from([16, 256, 1024, 4096]))
     edges = st.sampled_from([0, 2, -2, k - 4, 4 - k, k - 2, 2 - k])
     inner = st.integers(1 - k // 2, k // 2 - 1).map(lambda h: 2 * h)
     bins = tuple(draw(st.lists(edges | inner, min_size=1, max_size=4, unique=True)))
-    cfg = cs.ScdConfig(k, draw(st.integers(1, k - 2)), (0,), draw(st.sampled_from(TAPERS)))
+    cfg = cs.ScdConfig(k, draw(st.integers(1, k - 2)), bins, draw(st.sampled_from(TAPERS)))
     rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
         (draw(st.integers(1, 20)), k))
-    return rows, cfg, bins
+    return rows, cfg
 
 
 # numpy reuses a temporary of 16,384 or more complex cells as the output of
@@ -214,16 +217,16 @@ def window_rows_and_bins(draw):
 # rows of the desk feature column's 1,366 cells, or 4 rows of 4,096 cells at
 # alpha = 0, and the examples cross both
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
-@given(window_rows_and_bins())
-@example((np.random.default_rng(1).standard_normal((20, 4096)), cs.ScdConfig(4096, 1301, (0,)),
-          (2730, 0, -4094)))
+@given(window_rows_and_config())
+@example((np.random.default_rng(1).standard_normal((20, 4096)),
+          cs.ScdConfig(4096, 1301, (2730, 0, -4094))))
 @example((np.random.default_rng(2).standard_normal((13, 4096)),
-          cs.ScdConfig(4096, 1301, (0,), "rectangular"), (-2730, 4094)))
+          cs.ScdConfig(4096, 1301, (-2730, 4094), "rectangular")))
 def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
-    rows, cfg, bins = case
-    maxima = _maxima(rows, cfg, bins, _KernelBuffers(len(rows), cfg, bins))
-    assert maxima.shape == (len(rows), len(bins))
-    alone = np.array([cs.alpha_maxima(window, cfg, bins) for window in rows])
+    rows, cfg = case
+    maxima = _maxima(rows, cfg, _KernelBuffers(len(rows), cfg))
+    assert maxima.shape == (len(rows), len(cfg.alpha_grid))
+    alone = np.array([cs.alpha_maxima(window, cfg) for window in rows])
     assert maxima.tobytes() == alone.tobytes()
 
 
@@ -401,23 +404,24 @@ class TestAlphaMaxima:
         cfg = cs.ScdConfig(1024, 301, self.BINS, taper)
         for seed in range(3):
             buf = noise_window(1024, seed=seed)
-            assert np.array_equal(cs.alpha_maxima(buf.samples, cfg, self.BINS),
+            assert np.array_equal(cs.alpha_maxima(buf.samples, cfg),
                                   valid_maxima(cs.estimate_scd(buf, cfg)))
 
-    def test_bins_replace_the_config_grid(self):
+    @pytest.mark.parametrize("taper", TAPERS)
+    def test_each_column_equals_its_one_column_config_bit_for_bit(self, taper):
         buf = noise_window(1024, seed=4)
-        single = cs.alpha_maxima(buf.samples, cs.ScdConfig(1024, 301, (0,)), (-340,))
-        full = cs.alpha_maxima(buf.samples, cs.ScdConfig(1024, 301, self.BINS), self.BINS)
-        assert single.shape == (1,) and single[0] == full[2]
+        cfg = cs.ScdConfig(1024, 301, self.BINS, taper)
+        alone = [cs.alpha_maxima(buf.samples, replace(cfg, alpha_grid=(a,))) for a in self.BINS]
+        assert cs.alpha_maxima(buf.samples, cfg).tobytes() == np.concatenate(alone).tobytes()
 
     @pytest.mark.parametrize("alpha", [3, 1024, -1026])
     def test_rejects_invalid_bins(self, alpha):
-        with pytest.raises(ValueError):
-            cs.alpha_maxima(noise_window(1024).samples, cs.ScdConfig(1024, 301, (0,)), (alpha,))
+        with pytest.raises(ValueError, match="not an even offset"):
+            cs.alpha_maxima(noise_window(1024).samples, cs.ScdConfig(1024, 301, (0, alpha)))
 
     def test_rejects_mismatched_window_length(self):
         with pytest.raises(ValueError):
-            cs.alpha_maxima(noise_window(512).samples, cs.ScdConfig(1024, 301, (0,)), (0,))
+            cs.alpha_maxima(noise_window(512).samples, cs.ScdConfig(1024, 301, (0,)))
 
 
 class TestAlphaProfile:
@@ -425,7 +429,7 @@ class TestAlphaProfile:
         buf = noise_window(1024, seed=5)
         cfg = cs.ScdConfig(1024, 301, (0, 340))
         mat = cs.estimate_scd(buf, cfg)
-        maxima = cs.alpha_maxima(buf.samples, cfg, cfg.alpha_grid)
+        maxima = cs.alpha_maxima(buf.samples, cfg)
         for col in range(2):
             cells = np.abs(mat.values[mat.valid_mask[:, col], col])
             assert maxima[col] == cells.max()

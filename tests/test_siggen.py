@@ -31,6 +31,11 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             SignalSpec(FC, BW, FS, 4096, "fm")
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            SignalSpec(FC, BW, rate, 4096)
+
 
 class TestSampleBuffer:
     def test_immutable_after_creation(self):
@@ -52,7 +57,9 @@ class TestSampleBuffer:
                                                (np.array([np.nan, 1.0]), FS),
                                                (np.zeros((2, 2)), FS),
                                                (np.array([]), FS),
-                                               (np.ones(4), 0.0)])
+                                               (np.ones(4), 0.0),
+                                               (np.ones(4), np.inf),
+                                               (np.ones(4), np.nan)])
     def test_rejects_bad_samples_or_rate(self, samples, rate):
         with pytest.raises(ValueError):
             SampleBuffer(samples, rate)
