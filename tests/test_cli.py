@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, provenance, idempotence."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -10,6 +11,11 @@ import cyclosense as cs
 from cyclosense import cli, io
 from cyclosense.cli import main
 from cyclosense.harness import STREAM_EXPORT_NOISE, STREAM_EXPORT_SIGNAL, derived_seed
+
+# SHA-256 over the mini-plan roc output files, each file's name, a NUL and its
+# bytes in name order; a change that is meant to keep the roc outputs must
+# keep these bits, and one that moves them re-pins it
+ROC_DIGEST = "b9f76f301d286e55fc0bf9f122436fe9f2c9020b0f27dde35f5e3ee7c346e81a"
 
 
 @pytest.fixture
@@ -196,6 +202,14 @@ class TestRoc:
         main(["roc", "--plan", str(plan_path), "--out", str(out_a), "--jobs", "1"])
         main(["roc", "--plan", str(plan_path), "--out", str(out_b), "--jobs", "2"])
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_outputs_are_pinned_bit_for_bit(self, tmp_path, plan_path):
+        out = tmp_path / "r"
+        assert main(["roc", "--plan", str(plan_path), "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for name, data in tree_bytes(out).items():
+            digest.update(name.encode() + b"\0" + data)
+        assert digest.hexdigest() == ROC_DIGEST
 
     def test_snrs_sharing_a_file_name_are_config_error(self, tmp_path, mini_plan, capsys):
         bad = io.write_plan_json(tmp_path / "plan.json",
