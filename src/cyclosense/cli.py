@@ -25,9 +25,10 @@ from .gev import DegenerateDataError, FitReport, fit_gev_mle, threshold_for_pf
 from .harness import (
     ExperimentPlan,
     collect_noise_profile,
+    exceedances,
     export_signal,
     export_window,
-    run_roc,
+    run_windows,
     worker_pool,
 )
 from .scd import estimate_scd
@@ -102,27 +103,23 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_noise_model(samples) -> FitReport:
-    """The noise model fitted to at least 100 samples."""
+def _fit_noise_model(out: Path, samples, bins: int | None = None) -> FitReport:
+    """The noise model fitted to at least 100 samples. Writes histogram.csv
+    and fit.json, also when the fit did not converge (reported on stderr)."""
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
-    return fit_gev_mle(samples)
-
-
-def _write_noise_model(out: Path, samples, report: FitReport, bins: int | None = None) -> None:
-    """Write histogram.csv and fit.json, also when the fit did not converge
-    (reported on stderr)."""
+    report = fit_gev_mle(samples)
     io.write_histogram_csv(out / "histogram.csv", samples, bins)
     io.write_fit_json(out / "fit.json", report)
     if not report.converged:
         print("error: noise-model fit did not converge", file=sys.stderr)
+    return report
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     samples = io.read_profile_samples(args.samples)
-    report = _fit_noise_model(samples)
-    _write_noise_model(out, samples, report, args.bins)
+    report = _fit_noise_model(out, samples, args.bins)
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
@@ -140,15 +137,13 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     # every file is written after the last window, so a failed run leaves none
     with worker_pool(args.jobs) as run:
         out = _out_dir(args)
-        samples = collect_noise_profile(plan, run)
-        report = _fit_noise_model(samples)
-        curves = run_roc(plan, noise_fit=report, run=run) if report.converged else None
-    _write_noise_model(out, samples, report)
-    if curves is None:
+        record = run_windows(plan, run)
+    report = _fit_noise_model(out, record.fit)
+    if not report.converged:
         return EXIT_NUMERIC
-    thresholds = [threshold_for_pf(pf, report.params) for pf in plan.pf_grid]
-    for name, (theoretical, empirical) in zip(names, curves):
-        io.write_roc_csv(out / name, theoretical, empirical, thresholds, plan.signal_windows_m)
+    thresholds, h0, h1 = exceedances(record, report.params, plan.pf_grid)
+    for name, counts in zip(names, h1):
+        io.write_roc_csv(out / name, plan, thresholds, h0, counts)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 
 A window is reduced to its alpha-profile value at one configured cyclic
 frequency: the maximum |SCD| over the valid frequency support of that
-column. harness.run_roc compares this statistic T with the thresholds of
+column. harness.exceedances compares this statistic T with the thresholds of
 the fitted noise model.
 """
 

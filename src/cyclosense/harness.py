@@ -20,7 +20,9 @@ taper, FFT, cyclic product, smoother, max) runs once per sub-block through
 the siggen and scd row helpers, on arrays, a one-window signal spec and a
 one-column feature config built once per block. Each row's arithmetic is
 that of the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS or
-jobs. Aggregation uses only order-independent counts.
+jobs. run_windows runs a plan's noise-fit, H0 and H1 windows in one runner
+call, so roc finds an unconverged fit only after the last window, and
+exceedances aggregates them into order-independent counts.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _awgn_rows, 
 __all__ = [
     "ExperimentPlan",
     "RocCurve",
+    "WindowRecord",
     "desk_plan",
     "full_plan",
     "derived_seed",
@@ -48,6 +51,8 @@ __all__ = [
     "worker_pool",
     "collect_noise_profile",
     "ks_statistic",
+    "run_windows",
+    "exceedances",
     "run_roc",
 ]
 
@@ -353,9 +358,34 @@ def ks_statistic(samples, params: GevParams) -> float:
     return float(max(upper, lower))
 
 
-def _exceedance_rates(batch: np.ndarray, thresholds: np.ndarray) -> list[float]:
-    """Fraction of the batch's statistics strictly above each threshold."""
-    return [float(c) / batch.size for c in np.count_nonzero(batch[:, None] > thresholds, 0)]
+@dataclass(frozen=True)
+class WindowRecord:
+    """Statistics of every window of a plan: the noise-fit and H0 batches (L,)
+    and H1 (snrs, 2, M), per SNR the theoretical then the empirical curve's."""
+
+    fit: np.ndarray
+    h0: np.ndarray
+    h1: np.ndarray
+
+
+def run_windows(plan: ExperimentPlan, run=_in_process) -> WindowRecord:
+    """All windows of the plan in one call of `run`, a worker_pool runner,
+    so that no batch waits for the last."""
+    n, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
+    statistics = run(_blocks(plan, "noise", 0, 0, n) + _blocks(plan, "noise", 0, 1, n) + [
+        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)])
+    statistics.setflags(write=False)  # the record's arrays are read-only views
+    return WindowRecord(statistics[:n], statistics[n:2 * n],
+                        statistics[2 * n:].reshape(snrs, 2, m))
+
+
+def exceedances(record: WindowRecord, params: GevParams, pf_grid) -> tuple[np.ndarray, ...]:
+    """Thresholds (P,) at the preset pfs under params, and the counts of H0 (P,)
+    and H1 (snrs, 2, P) windows strictly above each: a tie decides unoccupied."""
+    thresholds = np.array([threshold_for_pf(pf, params) for pf in pf_grid])
+    h0, h1 = (np.count_nonzero(batch[..., None] > thresholds, axis=-2)
+              for batch in (record.h0, record.h1))
+    return thresholds, h0, h1
 
 
 def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
@@ -367,22 +397,14 @@ def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
     maxima; the theoretical curve pairs the preset pf with a measured
     detection rate, while the empirical curve pairs a measured false-alarm
     rate (fresh noise windows) with a detection rate measured on an
-    independent signal batch at the same threshold. A window counts as
-    occupied when its statistic T is strictly above the threshold, so an
-    exact tie decides unoccupied. `run` is a worker_pool runner.
+    independent signal batch at the same threshold, each the exceedances
+    count of run_windows over its batch size. `run` is a worker_pool runner.
     """
-    h0_count, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
-    # one run for every H0 and H1 window, so that no batch waits for the last
-    statistics = run(_blocks(plan, "noise", 0, 1, h0_count) + [
-        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)])
-    h0, h1 = statistics[:h0_count], statistics[h0_count:].reshape(snrs, 2, m)
-    thresholds = np.array([threshold_for_pf(pf, noise_fit.params) for pf in plan.pf_grid])
-    pf_empirical = _exceedance_rates(h0, thresholds)
-    return [
-        (RocCurve(tuple(zip(plan.pf_grid, _exceedance_rates(h1_theory, thresholds))), snr_db),
-         RocCurve(tuple(zip(pf_empirical, _exceedance_rates(h1_empirical, thresholds))), snr_db))
-        for snr_db, (h1_theory, h1_empirical) in zip(plan.snr_db_list, h1)
-    ]
+    _, h0, h1 = exceedances(run_windows(plan, run), noise_fit.params, plan.pf_grid)
+    pf_empirical, pd = (h0 / plan.noise_windows_l).tolist(), (h1 / plan.signal_windows_m).tolist()
+    return [(RocCurve(tuple(zip(plan.pf_grid, pd_theory)), snr_db),
+             RocCurve(tuple(zip(pf_empirical, pd_empirical)), snr_db))
+            for snr_db, (pd_theory, pd_empirical) in zip(plan.snr_db_list, pd)]
 
 
 def desk_plan(master_seed: int = 42) -> ExperimentPlan:

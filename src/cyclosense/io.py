@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .gev import FitReport, GevParams
-from .harness import NOISE_VARIANCE, ExperimentPlan, RocCurve
+from .harness import NOISE_VARIANCE, ExperimentPlan
 from .scd import ScdConfig, ScdMatrix
 from .siggen import SampleBuffer, SignalSpec
 
@@ -162,19 +162,21 @@ def write_histogram_csv(path: str | Path, samples, bins: int | None = None) -> P
     return path
 
 
-def write_roc_csv(path: str | Path, theoretical: RocCurve, empirical: RocCurve,
-                  thresholds, trials: int) -> Path:
-    """One row per preset pf of a (theoretical, empirical) curve pair and its
-    threshold."""
+def write_roc_csv(path: str | Path, plan: ExperimentPlan, thresholds, h0_counts,
+                  h1_counts) -> Path:
+    """One row per preset pf of the plan: its threshold and rates, the H0 count
+    over L and the theoretical and empirical curves' H1 counts (2, P) over M."""
     path = Path(path)
+    noise, trials = plan.noise_windows_l, plan.signal_windows_m
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([
             "pf_preset", "pf_empirical", "pd_theoretical_curve",
             "pd_empirical", "threshold", "trials",
         ])
-        for (pf, pdt), (pfe, pde), lam in zip(theoretical.points, empirical.points, thresholds):
-            writer.writerow([_fmt(pf), _fmt(pfe), _fmt(pdt), _fmt(pde), _fmt(lam), int(trials)])
+        for pf, lam, h0, h1_t, h1_e in zip(plan.pf_grid, thresholds, h0_counts, *h1_counts):
+            writer.writerow([_fmt(pf), _fmt(h0 / noise), _fmt(h1_t / trials),
+                             _fmt(h1_e / trials), _fmt(lam), trials])
     return path
 
 

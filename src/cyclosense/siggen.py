@@ -51,16 +51,15 @@ class SignalSpec:
     modulation_index: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sample_rate_hz < np.inf:  # false for nan too
-            raise ValueError("sample_rate_hz must be positive and finite")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
+        for name in ("sample_rate_hz", "carrier_freq_hz", "baseband_bandwidth_hz"):
+            if not 0.0 < getattr(self, name) < np.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite")
         if self.carrier_freq_hz >= self.sample_rate_hz / 2:
             raise ValueError(
                 f"carrier {self.carrier_freq_hz} Hz violates the Nyquist limit "
                 f"{self.sample_rate_hz / 2} Hz"
             )
-        if not 0 < self.baseband_bandwidth_hz < self.carrier_freq_hz:
+        if self.baseband_bandwidth_hz >= self.carrier_freq_hz:
             raise ValueError("baseband_bandwidth_hz must lie in (0, carrier_freq_hz)")
         duration = _integer("duration_samples", self.duration_samples)
         if duration < 1:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,21 @@ class TestRoc:
         main(["roc", "--plan", str(plan_path), "--out", str(out_b), "--jobs", "2"])
         assert tree_bytes(out_a) == tree_bytes(out_b)
 
+    def test_one_runner_call_and_no_threshold_of_its_own(self, tmp_path, plan_path,
+                                                          monkeypatch):
+        calls, pool = [], cli.worker_pool
+
+        @contextmanager
+        def counting_pool(jobs):
+            with pool(jobs) as run:
+                yield lambda tasks: calls.append(len(tasks)) or run(tasks)
+
+        monkeypatch.setattr(cli, "worker_pool", counting_pool)
+        for name in ("threshold_for_pf", "collect_noise_profile"):  # other commands' helpers
+            monkeypatch.delattr(cli, name)
+        assert main(["roc", "--plan", str(plan_path), "--out", str(tmp_path / "r")]) == 0
+        assert calls == [6]  # fit, H0 and 2 SNRs x 2 H1 batches, one block each
+
     def test_outputs_are_pinned_bit_for_bit(self, tmp_path, plan_path):
         out = tmp_path / "r"
         assert main(["roc", "--plan", str(plan_path), "--out", str(out)]) == 0
@@ -360,14 +376,16 @@ class TestOverridesAndErrors:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rate", ["Infinity", "NaN"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "carrier_freq_hz",
+                                       "baseband_bandwidth_hz"])
     @pytest.mark.parametrize("command", ["gen", "scd", "collect", "roc"])
-    def test_non_finite_sample_rate_is_config_error_and_creates_no_out(
-            self, tmp_path, plan_path, command, rate, capsys):
+    def test_non_finite_rate_or_frequency_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, command, field, value, capsys):
         out = tmp_path / "out"
         assert main([command, "--plan", str(plan_path), "--out", str(out),
-                     "--set", f"signal.sample_rate_hz={rate}"]) == 2
-        assert "sample_rate_hz must be positive and finite" in capsys.readouterr().err
+                     "--set", f"signal.{field}={value}"]) == 2
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_seed_writes_the_int_plan(self, tmp_path, plan_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import cyclosense as cs
+from cyclosense import harness
 from cyclosense.detector import statistic_at_alpha0
-from cyclosense.harness import _exceedance_rates
+from cyclosense.harness import WindowRecord, exceedances
 
 FS = 3.0e6
 K = 1024
@@ -29,6 +30,24 @@ def pf_of_threshold(threshold, model):
     return 1.0 - cs.cdf(threshold, model)
 
 
+@pytest.fixture
+def counts_above(monkeypatch):
+    """counts_above(statistics, thresholds): exceedances' H0 counts for a
+    record whose every batch holds the statistics, with the pf grid standing
+    in for the thresholds; the H1 counts of both batches must match them."""
+    monkeypatch.setattr(harness, "threshold_for_pf", lambda pf, params: pf)
+
+    def counts(statistics, thresholds):
+        batch = np.asarray(statistics, dtype=np.float64)
+        record = WindowRecord(batch, batch, np.stack([batch, batch])[None])
+        found, h0, h1 = exceedances(record, gumbel_model(), thresholds)
+        assert found.tolist() == list(thresholds)
+        assert h1.tolist() == [[h0.tolist()] * 2]
+        return h0.tolist()
+
+    return counts
+
+
 class TestDetect:
     def test_alpha_must_be_even_and_in_range(self):
         with pytest.raises(ValueError):
@@ -36,10 +55,10 @@ class TestDetect:
         with pytest.raises(ValueError):
             statistic_at_alpha0(noise_window(0), scd_cfg(), K + 2)
 
-    def test_zero_window_is_unoccupied(self):
+    def test_zero_window_is_unoccupied(self, counts_above):
         statistic = statistic_at_alpha0(cs.SampleBuffer(np.zeros(K), FS), scd_cfg(), A0)
         assert statistic == 0.0
-        assert _exceedance_rates(np.array([statistic]), np.array([1e-6])) == [0.0]
+        assert counts_above([statistic], [1e-6]) == [0]
 
     def test_matches_manual_scd_composition(self):
         window = noise_window(3)
@@ -60,19 +79,31 @@ class TestDetect:
         assert statistic_at_alpha0(window, scd_cfg(), A0) == statistic_at_alpha0(
             window, scd_cfg(), A0)
 
-    def test_threshold_monotonicity(self):
+    def test_threshold_monotonicity(self, counts_above):
         t = statistic_at_alpha0(noise_window(5), scd_cfg(), A0)
-        assert _exceedance_rates(np.array([t]), np.array([t * 0.9, t * 1.1])) == [1.0, 0.0]
+        assert counts_above([t], [t * 0.9, t * 1.1]) == [1, 0]
 
-    def test_tie_decides_unoccupied(self):
+    def test_tie_decides_unoccupied(self, counts_above):
         t = statistic_at_alpha0(noise_window(6), scd_cfg(), A0)
-        assert _exceedance_rates(np.array([t]), np.array([t])) == [0.0]
+        assert counts_above([t], [t]) == [0]
 
-    def test_degenerate_minus_inf_threshold_always_occupied(self):
+    def test_degenerate_minus_inf_threshold_always_occupied(self, counts_above):
         # Pd = Pf = 1 when the threshold is forced to -inf
-        statistics = np.array([statistic_at_alpha0(noise_window(s), scd_cfg(), A0)
-                               for s in range(20)])
-        assert _exceedance_rates(statistics, np.array([-np.inf])) == [1.0]
+        statistics = [statistic_at_alpha0(noise_window(s), scd_cfg(), A0) for s in range(20)]
+        assert counts_above(statistics, [-np.inf]) == [20]
+
+    def test_counts_per_snr_batch_and_pf(self):
+        rng = np.random.default_rng(8)
+        record = WindowRecord(rng.gumbel(0.09, 0.04, 50), rng.gumbel(0.09, 0.04, 60),
+                              rng.gumbel(0.12, 0.04, (3, 2, 40)))
+        model, pfs = gumbel_model(), (0.01, 0.1, 0.3, 0.5)
+        thresholds, h0, h1 = exceedances(record, model, pfs)
+        assert thresholds.tolist() == [cs.threshold_for_pf(pf, model) for pf in pfs]
+        assert h0.shape == (4,) and h1.shape == (3, 2, 4)  # (snr, batch, pf)
+        assert h0.tolist() == [sum(t > lam for t in record.h0) for lam in thresholds]
+        for snr, batch in np.ndindex(3, 2):
+            assert h1[snr, batch].tolist() == [sum(t > lam for t in record.h1[snr, batch])
+                                               for lam in thresholds]
 
     def test_strong_am_detected_at_one_percent_pf(self, mini_plan):
         # SNR 0 dB against a noise model fitted on collected samples

@@ -176,15 +176,29 @@ def test_block_with_a_partial_sub_block_equals_each_window_alone(mini_plan, batc
                                    for i in range(start, start + length)]
 
 
+def all_statistics(plan, run=harness._in_process):
+    """run_windows' record as one array: the fit, H0 and H1 batches in order."""
+    record = harness.run_windows(plan, run)
+    return np.concatenate([record.fit, record.h0, record.h1.ravel()])
+
+
+# a plan's windows as collect runs them and as roc runs them
+WINDOW_RUNS = {"collect": cs.collect_noise_profile, "record": all_statistics}
+
+
 class TestCollect:
     def test_values_positive_finite(self, mini_plan):
         samples = cs.collect_noise_profile(mini_plan)
         assert samples.shape == (mini_plan.noise_windows_l,)
         assert np.all(np.isfinite(samples)) and np.all(samples > 0)
 
-    def test_determinism(self, mini_plan):
-        assert np.array_equal(cs.collect_noise_profile(mini_plan),
-                              cs.collect_noise_profile(mini_plan))
+    @pytest.mark.parametrize("windows", WINDOW_RUNS.values(), ids=WINDOW_RUNS.keys())
+    def test_determinism(self, mini_plan, windows):
+        statistics = windows(mini_plan)
+        assert windows(mini_plan).tobytes() == statistics.tobytes()
+        # the noise-fit batch comes first, bit for bit the collected profile
+        profile = cs.collect_noise_profile(mini_plan)
+        assert statistics[:mini_plan.noise_windows_l].tobytes() == profile.tobytes()
 
     def test_first_value_matches_direct_single_window_computation(self, mini_plan):
         samples = cs.collect_noise_profile(mini_plan)
@@ -197,21 +211,23 @@ class TestCollect:
         direct = np.max(np.abs(scd.values[scd.valid_mask[:, 0], 0]))
         assert samples[0] == direct
 
-    def test_parallel_equals_serial(self, mini_plan):
+    @pytest.mark.parametrize("windows", WINDOW_RUNS.values(), ids=WINDOW_RUNS.keys())
+    def test_parallel_equals_serial(self, mini_plan, windows):
         with worker_pool(1) as serial:
-            expected = cs.collect_noise_profile(mini_plan, serial)
-        for jobs in (2, 3):  # 150 windows: one block
+            expected = windows(mini_plan, serial)
+        for jobs in (2, 3):  # 150 noise or 120 signal windows: one block per batch
             with worker_pool(jobs) as parallel:
-                assert np.array_equal(cs.collect_noise_profile(mini_plan, parallel), expected)
+                assert windows(mini_plan, parallel).tobytes() == expected.tobytes()
 
-    def test_block_size_and_jobs_do_not_change_results(self, mini_plan, monkeypatch):
-        expected = cs.collect_noise_profile(mini_plan)
+    @pytest.mark.parametrize("windows", WINDOW_RUNS.values(), ids=WINDOW_RUNS.keys())
+    def test_block_size_and_jobs_do_not_change_results(self, mini_plan, monkeypatch, windows):
+        expected = windows(mini_plan)
         for block in (16, 7):
             monkeypatch.setattr(harness, "BLOCK_WINDOWS", block)
             assert len(harness._blocks(mini_plan, "noise", 0, 0, 150)) == -(-150 // block)
             for jobs in (1, 2):
                 with worker_pool(jobs) as run:
-                    assert np.array_equal(cs.collect_noise_profile(mini_plan, run), expected)
+                    assert windows(mini_plan, run).tobytes() == expected.tobytes()
 
 
 def histogram_rows(path):
@@ -284,6 +300,18 @@ class TestRunRoc:
             assert theoretical.snr_db == empirical.snr_db == snr_db
             assert len(theoretical.points) == len(mini_plan.pf_grid)
             assert len(empirical.points) == len(mini_plan.pf_grid)
+
+    def test_rates_are_exceedance_counts_over_batch_sizes(self, curves, mini_plan):
+        record = harness.run_windows(mini_plan)
+        assert not record.h1.flags.writeable
+        fit = cs.fit_gev_mle(record.fit)
+        _, h0, h1 = harness.exceedances(record, fit.params, mini_plan.pf_grid)
+        pf_empirical = [float(c) / mini_plan.noise_windows_l for c in h0]
+        for (theoretical, empirical), (theory, signal) in zip(curves, h1):
+            pd_theory, pd_empirical = ([float(c) / mini_plan.signal_windows_m for c in batch]
+                                       for batch in (theory, signal))
+            assert theoretical.points == tuple(zip(mini_plan.pf_grid, pd_theory))
+            assert empirical.points == tuple(zip(pf_empirical, pd_empirical))
 
     def test_theoretical_pf_coordinates_are_presets(self, curves, mini_plan):
         for theoretical, _ in curves:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,21 +121,21 @@ class TestHistogramCsv:
 
 
 class TestRocCsv:
-    def test_format_and_precision(self, tmp_path):
+    def test_format_and_precision(self, tmp_path, mini_plan):
+        plan = replace(mini_plan, pf_grid=(0.01, 0.5), noise_windows_l=1000, signal_windows_m=999)
         path = io.write_roc_csv(
-            tmp_path / "roc.csv",
-            theoretical=cs.RocCurve(((0.01, 0.7771234567891), (0.5, 0.999)), -10.0),
-            empirical=cs.RocCurve(((0.012, 0.75), (0.498, 1.0)), -10.0),
-            thresholds=[0.123456789123, 0.05],
-            trials=1000,
+            tmp_path / "roc.csv", plan,
+            thresholds=np.array([0.123456789123, 0.05]),
+            h0_counts=np.array([12, 498]),
+            h1_counts=np.array([[777, 998], [749, 999]]),  # (theoretical, empirical) x pf
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "pf_preset,pf_empirical,pd_theoretical_curve,pd_empirical,threshold,trials"
         first = lines[1].split(",")
-        assert first[2] == "0.777123457"  # 9 significant digits
-        assert first[5] == "1000"
-        assert lines[1:] == ["0.01,0.012,0.777123457,0.75,0.123456789,1000",
-                             "0.5,0.498,0.999,1,0.05,1000"]
+        assert first[2] == "0.777777778"  # 777 / 999 to 9 significant digits
+        assert first[5] == "999"
+        assert lines[1:] == ["0.01,0.012,0.777777778,0.74974975,0.123456789,999",
+                             "0.5,0.498,0.998998999,1,0.05,999"]
 
 
 class TestPlanJson:

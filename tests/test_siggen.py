@@ -1,5 +1,7 @@
 """Signal generation: spectral placement, power contracts, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,12 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             SignalSpec(FC, BW, FS, 4096, "fm")
 
-    @pytest.mark.parametrize("rate", [np.inf, np.nan])
-    def test_rejects_non_finite_rate(self, rate):
-        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
-            SignalSpec(FC, BW, rate, 4096)
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "carrier_freq_hz",
+                                       "baseband_bandwidth_hz"])
+    def test_rejects_non_finite_rate_or_frequency(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            replace(table_spec(), **{field: value})
 
 
 class TestSampleBuffer:
