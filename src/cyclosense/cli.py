@@ -108,6 +108,8 @@ def _fit_noise_model(out: Path, samples, bins: int | None = None) -> FitReport:
     and fit.json, also when the fit did not converge (reported on stderr)."""
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
+    if bins is not None and not 1 <= bins <= len(samples):
+        raise ValueError(f"bins must lie in 1 .. {len(samples)}, the sample count, got {bins}")
     report = fit_gev_mle(samples)
     io.write_histogram_csv(out / "histogram.csv", samples, bins)
     io.write_fit_json(out / "fit.json", report)
@@ -161,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a plan entry, e.g. scd.smoothing_length=301")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker process count (collect and roc)")
+        cmd.add_argument("--jobs", type=int, default=1,
+                         help="worker process count, capped at the CPU count (collect and roc)")
         return cmd
 
     add_plan_command("gen", "write the AM test signal and its sidecar").set_defaults(func=_cmd_gen)
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the noise model to collected samples")
     fit.add_argument("--samples", required=True, help="profile CSV from the collect command")
     fit.add_argument("--out", default=".", help="output directory")
-    fit.add_argument("--bins", type=int, default=None, help="histogram bin count")
+    fit.add_argument("--bins", type=int, default=None, help="histogram bins, 1 .. sample count")
     fit.set_defaults(func=_cmd_fit)
 
     thr = sub.add_parser("threshold", help="print the threshold for a preset pf")

@@ -5,28 +5,31 @@ Kolmogorov-Smirnov distance, and sweeps preset false-alarm probabilities into
 paired theoretical/empirical ROC curves. It also builds the signal and the
 mixed window that the gen and scd commands export.
 
-Every analysis window is generated from a seed derived deterministically
-from (master_seed, stream, indices...), so results are a pure function of
-the plan and independent of worker count or scheduling: worker_pool(jobs)
-yields the one runner of a command's windows. A runner's task is a block of
-consecutive window indices of one batch, (plan, kind, snr_index, batch,
-start, stop), at most BLOCK_WINDOWS long. A block derives all its seeds,
-and the PCG64 state words default_rng would hash from each of them, in one
-vectorized port of numpy's SeedSequence hash; derived_seed stays the scalar
-reference. It then runs its windows in sub-blocks of ROWS consecutive
-windows: each window draws its normals from its own generator into its own
-row of a (ROWS, K) array, and every later stage (AM message, noise, SNR mix,
-taper, FFT, cyclic product, smoother, max) runs once per sub-block through
-the siggen and scd row helpers, on arrays, a one-window signal spec and a
-one-column feature config built once per block. Each row's arithmetic is
-that of the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS or
-jobs. run_windows runs a plan's noise-fit, H0 and H1 windows in one runner
-call, so roc finds an unconverged fit only after the last window, and
-exceedances aggregates them into order-independent counts.
+Every analysis window is generated from a seed derived deterministically from
+(master_seed, stream, indices...), so results are a pure function of the plan
+and independent of worker count or scheduling: worker_pool(jobs) yields the
+one runner of a command's windows, on at most one process per CPU. A runner's
+task is a block of consecutive window indices of one batch, (plan, kind,
+snr_index, batch, start, stop), at most BLOCK_WINDOWS long. A block derives
+all its seeds, and the PCG64 state words default_rng would hash from each of
+them, in one vectorized port of numpy's SeedSequence hash; derived_seed stays
+the scalar reference. It then runs its windows in sub-blocks of ROWS
+consecutive windows: each window draws its normals from its own generator
+into its own row of a (ROWS, K) array, and a noise row is its unit-variance
+draws as they stand. Every later stage (AM message, SNR mix, taper, FFT,
+cyclic product, smoother, max) runs once per sub-block through the siggen and
+scd row helpers, on arrays, a one-window signal spec and a one-column feature
+config built once per block; the block checks only that each statistic is
+finite. Each row's arithmetic is that of the window alone, so no statistic
+depends on ROWS, BLOCK_WINDOWS or jobs. run_windows runs a plan's noise-fit,
+H0 and H1 windows in one runner call, so roc finds an unconverged fit only
+after the last window, and exceedances aggregates them into order-independent
+counts.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -36,8 +39,8 @@ import numpy as np
 
 from .gev import FitReport, GevParams, cdf, threshold_for_pf
 from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
-from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _awgn_rows, _mix_rows,
-                     _integer, _power_ratio, generate_am, generate_awgn, mix_at_snr)
+from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _integer, _mix_rows,
+                     _power_ratio, generate_am, generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -248,16 +251,6 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_state_words()(words)))
 
 
-def _noise(spec: SignalSpec, seed: int) -> SampleBuffer:
-    return generate_awgn(spec.duration_samples, NoiseSpec(NOISE_VARIANCE, seed),
-                         spec.sample_rate_hz)
-
-
-def _mixture(spec: SignalSpec, signal_seed: int, noise_seed: int, snr_db: float) -> SampleBuffer:
-    """The spec's AM signal plus unit-variance noise at snr_db."""
-    return mix_at_snr(generate_am(spec, signal_seed), _noise(spec, noise_seed), snr_db)
-
-
 def export_signal(plan: ExperimentPlan) -> tuple[SampleBuffer, int]:
     """The plan's full-length AM signal and the seed it was drawn from."""
     seed = derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL)
@@ -267,8 +260,11 @@ def export_signal(plan: ExperimentPlan) -> tuple[SampleBuffer, int]:
 def export_window(plan: ExperimentPlan) -> SampleBuffer:
     """First analysis window of the full-length export signal mixed with
     export noise at the plan's first SNR."""
-    mixed = _mixture(plan.signal_spec, derived_seed(plan.master_seed, STREAM_EXPORT_SIGNAL),
-                     derived_seed(plan.master_seed, STREAM_EXPORT_NOISE), plan.snr_db_list[0])
+    spec = plan.signal_spec
+    noise_seed = derived_seed(plan.master_seed, STREAM_EXPORT_NOISE)
+    noise = generate_awgn(spec.duration_samples, NoiseSpec(NOISE_VARIANCE, noise_seed),
+                          spec.sample_rate_hz)
+    mixed = mix_at_snr(export_signal(plan)[0], noise, plan.snr_db_list[0])
     return SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
 
 
@@ -299,7 +295,7 @@ def _block_task(args: tuple) -> np.ndarray:
         for draw, draw_states in zip(normals, sub):
             for row, words in zip(draw, draw_states):
                 _generator(words).standard_normal(row.size, out=row)
-        windows = _awgn_rows(normals[-1, :n], NOISE_VARIANCE)
+        windows = normals[-1, :n]  # NOISE_VARIANCE is 1: the draws are the noise
         if kind == "h1":
             signal = _am_rows(window_spec, normals[0, :n], work.half[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
@@ -331,11 +327,12 @@ def _in_process(tasks: list[tuple]) -> np.ndarray:
 @contextmanager
 def worker_pool(jobs: int):
     """Context yielding run(tasks) -> statistics, the runner of a command's
-    windows: in this process for jobs == 1, otherwise on one pool of `jobs`
-    worker processes. Each task is a block from _blocks, and run returns the
-    statistics of all blocks in task order."""
+    windows: on one pool of min(jobs, CPU count) worker processes, or in this
+    process when that is 1. Each task is a block from _blocks, and run
+    returns the statistics of all blocks in task order."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, os.cpu_count() or 1)  # the pool forks all its workers at once
     if jobs == 1:
         yield _in_process
         return

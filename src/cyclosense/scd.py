@@ -285,6 +285,8 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window of K
-    samples, one per column of cfg's alpha_grid."""
+    real samples, one per column of cfg's alpha_grid."""
+    if np.iscomplexobj(samples):  # the estimator assumes X(-m) = conj X(m)
+        raise ValueError("samples must be real, not complex")
     window = np.asarray(samples, dtype=np.float64)[None]
     return _maxima(window, cfg, _KernelBuffers(1, cfg))[0]

@@ -6,12 +6,12 @@ identical buffers. Buffers are read-only copies, safe to share across
 workers. The carrier and message stop bin, which no seed changes, are cached
 per spec.
 
-The AM, noise and mix steps are row helpers that work in place on the last
-axis of a (rows, n) array, one window per row, and run SampleBuffer's checks
-on every row: the Monte Carlo harness calls them on a few windows at a time,
-and generate_am, generate_awgn and mix_at_snr call them with one row. Every
-operation is elementwise or runs along one row, so a row's samples are the
-same bits whatever else shares its array.
+The AM and mix steps are row helpers that do arithmetic only, in place on
+the last axis of a (rows, n) array, one window per row: the Monte Carlo
+harness calls them on a few windows at a time, and generate_am and
+mix_at_snr with one row. SampleBuffer, which every generator returns
+through, checks the samples. Every operation is elementwise or runs along
+one row, so a row's samples are the same bits whatever else shares its array.
 """
 
 from __future__ import annotations
@@ -87,10 +87,13 @@ class SampleBuffer:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.samples):
+            raise ValueError("samples must be real, not complex")
         arr = np.array(self.samples, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-D sequence")
-        _check_finite(arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must all be finite")
         if not 0.0 < self.sample_rate_hz < np.inf:  # false for nan too
             raise ValueError("sample_rate_hz must be positive and finite")
         arr.setflags(write=False)
@@ -103,13 +106,6 @@ class SampleBuffer:
     def power(self) -> float:
         """Mean squared amplitude of the buffer."""
         return float(_powers(self.samples))
-
-
-def _check_finite(rows: np.ndarray) -> np.ndarray:
-    """rows, once SampleBuffer's check that every sample is finite passed."""
-    if not np.isfinite(rows).all():
-        raise ValueError("samples must all be finite")
-    return rows
 
 
 def _powers(rows: np.ndarray) -> np.ndarray:
@@ -126,7 +122,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.variance) and self.variance > 0):
+        if not 0.0 < self.variance < np.inf:  # false for nan too
             raise ValueError("variance must be positive and finite")
         object.__setattr__(self, "seed", _seed(self.seed))
 
@@ -155,9 +151,9 @@ def _am_tables(spec: SignalSpec) -> tuple[np.ndarray, int]:
 
 def _am_rows(spec: SignalSpec, rows: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
     """Turn each row of standard normals in rows, a (rows, n) float64 array,
-    into the spec's AM waveform in place, and check it. The message is the
-    row brickwall-filtered to the rfft bins 1 .. stop_bin-1 and normalized to
-    unit peak (it stays zero when no bin is in band); spectra, if given, is a
+    into the spec's AM waveform in place. The message is the row
+    brickwall-filtered to the rfft bins 1 .. stop_bin-1 and normalized to unit
+    peak (it stays zero when no bin is in band); spectra, if given, is a
     (rows, n//2 + 1) complex128 array that receives the rows' rfft."""
     carrier, stop_bin = _am_tables(spec)
     spectra = np.fft.rfft(rows, axis=-1, out=spectra)
@@ -170,18 +166,12 @@ def _am_rows(spec: SignalSpec, rows: np.ndarray, spectra: np.ndarray | None = No
     rows *= spec.modulation_index
     rows += 1.0
     rows *= carrier
-    return _check_finite(rows)
-
-
-def _awgn_rows(rows: np.ndarray, variance: float) -> np.ndarray:
-    """Scale each row of standard normals to the variance in place, and check it."""
-    rows *= np.sqrt(variance)
-    return _check_finite(rows)
+    return rows
 
 
 def _mix_rows(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
     """Overwrite each row of signal with g*signal + noise, g chosen per row so
-    that the row's measured power ratio is snr_db, and check it."""
+    that the row's measured power ratio is snr_db."""
     if signal.shape != noise.shape:
         raise ValueError("signal and noise must have equal length")
     ratio = _power_ratio(snr_db)
@@ -193,7 +183,7 @@ def _mix_rows(signal: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarra
         raise ValueError("noise has zero power")
     signal *= np.sqrt(ratio * p_noise / p_signal)[:, None]
     signal += noise
-    return _check_finite(signal)
+    return signal
 
 
 def generate_am(spec: SignalSpec, seed: int) -> SampleBuffer:
@@ -217,7 +207,7 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     if _integer("length", length) < 1:
         raise ValueError("length must be a positive integer")
     samples = np.random.default_rng(noise.seed).standard_normal(int(length))
-    _awgn_rows(samples[None], noise.variance)
+    samples *= np.sqrt(noise.variance)
     return SampleBuffer(samples, sample_rate_hz)
 
 
@@ -236,7 +226,7 @@ def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> Samp
 
 def _power_ratio(snr_db: float) -> float:
     """10**(snr_db/10); ValueError for a non-finite snr_db or a float64 overflow."""
-    if not np.isfinite(snr_db):
+    if not -np.inf < snr_db < np.inf:  # false for nan too
         raise ValueError("snr_db must be finite")
     try:
         return 10.0 ** (float(snr_db) / 10.0)

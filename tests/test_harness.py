@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.cli import main
-from cyclosense.detector import statistic_at_alpha0
 from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, _block_task,
                                 _derived_seeds, _generator, _pcg64_states, _statistic_task,
                                 derived_seed, worker_pool)
@@ -134,14 +133,20 @@ def scalar_statistic(plan, kind, snr_index, batch, index):
     """A window's statistic from integer derived_seed seeds, each drawn through
     np.random.default_rng: the recipe the block tasks must reproduce."""
     spec = replace(plan.signal_spec, duration_samples=plan.scd_cfg.window_length_k)
+
+    def noise(seed):
+        return cs.generate_awgn(spec.duration_samples, cs.NoiseSpec(1.0, seed),
+                                spec.sample_rate_hz)
+
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
-        window = harness._noise(spec, derived_seed(plan.master_seed, stream, index))
+        window = noise(derived_seed(plan.master_seed, stream, index))
     else:
         tags = (plan.master_seed, STREAM_H1_TRIAL, snr_index, batch, index)
-        window = harness._mixture(spec, derived_seed(*tags, 0), derived_seed(*tags, 1),
-                                  plan.snr_db_list[snr_index])
-    return statistic_at_alpha0(window, plan.scd_cfg, plan.alpha0_bin)
+        window = cs.mix_at_snr(cs.generate_am(spec, derived_seed(*tags, 0)),
+                               noise(derived_seed(*tags, 1)), plan.snr_db_list[snr_index])
+    column = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
+    return float(cs.alpha_maxima(window.samples, column)[0])
 
 
 SPLIT_WINDOWS = 24
@@ -276,6 +281,17 @@ class TestFitAndHistogram:
         assert main(["fit", "--samples", path, "--out", str(tmp_path / "f")]) == 2
         assert "at least 100 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bins, code", [(0, 2), (-1, 2), (151, 2), (10**15, 2), (150, 0)])
+    def test_bins_lie_between_one_and_the_sample_count(self, tmp_path, capsys, bins, code):
+        path = write_samples(tmp_path / "p.csv", cs.sample_gev(cs.GevParams(0.0, 1.0, 0.5), 150,
+                                                               seed=3))
+        out = tmp_path / "f"
+        assert main(["fit", "--samples", path, "--out", str(out), f"--bins={bins}"]) == code
+        if code:
+            assert "bins" in capsys.readouterr().err and list(out.iterdir()) == []
+        else:
+            assert len(histogram_rows(out / "histogram.csv")) == 150
+
     def test_sturges_default_bins(self, mini_plan, tmp_path):
         samples = cs.collect_noise_profile(mini_plan)
         rows = histogram_rows(io.write_histogram_csv(tmp_path / "h.csv", samples))
@@ -367,6 +383,34 @@ class TestRunRoc:
         with pytest.raises(ValueError, match="at least 1"):
             with worker_pool(0):
                 pass
+
+    # (CPU count, jobs, workers the pool starts); a count of 1 runs in process
+    @pytest.mark.parametrize("cpus, jobs, started", [(4, 100000, [4]), (4, 2, [2]),
+                                                     (1, 3, []), (None, 8, [])])
+    def test_pool_has_at_most_one_worker_per_cpu(self, mini_plan, monkeypatch, cpus, jobs,
+                                                  started):
+        workers = []
+
+        class RecordingPool:  # maps in this process, so that no process starts
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        tasks = harness._blocks(mini_plan, "noise", 0, 0, 8)
+        with worker_pool(jobs) as run:
+            statistics = run(tasks)
+        assert workers == started
+        assert statistics.tobytes() == harness._in_process(tasks).tobytes()
 
 
 class TestRocCurveInvariants:

@@ -423,6 +423,11 @@ class TestAlphaMaxima:
         with pytest.raises(ValueError):
             cs.alpha_maxima(noise_window(512).samples, cs.ScdConfig(1024, 301, (0,)))
 
+    def test_rejects_complex_samples(self):
+        x = noise_window(1024).samples
+        with pytest.raises(ValueError, match="complex"):
+            cs.alpha_maxima(x + 5j * x, cs.ScdConfig(1024, 301, (0,)))
+
 
 class TestAlphaProfile:
     def test_singleton_column_max(self):

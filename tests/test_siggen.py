@@ -61,6 +61,7 @@ class TestSampleBuffer:
                                                (np.array([np.nan, 1.0]), FS),
                                                (np.zeros((2, 2)), FS),
                                                (np.array([]), FS),
+                                               (np.arange(1.0, 5.0) * (1 + 5j), FS),
                                                (np.ones(4), 0.0),
                                                (np.ones(4), np.inf),
                                                (np.ones(4), np.nan)])
@@ -194,3 +195,8 @@ class TestMixAtSnr:
             mix_at_snr(s, SampleBuffer(rng.standard_normal(8), FS), 0.0)
         with pytest.raises(ValueError):
             mix_at_snr(s, SampleBuffer(rng.standard_normal(16), FS), np.inf)
+        # a gain that overflows to inf is caught by the mixed buffer's check
+        with pytest.raises(ValueError, match="samples must all be finite"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            mix_at_snr(SampleBuffer(np.full(16, 1e-160), FS),
+                       SampleBuffer(rng.standard_normal(16), FS), 3000.0)
