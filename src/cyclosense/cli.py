@@ -29,7 +29,6 @@ from .harness import (
     export_signal,
     export_window,
     run_windows,
-    worker_pool,
 )
 from .scd import estimate_scd
 
@@ -63,6 +62,9 @@ def _apply_overrides(plan_dict: dict, overrides: list[str]) -> dict:
 
 
 def _load_plan(args: argparse.Namespace) -> ExperimentPlan:
+    """The plan of a plan command, after its --jobs check."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     raw = json.loads(Path(args.plan).read_text(encoding="utf-8"))
     raw = _apply_overrides(raw, args.set or [])
     return io.plan_from_dict(raw)
@@ -76,8 +78,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    out = _out_dir(args)
     buffer, seed = export_signal(plan)
+    out = _out_dir(args)
     io.write_signal(out / "signal", buffer, plan.signal_spec, seed)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
@@ -85,8 +87,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_scd(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    out = _out_dir(args)
     matrix = estimate_scd(export_window(plan), plan.scd_cfg)
+    out = _out_dir(args)
     io.write_scd_matrix(out / "scd", matrix)
     io.write_plan_json(out / "plan.json", plan)
     return EXIT_OK
@@ -94,9 +96,8 @@ def _cmd_scd(args: argparse.Namespace) -> int:
 
 def _cmd_collect(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    with worker_pool(args.jobs) as run:
-        out = _out_dir(args)
-        samples = collect_noise_profile(plan, run)
+    out = _out_dir(args)
+    samples = collect_noise_profile(plan, args.jobs)
     alpha_hz = plan.alpha0_bin * plan.signal_spec.sample_rate_hz / plan.scd_cfg.window_length_k
     io.write_profile_csv(out / "profile.csv", alpha_hz, samples)
     io.write_plan_json(out / "plan.json", plan)
@@ -137,9 +138,8 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     if len(set(names)) < len(names):
         raise ValueError(f"snr_db entries {list(plan.snr_db_list)} share roc_<snr>.csv names")
     # every file is written after the last window, so a failed run leaves none
-    with worker_pool(args.jobs) as run:
-        out = _out_dir(args)
-        record = run_windows(plan, run)
+    out = _out_dir(args)
+    record = run_windows(plan, args.jobs)
     report = _fit_noise_model(out, record.fit)
     if not report.converged:
         return EXIT_NUMERIC
@@ -197,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a plan whose buffers this machine cannot hold
+        print(f"error: plan too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)

@@ -189,10 +189,11 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
     With y = log(t)/kappa and u = exp(-y) each sample contributes
     -log sigma - log t - y - u. |kappa| <= KAPPA_EPS uses the Gumbel limit of
     every term (t = 1, y = z, dy/dkappa = -z**2/2, d2y/dkappa2 = 2*z**3/3), the
-    same switch log_likelihood makes. Only the score and Hessian entries of
-    the coordinates in free are formed, each by the expression the full
-    evaluation uses; the others are nan. Returns (-inf, None, None) when a
-    sample lies outside the support.
+    same switch log_likelihood makes, and forms the log likelihood by
+    log_likelihood's expression, so a fit reports the value its solver held.
+    Only the score and Hessian entries of the coordinates in free are formed,
+    each by the expression the full evaluation uses; the others are nan.
+    Returns (-inf, None, None) when a sample lies outside the support.
     """
     kappa, mu, log_sigma = theta
     shape, location = 0 in free, 1 in free or 2 in free
@@ -200,7 +201,8 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
     z = (x - mu) / sigma
     if abs(kappa) <= KAPPA_EPS:
         # t = 1: r is None where the general branch multiplies by 1/t
-        kappa, sum_log_t, r, zr, y = 0.0, 0.0, None, z, z
+        kappa, r, zr, y = 0.0, None, z, z
+        log_t_term = z.sum()  # the Gumbel limit of (1 + 1/kappa) * sum(log t)
         if shape:
             y_k = -0.5 * z * z
             y_kk = (-4.0 / 3.0) * z * y_k
@@ -209,7 +211,7 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
         if np.any(t <= 0):
             return float("-inf"), None, None
         y = np.log(t)
-        sum_log_t = y.sum()
+        log_t_term = (1.0 + 1.0 / kappa) * y.sum()
         y /= kappa
         r = np.reciprocal(t, out=t)
         if shape:
@@ -217,7 +219,7 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
             y_k = (zr - y) / kappa
             y_kk = -(zr * zr + 2.0 * y_k) / kappa
     u = np.exp(-y)
-    ll = float(-x.size * log_sigma - sum_log_t - y.sum() - u.sum())
+    ll = float(-x.size * np.log(sigma) - log_t_term - u.sum())
     if not ll > float("-inf"):
         return float("-inf"), None, None
     del y  # one n-length buffer fewer while the derivatives are formed
@@ -260,8 +262,8 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     likelihood is unbounded) or lowers the likelihood beyond rounding; when
     the Newton direction is not an ascent direction the per-sample score is
     the step. Stops once every free scale-free score component per sample is
-    at most _TOL, or after _MAX_ITER steps. Returns (theta, Newton steps
-    taken, converged).
+    at most _TOL, or after _MAX_ITER steps. Returns (theta, its log
+    likelihood, Newton steps taken, converged).
     """
     theta = np.asarray(theta, dtype=np.float64)
     index, block = list(free), np.ix_(free, free)
@@ -274,7 +276,7 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
         scale[mu_at] = np.exp(theta[2])
         g = score[index] * scale
         if np.max(np.abs(g)) <= _TOL * n:
-            return theta, iteration, True
+            return theta, ll, iteration, True
         if iteration == _MAX_ITER:
             break
         h = hessian[block] * np.outer(scale, scale)
@@ -293,16 +295,16 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
                     break
             delta *= 0.5
         else:
-            return theta, iteration, False
+            return theta, ll, iteration, False
         theta, ll, score, hessian = trial, trial_ll, trial_score, trial_hessian
-    return theta, _MAX_ITER, False
+    return theta, ll, _MAX_ITER, False
 
 
-def _report(x: np.ndarray, theta, iterations: int, converged: bool) -> FitReport:
+def _report(x: np.ndarray, theta, ll: float, iterations: int, converged: bool) -> FitReport:
     params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
     return FitReport(
         params=params,
-        log_likelihood=log_likelihood(x, params),
+        log_likelihood=ll,
         iterations=iterations,
         converged=converged,
         sample_count=int(x.size),
@@ -312,7 +314,8 @@ def _report(x: np.ndarray, theta, iterations: int, converged: bool) -> FitReport
 
 def _gumbel_stage(samples):
     """The checks, start point and (mu, log sigma) Newton run of
-    fit_gumbel_mle: (validated samples, theta, Newton steps, converged)."""
+    fit_gumbel_mle: (validated samples, theta, log likelihood, Newton steps,
+    converged)."""
     x = _as_finite_array(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
@@ -324,8 +327,7 @@ def _gumbel_stage(samples):
     # exp(-z) by the sample count; the shift by min(x) keeps the sum finite
     shift = float(np.min(x))
     mu_0 = shift - sigma_0 * math.log(float(np.mean(np.exp((shift - x) / sigma_0))))
-    theta, iterations, converged = _newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2))
-    return x, theta, iterations, converged
+    return (x, *_newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2)))
 
 
 def fit_gumbel_mle(samples) -> FitReport:
@@ -355,11 +357,11 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     the Gumbel stage must have converged too. iterations counts the Newton
     steps of all stages.
     """
-    x, theta, iterations, gumbel_converged = _gumbel_stage(samples)
-    theta, steps, converged = _newton(x, theta, (0,))
+    x, theta, _, iterations, gumbel_converged = _gumbel_stage(samples)
+    theta, ll, steps, converged = _newton(x, theta, (0,))
     iterations += steps
     converged = gumbel_converged and converged
     if refine:
-        theta, steps, converged = _newton(x, theta, (0, 1, 2))
+        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2))
         iterations += steps
-    return _report(x, theta, iterations, converged)
+    return _report(x, theta, ll, iterations, converged)

@@ -7,10 +7,10 @@ mixed window that the gen and scd commands export.
 
 Every analysis window is generated from a seed derived deterministically from
 (master_seed, stream, indices...), so results are a pure function of the plan
-and independent of worker count or scheduling: worker_pool(jobs) yields the
-one runner of a command's windows, on at most one process per CPU. A runner's
-task is a block of consecutive window indices of one batch, (plan, kind,
-snr_index, batch, start, stop), at most BLOCK_WINDOWS long. A block derives
+and independent of worker count or scheduling: _run(tasks, jobs) maps a
+command's windows on at most one process per CPU. Each task is a block of
+consecutive window indices of one batch, (plan, kind, snr_index, batch,
+start, stop), at most BLOCK_WINDOWS long. A block derives
 all its seeds, and the PCG64 state words default_rng would hash from each of
 them, in one vectorized port of numpy's SeedSequence hash; derived_seed stays
 the scalar reference. It then runs its windows in sub-blocks of ROWS
@@ -22,7 +22,7 @@ scd row helpers, on arrays, a one-window signal spec and a one-column feature
 config built once per block; the block checks only that each statistic is
 finite. Each row's arithmetic is that of the window alone, so no statistic
 depends on ROWS, BLOCK_WINDOWS or jobs. run_windows runs a plan's noise-fit,
-H0 and H1 windows in one runner call, so roc finds an unconverged fit only
+H0 and H1 windows in one _run call, so roc finds an unconverged fit only
 after the last window, and exceedances aggregates them into order-independent
 counts.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,7 +50,6 @@ __all__ = [
     "derived_seed",
     "export_signal",
     "export_window",
-    "worker_pool",
     "collect_noise_profile",
     "ks_statistic",
     "run_windows",
@@ -320,29 +318,22 @@ def _blocks(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, count: 
             for start in range(0, count, BLOCK_WINDOWS)]
 
 
-def _in_process(tasks: list[tuple]) -> np.ndarray:
-    return np.concatenate([_block_task(t) for t in tasks])
-
-
-@contextmanager
-def worker_pool(jobs: int):
-    """Context yielding run(tasks) -> statistics, the runner of a command's
-    windows: on one pool of min(jobs, CPU count) worker processes, or in this
-    process when that is 1. Each task is a block from _blocks, and run
-    returns the statistics of all blocks in task order."""
+def _run(tasks: list[tuple], jobs: int) -> np.ndarray:
+    """Statistics of all blocks from _blocks in task order: mapped on a pool of
+    min(jobs, CPU count) worker processes that lives for this one call, or in
+    this process when that is 1."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1)  # the pool forks all its workers at once
     if jobs == 1:
-        yield _in_process
-        return
+        return np.concatenate([_block_task(t) for t in tasks])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield lambda tasks: np.concatenate(list(pool.map(_block_task, tasks)))
+        return np.concatenate(list(pool.map(_block_task, tasks)))
 
 
-def collect_noise_profile(plan: ExperimentPlan, run=_in_process) -> np.ndarray:
+def collect_noise_profile(plan: ExperimentPlan, jobs: int = 1) -> np.ndarray:
     """Alpha-profile noise maxima at the feature bin for L disjoint windows."""
-    return run(_blocks(plan, "noise", 0, 0, plan.noise_windows_l))
+    return _run(_blocks(plan, "noise", 0, 0, plan.noise_windows_l), jobs)
 
 
 def ks_statistic(samples, params: GevParams) -> float:
@@ -365,12 +356,13 @@ class WindowRecord:
     h1: np.ndarray
 
 
-def run_windows(plan: ExperimentPlan, run=_in_process) -> WindowRecord:
-    """All windows of the plan in one call of `run`, a worker_pool runner,
-    so that no batch waits for the last."""
+def run_windows(plan: ExperimentPlan, jobs: int = 1) -> WindowRecord:
+    """All windows of the plan in one _run call on jobs worker processes, so
+    that no batch waits for the last."""
     n, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
-    statistics = run(_blocks(plan, "noise", 0, 0, n) + _blocks(plan, "noise", 0, 1, n) + [
-        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)])
+    tasks = _blocks(plan, "noise", 0, 0, n) + _blocks(plan, "noise", 0, 1, n) + [
+        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)]
+    statistics = _run(tasks, jobs)
     statistics.setflags(write=False)  # the record's arrays are read-only views
     return WindowRecord(statistics[:n], statistics[n:2 * n],
                         statistics[2 * n:].reshape(snrs, 2, m))
@@ -386,7 +378,7 @@ def exceedances(record: WindowRecord, params: GevParams, pf_grid) -> tuple[np.nd
 
 
 def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
-            run=_in_process) -> list[tuple[RocCurve, RocCurve]]:
+            jobs: int = 1) -> list[tuple[RocCurve, RocCurve]]:
     """Sweep the preset-pf grid into one (theoretical, empirical) curve pair per SNR.
 
     Protocol per grid point: the threshold comes from the closed-form
@@ -395,9 +387,10 @@ def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
     detection rate, while the empirical curve pairs a measured false-alarm
     rate (fresh noise windows) with a detection rate measured on an
     independent signal batch at the same threshold, each the exceedances
-    count of run_windows over its batch size. `run` is a worker_pool runner.
+    count of run_windows over its batch size. The windows run on jobs worker
+    processes, at most one per CPU, or in this process for jobs=1.
     """
-    _, h0, h1 = exceedances(run_windows(plan, run), noise_fit.params, plan.pf_grid)
+    _, h0, h1 = exceedances(run_windows(plan, jobs), noise_fit.params, plan.pf_grid)
     pf_empirical, pd = (h0 / plan.noise_windows_l).tolist(), (h1 / plan.signal_windows_m).tolist()
     return [(RocCurve(tuple(zip(plan.pf_grid, pd_theory)), snr_db),
              RocCurve(tuple(zip(pf_empirical, pd_empirical)), snr_db))

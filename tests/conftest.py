@@ -3,6 +3,8 @@ import pytest
 from dataclasses import replace
 
 import cyclosense as cs
+from cyclosense import harness
+from cyclosense.harness import WindowRecord, exceedances
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,21 @@ def mini_plan() -> cs.ExperimentPlan:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def counts_above(monkeypatch):
+    """counts_above(statistics, thresholds): exceedances' H0 counts for a
+    record whose every batch holds the statistics, with the pf grid standing
+    in for the thresholds; the H1 counts of both batches must match them."""
+    monkeypatch.setattr(harness, "threshold_for_pf", lambda pf, params: pf)
+
+    def counts(statistics, thresholds):
+        batch = np.asarray(statistics, dtype=np.float64)
+        record = WindowRecord(batch, batch, np.stack([batch, batch])[None])
+        found, h0, h1 = exceedances(record, cs.GevParams(0.0, 0.09, 0.04), thresholds)
+        assert found.tolist() == list(thresholds)
+        assert h1.tolist() == [[h0.tolist()] * 2]
+        return h0.tolist()
+
+    return counts

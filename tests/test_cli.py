@@ -2,14 +2,13 @@
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cyclosense as cs
-from cyclosense import cli, io
+from cyclosense import cli, harness, io
 from cyclosense.cli import main
 from cyclosense.harness import STREAM_EXPORT_NOISE, STREAM_EXPORT_SIGNAL, derived_seed
 
@@ -206,14 +205,9 @@ class TestRoc:
 
     def test_one_runner_call_and_no_threshold_of_its_own(self, tmp_path, plan_path,
                                                           monkeypatch):
-        calls, pool = [], cli.worker_pool
-
-        @contextmanager
-        def counting_pool(jobs):
-            with pool(jobs) as run:
-                yield lambda tasks: calls.append(len(tasks)) or run(tasks)
-
-        monkeypatch.setattr(cli, "worker_pool", counting_pool)
+        calls, run = [], harness._run
+        monkeypatch.setattr(harness, "_run",
+                            lambda tasks, jobs: calls.append(len(tasks)) or run(tasks, jobs))
         for name in ("threshold_for_pf", "collect_noise_profile"):  # other commands' helpers
             monkeypatch.delattr(cli, name)
         assert main(["roc", "--plan", str(plan_path), "--out", str(tmp_path / "r")]) == 0
@@ -395,10 +389,21 @@ class TestOverridesAndErrors:
         assert tree_bytes(tmp_path / "float") == tree_bytes(tmp_path / "int")
         assert json.loads((tmp_path / "int" / "plan.json").read_text())["master_seed"] == 7
 
-    @pytest.mark.parametrize("command", ["collect", "roc"])
+    @pytest.mark.parametrize("command", ["gen", "scd", "collect", "roc"])
     def test_zero_jobs_is_config_error_and_creates_no_out(self, tmp_path, plan_path, command,
                                                           capsys):
         out = tmp_path / "out"
         assert main([command, "--plan", str(plan_path), "--out", str(out), "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "scd"])
+    def test_plan_too_large_for_memory_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, command, capsys):
+        # 8e15 bytes of float64 samples exceed the user address space, so the
+        # first allocation fails at once without touching memory
+        out = tmp_path / "out"
+        assert main([command, "--plan", str(plan_path), "--out", str(out),
+                     "--set", "signal.duration_samples=1e15"]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
         assert not out.exists()

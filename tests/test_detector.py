@@ -1,12 +1,10 @@
-"""Detection statistic, the strict exceedance rule and the Pf of a threshold."""
+"""Detection statistic of one window at the feature cyclic frequency."""
 
 import numpy as np
 import pytest
 
 import cyclosense as cs
-from cyclosense import harness
 from cyclosense.detector import statistic_at_alpha0
-from cyclosense.harness import WindowRecord, exceedances
 
 FS = 3.0e6
 K = 1024
@@ -19,33 +17,6 @@ def scd_cfg():
 
 def noise_window(seed):
     return cs.SampleBuffer(np.random.default_rng(seed).standard_normal(K), FS)
-
-
-def gumbel_model(mu=0.09, sigma=0.04):
-    return cs.GevParams(0.0, mu, sigma)
-
-
-def pf_of_threshold(threshold, model):
-    """False-alarm probability of a threshold under the noise model."""
-    return 1.0 - cs.cdf(threshold, model)
-
-
-@pytest.fixture
-def counts_above(monkeypatch):
-    """counts_above(statistics, thresholds): exceedances' H0 counts for a
-    record whose every batch holds the statistics, with the pf grid standing
-    in for the thresholds; the H1 counts of both batches must match them."""
-    monkeypatch.setattr(harness, "threshold_for_pf", lambda pf, params: pf)
-
-    def counts(statistics, thresholds):
-        batch = np.asarray(statistics, dtype=np.float64)
-        record = WindowRecord(batch, batch, np.stack([batch, batch])[None])
-        found, h0, h1 = exceedances(record, gumbel_model(), thresholds)
-        assert found.tolist() == list(thresholds)
-        assert h1.tolist() == [[h0.tolist()] * 2]
-        return h0.tolist()
-
-    return counts
 
 
 class TestDetect:
@@ -79,32 +50,6 @@ class TestDetect:
         assert statistic_at_alpha0(window, scd_cfg(), A0) == statistic_at_alpha0(
             window, scd_cfg(), A0)
 
-    def test_threshold_monotonicity(self, counts_above):
-        t = statistic_at_alpha0(noise_window(5), scd_cfg(), A0)
-        assert counts_above([t], [t * 0.9, t * 1.1]) == [1, 0]
-
-    def test_tie_decides_unoccupied(self, counts_above):
-        t = statistic_at_alpha0(noise_window(6), scd_cfg(), A0)
-        assert counts_above([t], [t]) == [0]
-
-    def test_degenerate_minus_inf_threshold_always_occupied(self, counts_above):
-        # Pd = Pf = 1 when the threshold is forced to -inf
-        statistics = [statistic_at_alpha0(noise_window(s), scd_cfg(), A0) for s in range(20)]
-        assert counts_above(statistics, [-np.inf]) == [20]
-
-    def test_counts_per_snr_batch_and_pf(self):
-        rng = np.random.default_rng(8)
-        record = WindowRecord(rng.gumbel(0.09, 0.04, 50), rng.gumbel(0.09, 0.04, 60),
-                              rng.gumbel(0.12, 0.04, (3, 2, 40)))
-        model, pfs = gumbel_model(), (0.01, 0.1, 0.3, 0.5)
-        thresholds, h0, h1 = exceedances(record, model, pfs)
-        assert thresholds.tolist() == [cs.threshold_for_pf(pf, model) for pf in pfs]
-        assert h0.shape == (4,) and h1.shape == (3, 2, 4)  # (snr, batch, pf)
-        assert h0.tolist() == [sum(t > lam for t in record.h0) for lam in thresholds]
-        for snr, batch in np.ndindex(3, 2):
-            assert h1[snr, batch].tolist() == [sum(t > lam for t in record.h1[snr, batch])
-                                               for lam in thresholds]
-
     def test_strong_am_detected_at_one_percent_pf(self, mini_plan):
         # SNR 0 dB against a noise model fitted on collected samples
         samples = cs.collect_noise_profile(mini_plan)
@@ -132,22 +77,3 @@ class TestDetect:
         rate = hits / trials
         assert abs(rate - 0.2) <= 3.0 * np.sqrt(0.2 * 0.8 / trials)
 
-
-class TestTheoreticalPf:
-    def test_at_location_parameter(self):
-        assert pf_of_threshold(0.09, gumbel_model(mu=0.09)) == pytest.approx(
-            1.0 - np.exp(-1.0), rel=1e-12)
-
-    def test_round_trip_with_threshold(self):
-        model = cs.GevParams(0.12, 0.05, 0.02)
-        lam = cs.threshold_for_pf(0.05, model)
-        assert pf_of_threshold(lam, model) == pytest.approx(0.05, abs=1e-10)
-
-    def test_infinite_threshold_limit(self):
-        assert pf_of_threshold(np.inf, gumbel_model()) == 0.0
-
-    def test_statistic_threshold_inverse_pair(self):
-        model = cs.GevParams(-0.2, 1.0, 0.3)
-        for pf in (0.01, 0.1, 0.5, 0.9):
-            lam = cs.threshold_for_pf(pf, model)
-            assert pf_of_threshold(lam, model) == pytest.approx(pf, abs=1e-10)

@@ -160,6 +160,31 @@ class TestThreshold:
             cs.threshold_for_pf(pf, gev(0.0))
 
 
+def pf_of_threshold(threshold, model):
+    """False-alarm probability of a threshold under the noise model."""
+    return 1.0 - cs.cdf(threshold, model)
+
+
+class TestTheoreticalPf:
+    def test_at_location_parameter(self):
+        assert pf_of_threshold(0.09, gev(0.0, 0.09, 0.04)) == pytest.approx(
+            1.0 - np.exp(-1.0), rel=1e-12)
+
+    def test_round_trip_with_threshold(self):
+        model = cs.GevParams(0.12, 0.05, 0.02)
+        lam = cs.threshold_for_pf(0.05, model)
+        assert pf_of_threshold(lam, model) == pytest.approx(0.05, abs=1e-10)
+
+    def test_infinite_threshold_limit(self):
+        assert pf_of_threshold(np.inf, gev(0.0, 0.09, 0.04)) == 0.0
+
+    def test_statistic_threshold_inverse_pair(self):
+        model = cs.GevParams(-0.2, 1.0, 0.3)
+        for pf in (0.01, 0.1, 0.5, 0.9):
+            lam = cs.threshold_for_pf(pf, model)
+            assert pf_of_threshold(lam, model) == pytest.approx(pf, abs=1e-10)
+
+
 class TestSampleGev:
     def test_gumbel_median(self):
         draws = cs.sample_gev(gev(0.0), 10**5, seed=17)
@@ -349,6 +374,10 @@ class TestDerivatives:
         assert _derivatives(draws, (-0.5, 0.0, 0.0)) == (float("-inf"), None, None)
 
 
+# (n, kappa) of the sample_gev draws in fit_digest
+DIGEST_DRAWS = [(n, kappa) for n in (200, 10_000) for kappa in (-0.3, 0.0, 0.1, 0.4)]
+
+
 def fit_digest():
     """SHA-256 over (kappa, mu, sigma, log likelihood, Newton steps, converged)
     of the staged and joint fits of sample_gev draws at n = 200 and 10**4,
@@ -360,17 +389,33 @@ def fit_digest():
         digest.update(repr((p.kappa, p.mu, p.sigma, report.log_likelihood,
                             report.iterations, report.converged)).encode())
 
-    for n in (200, 10_000):
-        for kappa in (-0.3, 0.0, 0.1, 0.4):
-            draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed=7)
-            add(cs.fit_gev_mle(draws))
-            add(cs.fit_gev_mle(draws, refine=True))
+    for n, kappa in DIGEST_DRAWS:
+        draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed=7)
+        add(cs.fit_gev_mle(draws))
+        add(cs.fit_gev_mle(draws, refine=True))
     add(cs.fit_gev_mle(cs.collect_noise_profile(cs.desk_plan(42))))
     return digest.hexdigest()
 
 
 def test_fits_are_pinned_bit_for_bit():
     assert fit_digest() == FIT_DIGEST
+
+
+def assert_reports_its_log_likelihood(draws):
+    """Each fit reports the likelihood its solver held at the optimum, bit for
+    bit the value of log_likelihood, the reference, at the reported parameters."""
+    for fit in FITS.values():
+        report = fit(draws)
+        assert report.log_likelihood.hex() == log_likelihood(draws, report.params).hex()
+
+
+@pytest.mark.parametrize("n, kappa", DIGEST_DRAWS)
+def test_reported_log_likelihood_is_log_likelihood_bit_for_bit(n, kappa):
+    assert_reports_its_log_likelihood(cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed=7))
+
+
+def test_desk_noise_fits_report_log_likelihood_bit_for_bit():
+    assert_reports_its_log_likelihood(cs.collect_noise_profile(cs.desk_plan(42)))
 
 
 FREE_SETS = {"gumbel": (1, 2), "shape": (0,), "joint": (0, 1, 2)}

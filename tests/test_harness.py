@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.cli import main
-from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, _block_task,
-                                _derived_seeds, _generator, _pcg64_states, _statistic_task,
-                                derived_seed, worker_pool)
+from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, WindowRecord,
+                                _block_task, _derived_seeds, _generator, _pcg64_states,
+                                _statistic_task, derived_seed, exceedances)
 
 STREAMS = [STREAM_NOISE_FIT, STREAM_H0_TRIAL, STREAM_H1_TRIAL, harness.STREAM_EXPORT_SIGNAL,
            harness.STREAM_EXPORT_NOISE]
@@ -181,9 +181,9 @@ def test_block_with_a_partial_sub_block_equals_each_window_alone(mini_plan, batc
                                    for i in range(start, start + length)]
 
 
-def all_statistics(plan, run=harness._in_process):
+def all_statistics(plan, jobs=1):
     """run_windows' record as one array: the fit, H0 and H1 batches in order."""
-    record = harness.run_windows(plan, run)
+    record = harness.run_windows(plan, jobs)
     return np.concatenate([record.fit, record.h0, record.h1.ravel()])
 
 
@@ -218,11 +218,9 @@ class TestCollect:
 
     @pytest.mark.parametrize("windows", WINDOW_RUNS.values(), ids=WINDOW_RUNS.keys())
     def test_parallel_equals_serial(self, mini_plan, windows):
-        with worker_pool(1) as serial:
-            expected = windows(mini_plan, serial)
+        expected = windows(mini_plan, 1)
         for jobs in (2, 3):  # 150 noise or 120 signal windows: one block per batch
-            with worker_pool(jobs) as parallel:
-                assert windows(mini_plan, parallel).tobytes() == expected.tobytes()
+            assert windows(mini_plan, jobs).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("windows", WINDOW_RUNS.values(), ids=WINDOW_RUNS.keys())
     def test_block_size_and_jobs_do_not_change_results(self, mini_plan, monkeypatch, windows):
@@ -231,8 +229,7 @@ class TestCollect:
             monkeypatch.setattr(harness, "BLOCK_WINDOWS", block)
             assert len(harness._blocks(mini_plan, "noise", 0, 0, 150)) == -(-150 // block)
             for jobs in (1, 2):
-                with worker_pool(jobs) as run:
-                    assert windows(mini_plan, run).tobytes() == expected.tobytes()
+                assert windows(mini_plan, jobs).tobytes() == expected.tobytes()
 
 
 def histogram_rows(path):
@@ -298,10 +295,10 @@ class TestFitAndHistogram:
         assert len(rows) == int(np.ceil(np.log2(samples.size))) + 1
 
 
-def fitted_roc(plan, run=harness._in_process):
+def fitted_roc(plan, jobs=1):
     """run_roc with the noise model fitted to the plan's noise maxima, both
-    collected and swept through run."""
-    return cs.run_roc(plan, cs.fit_gev_mle(cs.collect_noise_profile(plan, run)), run=run)
+    collected and swept on jobs worker processes."""
+    return cs.run_roc(plan, cs.fit_gev_mle(cs.collect_noise_profile(plan, jobs)), jobs=jobs)
 
 
 @pytest.fixture(scope="module")
@@ -364,25 +361,18 @@ class TestRunRoc:
 
     def test_worker_count_does_not_change_results(self, curves, mini_plan):
         for jobs in (2, 3):
-            with worker_pool(jobs) as run:
-                assert fitted_roc(mini_plan, run) == curves
+            assert fitted_roc(mini_plan, jobs) == curves
 
     def test_block_size_does_not_change_results(self, curves, mini_plan, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_WINDOWS", 16)
-        with worker_pool(2) as run:
-            assert fitted_roc(mini_plan, run) == curves
+        assert fitted_roc(mini_plan, 2) == curves
 
-    def test_one_shared_pool_matches_serial(self, curves, mini_plan):
-        with worker_pool(2) as run:
-            noise = cs.collect_noise_profile(mini_plan, run)
-            shared = cs.run_roc(mini_plan, cs.fit_gev_mle(noise), run=run)
-        assert np.array_equal(noise, cs.collect_noise_profile(mini_plan))
-        assert shared == curves
-
-    def test_rejects_zero_jobs(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            with worker_pool(0):
-                pass
+    def test_rejects_zero_jobs(self, mini_plan):
+        fit = cs.fit_gumbel_mle(cs.sample_gev(cs.GevParams(0.0, 1.0, 0.5), 100, seed=1))
+        for windows in (cs.collect_noise_profile, harness.run_windows,
+                        lambda plan, jobs: cs.run_roc(plan, fit, jobs)):
+            with pytest.raises(ValueError, match="at least 1"):
+                windows(mini_plan, 0)
 
     # (CPU count, jobs, workers the pool starts); a count of 1 runs in process
     @pytest.mark.parametrize("cpus, jobs, started", [(4, 100000, [4]), (4, 2, [2]),
@@ -407,10 +397,49 @@ class TestRunRoc:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         tasks = harness._blocks(mini_plan, "noise", 0, 0, 8)
-        with worker_pool(jobs) as run:
-            statistics = run(tasks)
+        statistics = harness._run(tasks, jobs)
         assert workers == started
-        assert statistics.tobytes() == harness._in_process(tasks).tobytes()
+        assert statistics.tobytes() == np.concatenate([_block_task(t) for t in tasks]).tobytes()
+
+
+FS, K = 3.0e6, 1024
+A0 = cs.snap_alpha_to_even_bin(2.0e6, FS, K)
+
+
+def noise_statistic(seed):
+    """Detection statistic of K unit-variance normals drawn from default_rng(seed)."""
+    samples = np.random.default_rng(seed).standard_normal(K)
+    return cs.alpha_maxima(samples, cs.ScdConfig(K, 301, (A0,)))[0]
+
+
+class TestExceedances:
+    """The strict T > threshold rule and the counts of harness.exceedances."""
+
+    def test_threshold_monotonicity(self, counts_above):
+        t = noise_statistic(5)
+        assert counts_above([t], [t * 0.9, t * 1.1]) == [1, 0]
+
+    def test_tie_decides_unoccupied(self, counts_above):
+        t = noise_statistic(6)
+        assert counts_above([t], [t]) == [0]
+
+    def test_degenerate_minus_inf_threshold_always_occupied(self, counts_above):
+        # Pd = Pf = 1 when the threshold is forced to -inf
+        statistics = [noise_statistic(s) for s in range(20)]
+        assert counts_above(statistics, [-np.inf]) == [20]
+
+    def test_counts_per_snr_batch_and_pf(self):
+        rng = np.random.default_rng(8)
+        record = WindowRecord(rng.gumbel(0.09, 0.04, 50), rng.gumbel(0.09, 0.04, 60),
+                              rng.gumbel(0.12, 0.04, (3, 2, 40)))
+        model, pfs = cs.GevParams(0.0, 0.09, 0.04), (0.01, 0.1, 0.3, 0.5)
+        thresholds, h0, h1 = exceedances(record, model, pfs)
+        assert thresholds.tolist() == [cs.threshold_for_pf(pf, model) for pf in pfs]
+        assert h0.shape == (4,) and h1.shape == (3, 2, 4)  # (snr, batch, pf)
+        assert h0.tolist() == [sum(t > lam for t in record.h0) for lam in thresholds]
+        for snr, batch in np.ndindex(3, 2):
+            assert h1[snr, batch].tolist() == [sum(t > lam for t in record.h1[snr, batch])
+                                               for lam in thresholds]
 
 
 class TestRocCurveInvariants:
