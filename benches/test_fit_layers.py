@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the GEV fitting layer at n = 10^4.
+"""Micro-benchmarks of the GEV fitting layer at n = 10^4 and n = 1,000.
 
     PYTHONPATH=src python -m pytest benches/test_fit_layers.py -q --benchmark-columns=min,median,iqr,rounds
 
@@ -11,8 +11,10 @@ call. The directory is not in the test suite's `testpaths`.
 One log likelihood evaluation per Newton stage, `gev._derivatives` with
 that stage's free coordinates, is timed at the point the stage ends on:
 the Gumbel stage's (mu, log sigma), the staged fit's shape and the joint
-fit's three parameters. `--benchmark-json` records each call's minimum
-time as `per_call_us`.
+fit's three parameters. It writes into one workspace, as every evaluation
+of a fit does. The staged and joint fits are also timed at n = 1,000, the
+size of one parametric-bootstrap replicate. `--benchmark-json` records
+each call's minimum time as `per_call_us`.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 from cyclosense import gev, harness
 
 N = 10_000
+BOOTSTRAP_N = 1_000
 KAPPAS = (-0.3, 0.0, 0.4)
 PF_GRID = harness.desk_plan().pf_grid
 STAGES = {"gumbel": ((1, 2), gev.fit_gumbel_mle),
@@ -46,11 +49,23 @@ def test_threshold_grid(benchmark, draws):
     benchmark(lambda: [gev.threshold_for_pf(pf, params) for pf in PF_GRID])
 
 
+def record_per_call_us(benchmark):
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["per_call_us"] = benchmark.stats.stats.min * 1e6
+
+
 @pytest.mark.parametrize("stage", STAGES.keys())
 def test_derivatives(benchmark, stage):
     free, fit = STAGES[stage]
     x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), N, seed=1)
     p = fit(x).params
-    benchmark(gev._derivatives, x, np.array([p.kappa, p.mu, np.log(p.sigma)]), free)
-    if benchmark.stats is not None:  # None under --benchmark-disable
-        benchmark.extra_info["per_call_us"] = benchmark.stats.stats.min * 1e6
+    theta = np.array([p.kappa, p.mu, np.log(p.sigma)])
+    benchmark(gev._derivatives, x, theta, free, gev._workspace(N))
+    record_per_call_us(benchmark)
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["staged", "joint"])
+def test_fit_at_bootstrap_size(benchmark, refine):
+    x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), BOOTSTRAP_N, seed=1)
+    benchmark(gev.fit_gev_mle, x, refine=refine)
+    record_per_call_us(benchmark)

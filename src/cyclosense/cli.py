@@ -128,6 +128,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     report = io.read_fit_json(args.fit)
+    if not report.converged:  # as roc refuses such a fit
+        print("error: noise-model fit did not converge", file=sys.stderr)
+        return EXIT_NUMERIC
     print(f"{threshold_for_pf(args.pf, report.params):.9g}")
     return EXIT_OK
 

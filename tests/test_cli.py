@@ -132,6 +132,15 @@ class TestFit:
         assert main(["fit", "--samples", str(tmp_path / "p.csv"), "--out", str(out)]) == code
         assert list(out.iterdir()) == []
 
+    def test_samples_too_large_for_a_finite_start_point_exit_numeric(self, tmp_path, capsys):
+        # np.var of these overflows float64, so the fit has no finite start point
+        samples = np.random.default_rng(0).standard_normal(200) * 1e160
+        io.write_profile_csv(tmp_path / "p.csv", 2.0e6, samples)
+        out = tmp_path / "f"
+        assert main(["fit", "--samples", str(tmp_path / "p.csv"), "--out", str(out)]) == 3
+        assert "degenerate data" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unconverged_fit_writes_model_and_exits_numeric(self, tmp_path, unconverged_fit,
                                                             capsys):
         samples = cs.sample_gev(cs.GevParams(0.0, 1.0, 0.5), 500, seed=3)
@@ -152,6 +161,14 @@ class TestThreshold:
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(2.9701952490421646, abs=1e-6)
         assert round(printed, 5) == 2.97020
+
+    def test_unconverged_fit_exits_numeric_and_prints_no_threshold(self, tmp_path, capsys):
+        fit = cs.FitReport(cs.GevParams(0.0, 0.0, 1.0), -1.0, 200, False, 1000, 1e-9)
+        io.write_fit_json(tmp_path / "fit.json", fit)
+        assert main(["threshold", "--pf", "0.05", "--fit", str(tmp_path / "fit.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: noise-model fit did not converge\n"
+        assert captured.out == ""
 
     def test_missing_fit_file_is_io_error(self, tmp_path, capsys):
         code = main(["threshold", "--pf", "0.05", "--fit", str(tmp_path / "nope.json")])

@@ -8,6 +8,7 @@ quantiles/thresholds. Oracle constants are frozen below.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,14 @@ FITS = {"gumbel": cs.fit_gumbel_mle, "staged": cs.fit_gev_mle,
 
 
 @pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
+def test_samples_too_large_for_a_finite_start_point_are_degenerate(fit):
+    # np.var overflows float64: the moment scale is inf and the location nan
+    draws = np.random.default_rng(0).standard_normal(200) * 1e160
+    with pytest.raises(cs.DegenerateDataError, match="no finite start point"):
+        fit(draws)
+
+
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
 @settings(deadline=None, derandomize=True, database=None, max_examples=50)
 @given(kappa=st.floats(-0.3, 0.4), b=st.floats(1e-3, 1e3), a=st.floats(-1e3, 1e3))
 @example(kappa=0.0, b=1e-3, a=1e3)
@@ -441,3 +450,50 @@ def test_stage_derivatives_equal_the_full_evaluation_bit_for_bit(free, kappa, n,
     assert stage_hessian[block].tobytes() == hessian[block].tobytes()
     assert np.isnan(stage_score[fixed]).all()
     assert np.isnan(stage_hessian[fixed]).all() and np.isnan(stage_hessian[:, fixed]).all()
+
+
+@pytest.mark.parametrize("free", FREE_SETS.values(), ids=FREE_SETS.keys())
+@pytest.mark.parametrize("kappa", [0.1, 0.0], ids=["kappa=0.1", "kappa=0"])
+def test_workspace_evaluation_allocates_no_sample_length_array(free, kappa):
+    draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), 10_000, seed=1)
+    theta = (kappa, 0.0427, np.log(0.0183))
+    work = gev_module._workspace(draws.size)
+
+    def peak_above_baseline(*args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = _derivatives(draws, theta, free, *args)
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    (ll, score, hessian), peak = peak_above_baseline(work)
+    assert score is not None and peak < draws.nbytes
+    # the same measurement sees the workspace an evaluation without one allocates
+    (fresh_ll, fresh_score, fresh_hessian), fresh_peak = peak_above_baseline()
+    assert fresh_peak > draws.nbytes
+    assert (fresh_ll, fresh_score.tobytes(), fresh_hessian.tobytes()) == (
+        ll, score.tobytes(), hessian.tobytes())
+
+
+def test_every_evaluation_of_a_fit_shares_one_workspace(monkeypatch):
+    works = []
+    derivatives = gev_module._derivatives
+
+    def recording(x, theta, free=(0, 1, 2), work=None):
+        works.append(work)
+        return derivatives(x, theta, free, work)
+
+    monkeypatch.setattr(gev_module, "_derivatives", recording)
+    report = cs.fit_gev_mle(cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7), refine=True)
+    # the three stages' start points, accepted steps and rejected trial steps
+    assert len(works) >= report.iterations + 3
+    assert works[0] is not None and all(work is works[0] for work in works)
+
+
+@pytest.mark.parametrize("n", [30, 1001, 10_000])
+def test_workspace_rows_start_on_cache_lines(n):
+    rows, mask = gev_module._workspace(n)
+    assert rows.shape == (gev_module._WORK_ROWS, n) and mask.shape == (n,)
+    assert all(row.flags.c_contiguous and row.ctypes.data % 64 == 0 for row in rows)
