@@ -13,8 +13,10 @@ that stage's free coordinates, is timed at the point the stage ends on:
 the Gumbel stage's (mu, log sigma), the staged fit's shape and the joint
 fit's three parameters. It writes into one workspace, as every evaluation
 of a fit does. The staged and joint fits are also timed at n = 1,000, the
-size of one parametric-bootstrap replicate. `--benchmark-json` records
-each call's minimum time as `per_call_us`.
+size of one parametric-bootstrap replicate. The Kolmogorov-Smirnov
+distance of n = 10^4 draws to their staged fit, which the benchmark's
+fit_sweep takes twice per draw set, is timed on its own. `--benchmark-json`
+records each call's minimum time as `per_call_us`.
 """
 
 import numpy as np
@@ -68,4 +70,10 @@ def test_derivatives(benchmark, stage):
 def test_fit_at_bootstrap_size(benchmark, refine):
     x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), BOOTSTRAP_N, seed=1)
     benchmark(gev.fit_gev_mle, x, refine=refine)
+    record_per_call_us(benchmark)
+
+
+def test_ks_statistic(benchmark):
+    x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), N, seed=1)
+    benchmark(harness.ks_statistic, x, gev.fit_gev_mle(x).params)
     record_per_call_us(benchmark)

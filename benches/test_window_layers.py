@@ -44,8 +44,7 @@ def cyclic_product_of(half, pair):
     smoothing, gathered from its rfft half into pair as the kernel does."""
     shift, lo = A0 // 2, abs(A0) // 2
     upper = scd._centered_bins(half, lo + shift - K // 2, pair[0])
-    lower = scd._centered_bins(half, lo - shift - K // 2, pair[1])
-    np.conjugate(lower, out=lower)
+    lower = scd._centered_bins(half, lo - shift - K // 2, pair[1], conjugate=True)
     np.multiply(upper, lower, out=upper)
     scd._scale_parts(upper, 1.0 / SCALE)
     return upper[0]

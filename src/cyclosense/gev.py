@@ -18,11 +18,15 @@ a stage frees. The default GEV fit is staged: a Gumbel fit for (mu, sigma),
 then the shape alone with the location and scale held fixed. That is the
 classic sequential recipe, not the joint maximum likelihood estimate when
 the true shape is nonzero; refine=True then frees all three parameters.
-A fit reports converged only when every score component its last stage was
+The shape stage, the one stage with a single free coordinate, steps in
+closed form, -g/h, which equals LAPACK's 1x1 solve bit for bit; the others
+solve their 2x2 or 3x3 Newton system with LAPACK. A singular or non-finite
+system takes the per-sample score as its step. A fit reports converged only when every score component its last stage was
 free to move, in scale-free form per sample, is at most 1e-9; each stage
 stops after 200 Newton steps. Both limits are fixed. A fit evaluates its
 Newton loop in one workspace, allocated once per fit: no start point, step
-or rejected trial step of any stage allocates an n-length array.
+or rejected trial step of any stage allocates an n-length array, and the
+shape stage, which holds mu and sigma, forms z = (x - mu)/sigma once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ _TOL = 1e-9
 _MAX_ITER = 200
 # n-length float64 rows of a fit's _derivatives workspace
 _WORK_ROWS = 7
+# the score and Hessian of an evaluation before its free entries are formed
+_NAN_SCORE, _NAN_HESSIAN = np.full(3, np.nan), np.full((3, 3), np.nan)
 
 __all__ = [
     "KAPPA_EPS",
@@ -132,12 +138,15 @@ def cdf(x, p: GevParams):
             out = np.exp(-np.exp(-z))
     else:
         t = 1.0 + p.kappa * z
-        out = np.empty_like(z)
         inside = t > 0
-        out[inside] = np.exp(-np.power(t[inside], -1.0 / p.kappa))
-        # below the lower endpoint (kappa > 0) the CDF is 0; above the upper
-        # endpoint (kappa < 0) it is 1
-        out[~inside] = 0.0 if p.kappa > 0 else 1.0
+        if inside.all():
+            out = np.exp(-np.power(t, -1.0 / p.kappa))
+        else:
+            out = np.empty_like(z)
+            out[inside] = np.exp(-np.power(t[inside], -1.0 / p.kappa))
+            # below the lower endpoint (kappa > 0) the CDF is 0; above the
+            # upper endpoint (kappa < 0) it is 1
+            out[~inside] = 0.0 if p.kappa > 0 else 1.0
     return out if arr.ndim else float(out)
 
 
@@ -203,7 +212,8 @@ def _workspace(n: int):
     return rows, np.empty(n, dtype=bool)
 
 
-def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=None):
+def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=None,
+                 z_current: bool = False):
     """Log likelihood, score and observed Hessian in theta = (kappa, mu, log sigma).
 
     With y = log(t)/kappa and u = exp(-y) each sample contributes
@@ -215,20 +225,23 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=N
     each by the expression the full evaluation uses; the others are nan.
     Every n-length value is written into work, a _workspace(x.size) (a fresh
     one when None), by the same operations in the same order as the plain
-    expressions in the comments. Returns (-inf, None, None) when a sample
-    lies outside the support.
+    expressions in the comments, up to exact sign folds. z_current says that
+    work's first row already holds z = (x - mu)/sigma at theta's mu and sigma.
+    Returns (-inf, None, None) when a sample lies outside the support.
     """
     kappa, mu, log_sigma = theta
     shape, location = 0 in free, 1 in free or 2 in free
     rows, mask = _workspace(x.size) if work is None else work
-    z, t, zr, y_k, u, v, w = rows  # y lives in v and y_kk in w until they are spent
+    z, t, zr, y_k, u, v, w = rows  # -y lives in v or u, and y_kk in w, until they are spent
     sigma = np.exp(log_sigma)
-    np.subtract(x, mu, out=z)
-    z /= sigma                                       # z = (x - mu) / sigma
+    if not z_current:
+        np.subtract(x, mu, out=z)
+        z /= sigma                                   # z = (x - mu) / sigma
     if abs(kappa) <= KAPPA_EPS:
         # t = 1: r is None where the general branch multiplies by 1/t
-        kappa, r, zr, y = 0.0, None, z, z
+        kappa, r, zr = 0.0, None, z
         log_t_term = z.sum()  # the Gumbel limit of (1 + 1/kappa) * sum(log t)
+        neg_y = np.negative(z, out=u)                # -y = -z
         if shape:
             np.multiply(z, -0.5, out=y_k)
             y_k *= z                                 # y_k = -0.5 * z * z
@@ -239,28 +252,27 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=N
         t += 1.0                                     # t = 1 + kappa * z
         if np.less_equal(t, 0, out=mask).any():
             return float("-inf"), None, None
-        y = np.log(t, out=v)
-        log_t_term = (1.0 + 1.0 / kappa) * y.sum()
-        y /= kappa
+        neg_y = np.log(t, out=v)
+        log_t_term = (1.0 + 1.0 / kappa) * neg_y.sum()
+        neg_y /= -kappa                              # -y = log(t) / -kappa
         r = np.reciprocal(t, out=t)
         if shape:
             np.multiply(z, r, out=zr)
-            np.subtract(zr, y, out=y_k)
+            np.add(zr, neg_y, out=y_k)
             y_k /= kappa                             # y_k = (zr - y) / kappa
             y_kk = np.multiply(zr, zr, out=w)
             y_kk += np.multiply(y_k, 2.0, out=u)     # u's row is free until u is formed
-            np.negative(y_kk, out=y_kk)
-            y_kk /= kappa                            # y_kk = -(zr*zr + 2*y_k) / kappa
-    np.negative(y, out=u)
-    np.exp(u, out=u)                                 # u = exp(-y)
-    ll = float(-x.size * np.log(sigma) - log_t_term - u.sum())
+            y_kk /= -kappa                           # y_kk = -(zr*zr + 2*y_k) / kappa
+    np.exp(neg_y, out=u)                             # u = exp(-y)
+    u_sum = u.sum()
+    ll = float(-x.size * np.log(sigma) - log_t_term - u_sum)
     if not ll > float("-inf"):
         return float("-inf"), None, None
     # per-sample derivatives g of f = -log t - y - u in z and kappa, each
     # reduced at once to the sums (s_ = sum g, zs_ = sum z*g, zzs_ = sum z*z*g)
     # that the chain rule through z = (x - mu)/sigma needs; v and w are
-    # scratch rows from here on, so the cross sums form a and u*y_k again
-    score, hessian = np.full(3, np.nan), np.full((3, 3), np.nan)
+    # scratch rows from here on, and y_k's row once u*y_k is formed
+    score, hessian = _NAN_SCORE.copy(), _NAN_HESSIAN.copy()
     if shape:
         u_c = np.subtract(1.0, u, out=v)             # u_c = 1 - u
         score[0] = -zr.sum() - u_c @ y_k
@@ -269,35 +281,51 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=N
         hessian[0, 0] = zr @ zr - u_y_k @ y_k - u_c_y_kk
     if location:
         a = np.subtract(kappa + 1.0, u, out=v)       # a = kappa + 1 - u
-        g = _times_r(np.negative(a, out=w), r)       # df/dz = -a * r
-        s_z, zs_z = g.sum(), z @ g
-        np.multiply(a, kappa, out=g)
-        g -= u
-        _times_r(_times_r(g, r), r)                  # d2f/dz2 = (kappa*a - u) * r * r
-        s_zz, zs_zz, zzs_zz = g.sum(), z @ g, np.multiply(z, z, out=v) @ g
-        score[1:] = -s_z / sigma, -x.size - zs_z
-        h_mu_s = (zs_zz + s_z) / sigma
-        hessian[1:, 1:] = [[s_zz / sigma**2, h_mu_s], [h_mu_s, zzs_zz + zs_z]]
-    if shape and location:
-        g = np.subtract(kappa + 1.0, u, out=v)
-        g *= zr
-        g -= 1.0
-        g -= np.multiply(u, y_k, out=w)
-        _times_r(g, r)                               # d2f/dz dkappa = (a*zr - 1 - u*y_k) * r
-        s_zk, zs_zk = g.sum(), z @ g
-        hessian[0, 1:] = hessian[1:, 0] = -s_zk / sigma, -zs_zk
+        if shape:
+            g = np.multiply(a, zr, out=y_k)
+            g -= 1.0
+            g -= u_y_k
+            if r is not None:
+                g *= r                               # d2f/dz dkappa = (a*zr - 1 - u*y_k) * r
+            s_zk, zs_zk = g.sum(), z @ g
+            hessian[0, 1] = hessian[1, 0] = -s_zk / sigma
+            hessian[0, 2] = hessian[2, 0] = -zs_zk
+        if r is None:
+            # df/dz = -a and d2f/dz2 = -u, whose sum the log likelihood holds
+            s_z, zs_z = -a.sum(), -(z @ a)
+            s_zz, zs_zz, zzs_zz = -u_sum, -(z @ u), -(np.multiply(z, z, out=v) @ u)
+        else:
+            g = np.multiply(a, r, out=w)
+            s_z, zs_z = -g.sum(), -(z @ g)           # df/dz = -a * r
+            np.multiply(a, kappa, out=g)
+            g -= u
+            g *= r
+            g *= r                                   # d2f/dz2 = (kappa*a - u) * r * r
+            s_zz, zs_zz, zzs_zz = g.sum(), z @ g, np.multiply(z, z, out=v) @ g
+        score[1], score[2] = -s_z / sigma, -x.size - zs_z
+        hessian[1, 1] = s_zz / sigma**2
+        hessian[1, 2] = hessian[2, 1] = (zs_zz + s_z) / sigma
+        hessian[2, 2] = zzs_zz + zs_z
     return ll, score, hessian
 
 
-def _times_r(g: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-    """g * r, in place; g itself when r is None (t = 1 on the Gumbel branch)."""
-    if r is not None:
-        g *= r
-    return g
+def _ascent_step(g, h, n: int):
+    """The Newton step -h^-1 g where it is an ascent direction, else the
+    per-sample score g/n. g and h are floats for one coordinate, where -(g/h)
+    is LAPACK's 1x1 solve bit for bit, and arrays otherwise. A singular or
+    non-finite system gives no ascent direction."""
+    one = isinstance(g, float)
+    try:
+        step = -(g / h) if one else -np.linalg.solve(h, g)
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        return g / n
+    ascends = step * g > 0 if one else step @ g > 0
+    return step if ascends else g / n
 
 
-def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
-    """Damped Newton ascent of the log likelihood over the coordinates in free.
+def _newton(x: np.ndarray, theta, free: tuple[int, ...], work, z_current: bool = False):
+    """Damped Newton ascent of the log likelihood over the coordinates in free,
+    one of (1, 2), (0,) and (0, 1, 2).
 
     Works in the scale-free coordinates (kappa, mu/sigma, log sigma). A step
     is halved while it leaves the support, reaches kappa <= -1 (where the
@@ -305,41 +333,48 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
     the Newton direction is not an ascent direction the per-sample score is
     the step. Stops once every free scale-free score component per sample is
     at most _TOL, or after _MAX_ITER steps. Every evaluation writes into
-    work, the fit's _workspace. Returns (theta, its log likelihood, Newton
-    steps taken, converged).
+    work, the fit's _workspace; z_current says its z row already holds z at
+    theta, and the shape stage, which holds mu and sigma, forms z once.
+    Returns (theta, its log likelihood, Newton steps taken, converged).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    index, block = list(free), np.ix_(free, free)
+    n, limit = x.size, _TOL * x.size
+    theta = [float(c) for c in theta]
+    shape_only = free == (0,)
+    span = slice(free[0], free[-1] + 1)
     # the scale-free coordinates scale mu's entries by sigma and no other
     scale = np.ones(len(free))
-    mu_at = [index.index(1)] if 1 in free else []
-    n = x.size
-    ll, score, hessian = _derivatives(x, theta, free, work)
-    for iteration in range(_MAX_ITER + 1):
-        scale[mu_at] = np.exp(theta[2])
-        g = score[index] * scale
-        if np.max(np.abs(g)) <= _TOL * n:
-            return theta, ll, iteration, True
-        if iteration == _MAX_ITER:
-            break
-        h = hessian[block] * np.outer(scale, scale)
-        step = -np.linalg.solve(h, g)
-        if not step @ g > 0:
-            step = g / n
-        delta = np.zeros(3)
-        delta[index] = step * scale
-        slack = 1e-12 * (n + abs(ll))
-        for _ in range(60):
-            trial = theta + delta
-            if trial[0] > -1.0:
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial, free, work)
-                if trial_ll >= ll - slack:
-                    break
-            delta *= 0.5
-        else:
-            return theta, ll, iteration, False
-        theta, ll, score, hessian = trial, trial_ll, trial_score, trial_hessian
+    ll, score, hessian = _derivatives(x, theta, free, work, z_current)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iteration in range(_MAX_ITER + 1):
+            if shape_only:
+                g = float(score[0])
+                converged = abs(g) <= limit
+            else:
+                scale[free.index(1)] = np.exp(theta[2])
+                g = score[span] * scale
+                converged = all(abs(c) <= limit for c in g.tolist())
+            if converged:
+                return theta, ll, iteration, True
+            if iteration == _MAX_ITER:
+                break
+            delta = [0.0, 0.0, 0.0]
+            if shape_only:
+                delta[0] = _ascent_step(g, float(hessian[0, 0]), n)
+            else:
+                h = hessian[span, span] * (scale[:, None] * scale)
+                delta[span] = (_ascent_step(g, h, n) * scale).tolist()
+            slack = 1e-12 * (n + abs(ll))
+            for _ in range(60):
+                trial = [c + d for c, d in zip(theta, delta)]
+                if trial[0] > -1.0:
+                    trial_ll, trial_score, trial_hessian = _derivatives(
+                        x, trial, free, work, shape_only)
+                    if trial_ll >= ll - slack:
+                        break
+                delta = [d * 0.5 for d in delta]
+            else:
+                return theta, ll, iteration, False
+            theta, ll, score, hessian = trial, trial_ll, trial_score, trial_hessian
     return theta, ll, _MAX_ITER, False
 
 
@@ -411,6 +446,7 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     iterations += steps
     converged = gumbel_converged and converged
     if refine:
-        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2), work)
+        # the shape stage held mu and sigma, so work's z is current at theta
+        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2), work, z_current=True)
         iterations += steps
     return _report(x, theta, ll, iterations, converged)

@@ -341,8 +341,9 @@ def ks_statistic(samples, params: GevParams) -> float:
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.size
     model = cdf(x, params)
-    upper = np.max(np.arange(1, n + 1) / n - model)
-    lower = np.max(model - np.arange(0, n) / n)
+    steps = np.arange(n + 1) / n  # the ECDF's levels, i/n
+    upper = np.max(steps[1:] - model)
+    lower = np.max(model - steps[:-1])
     return float(max(upper, lower))
 
 

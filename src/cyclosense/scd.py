@@ -232,13 +232,21 @@ def _half_spectra(windows: np.ndarray, cfg: ScdConfig, out: np.ndarray | None = 
     return np.fft.rfft(tapered, axis=-1, out=out)
 
 
-def _centered_bins(half: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
-    """Bins first, first+1, ... of each row's centered spectrum, as many as out
-    holds, taken from its rfft half (bins 0 .. K/2) through X(-m) = conj X(m)."""
+def _centered_bins(half: np.ndarray, first: int, out: np.ndarray,
+                   conjugate: bool = False) -> np.ndarray:
+    """Bins first, first+1, ... of each row's centered spectrum, or with
+    conjugate their conjugates, as many as out holds, taken from its rfft
+    half (bins 0 .. K/2) through X(-m) = conj X(m)."""
     count = out.shape[-1]
     negative = min(max(-first, 0), count)
-    np.conjugate(half[:, -first:-first - negative:-1], out=out[:, :negative])
-    out[:, negative:] = half[:, first + negative:first + count]
+    # a negative bin is conjugated once, or not at all when conjugate undoes it
+    parts = ((half[:, -first:-first - negative:-1], out[:, :negative], not conjugate),
+             (half[:, first + negative:first + count], out[:, negative:], conjugate))
+    for bins, dest, conj in parts:
+        if dest.size and conj:
+            np.conjugate(bins, out=dest)
+        elif dest.size:
+            dest[...] = bins
     return out
 
 
@@ -250,8 +258,7 @@ def _smoothed_column(half: np.ndarray, a: int, cfg: ScdConfig,
     shift, lo = a // 2, abs(a) // 2
     n = k - 2 * lo
     upper = _centered_bins(half, lo + shift - k // 2, work.pair[0, :rows, :n])
-    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n])
-    np.conjugate(lower, out=lower)
+    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n], conjugate=True)
     np.multiply(upper, lower, out=upper)  # written through out=: see the module docstring
     _scale_parts(upper, 1.0 / _periodogram_scale(cfg.taper, k))
     return _smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)

@@ -100,6 +100,16 @@ class TestCdf:
         fd = (cs.cdf(xs + h, params) - cs.cdf(xs - h, params)) / (2 * h)
         np.testing.assert_allclose(fd, cs.pdf(xs, params), atol=1e-6)
 
+    @pytest.mark.parametrize("kappa", [-0.3, 0.3])
+    def test_all_inside_the_support_equals_the_masked_evaluation_bit_for_bit(self, kappa):
+        # one point past the endpoint sends the same points through the masked path
+        params = gev(kappa, 0.0427, 0.0183)
+        draws = cs.sample_gev(params, 10_000, seed=4)
+        outside = 0.0427 - 0.0183 / kappa - np.sign(kappa)
+        masked = cs.cdf(np.append(draws, outside), params)
+        assert masked[-1] == (0.0 if kappa > 0 else 1.0)
+        assert cs.cdf(draws, params).tobytes() == masked[:-1].tobytes()
+
 
 class TestBranchContinuity:
     def test_pdf_continuous_across_kappa_switch(self):
@@ -481,9 +491,9 @@ def test_every_evaluation_of_a_fit_shares_one_workspace(monkeypatch):
     works = []
     derivatives = gev_module._derivatives
 
-    def recording(x, theta, free=(0, 1, 2), work=None):
+    def recording(x, theta, free=(0, 1, 2), work=None, z_current=False):
         works.append(work)
-        return derivatives(x, theta, free, work)
+        return derivatives(x, theta, free, work, z_current)
 
     monkeypatch.setattr(gev_module, "_derivatives", recording)
     report = cs.fit_gev_mle(cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7), refine=True)
@@ -497,3 +507,56 @@ def test_workspace_rows_start_on_cache_lines(n):
     rows, mask = gev_module._workspace(n)
     assert rows.shape == (gev_module._WORK_ROWS, n) and mask.shape == (n,)
     assert all(row.flags.c_contiguous and row.ctypes.data % 64 == 0 for row in rows)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=500)
+@given(g=FINITE, h=FINITE.filter(lambda value: value != 0.0))
+@example(g=1.0, h=5e-324)
+@example(g=-0.0, h=2.0)
+def test_one_coordinate_step_is_the_1x1_solve_bit_for_bit(g, h):
+    assert np.float64(-(g / h)).tobytes() == (-np.linalg.solve([[h]], [g]))[0].tobytes()
+    # and the closed form takes the same step, or the same score step, as the solve
+    with np.errstate(over="ignore"):  # as inside _newton
+        step = gev_module._ascent_step(g, h, 1000)
+        solved = gev_module._ascent_step(np.array([g]), np.array([[h]]), 1000)
+    assert np.float64(step).tobytes() == solved[0].tobytes()
+
+
+def test_the_shape_stage_steps_without_a_linear_solve(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7)
+    gumbel = cs.fit_gumbel_mle(draws)
+    gumbel_solves = len(solves)
+    staged = cs.fit_gev_mle(draws)
+    assert staged.iterations > gumbel.iterations  # the shape stage stepped
+    assert len(solves) == 2 * gumbel_solves and set(solves) == {(2, 2)}
+
+
+@pytest.mark.parametrize("hessian", [np.zeros((3, 3)), np.full((3, 3), np.nan)],
+                         ids=["singular", "non-finite"])
+@pytest.mark.parametrize("stage", FREE_SETS.values(), ids=FREE_SETS.keys())
+def test_a_degenerate_newton_system_takes_the_score_step(monkeypatch, stage, hessian):
+    # the first evaluation of the stage hands _newton a system with no solution
+    derivatives, broken = gev_module._derivatives, []
+
+    def degenerate_once(x, theta, free=(0, 1, 2), work=None, z_current=False):
+        ll, score, full = derivatives(x, theta, free, work, z_current)
+        if free == stage and not broken:
+            broken.append(free)
+            return ll, score, hessian.copy()
+        return ll, score, full
+
+    monkeypatch.setattr(gev_module, "_derivatives", degenerate_once)
+    report = cs.fit_gev_mle(cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7), refine=True)
+    assert broken == [stage]
+    assert isinstance(report, cs.FitReport) and np.isfinite(report.log_likelihood)

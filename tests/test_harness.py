@@ -258,6 +258,16 @@ class TestFitAndHistogram:
                        np.max(model - np.arange(n) / n))
         assert cs.ks_statistic(samples, fitted) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 999, 10_000])
+    @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.4])
+    def test_ks_equals_the_two_arange_formula_bit_for_bit(self, n, kappa):
+        samples = np.round(cs.sample_gev(cs.GevParams(kappa, 0.0427, 0.0183), n, seed=5), 4)
+        fitted = cs.GevParams(kappa + 0.01, 0.043, 0.018)  # ties, and a model off the draws
+        model = cs.cdf(np.sort(samples), fitted)
+        expected = max(np.max(np.arange(1, n + 1) / n - model),
+                       np.max(model - np.arange(0, n) / n))
+        assert cs.ks_statistic(samples, fitted).hex() == float(expected).hex()
+
     def test_synthetic_gev_recovery(self, tmp_path):
         truth = cs.GevParams(0.1, 3.0, 0.5)
         samples = cs.sample_gev(truth, 10000, seed=77)
