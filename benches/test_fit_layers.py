@@ -28,9 +28,9 @@ N = 10_000
 BOOTSTRAP_N = 1_000
 KAPPAS = (-0.3, 0.0, 0.4)
 PF_GRID = harness.desk_plan().pf_grid
-STAGES = {"gumbel": ((1, 2), gev.fit_gumbel_mle),
-          "shape": ((0,), gev.fit_gev_mle),
-          "joint": ((0, 1, 2), lambda x: gev.fit_gev_mle(x, refine=True))}
+STAGES = {"gumbel": (gev._GUMBEL, gev.fit_gumbel_mle),
+          "shape": (gev._SHAPE, gev.fit_gev_mle),
+          "joint": (gev._JOINT, lambda x: gev.fit_gev_mle(x, refine=True))}
 
 
 @pytest.fixture(scope="module", params=KAPPAS, ids=lambda k: f"kappa={k:g}")

@@ -1,23 +1,29 @@
-"""Per-stage micro-benchmarks of one desk-plan analysis window.
+"""Per-stage micro-benchmarks of the desk plan's analysis windows.
 
     PYTHONPATH=src python -m pytest benches -q --benchmark-columns=min,median,iqr,rounds
 
-One benchmark per stage of the statistic path (seed derivation, AWGN and AM
-synthesis, the SNR mix, taper + real FFT, the cyclic product at the feature
-bin, the running-sum smoother, the max reduction), then whole noise and H1
-windows as the Monte Carlo harness runs them. Inputs are built once outside
-the timed call. The directory is not in the test suite's `testpaths`.
+One benchmark per stage of the statistic path, each timing the call that
+harness._block_task makes on one sub-block of harness.ROWS windows, in the
+kernel's own scd._KernelBuffers: the noise draws (a Generator from each
+window's PCG64 state words, then standard_normal into the row), AM synthesis
+(siggen._am_rows, its spectra in the kernel's half buffer), the SNR mix
+(siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
+buffer, tapering the rows in place), the gathered, multiplied and scaled
+cyclic product smoothed at the feature bin (scd._smoothed_column), the
+running-sum smoother alone (scd._smoothed), the abs + max reduction, and
+the whole kernel (scd._maxima). A step that writes its input in place gets
+a fresh copy of it before each round, outside the timed call. Each records
+its minimum time per window as `per_window_us` in `--benchmark-json`. The
+directory is not in the test suite's `testpaths`.
 
-The whole-window benchmarks time one block of harness.BLOCK_WINDOWS windows,
-the harness's unit of work; divide by BLOCK_WINDOWS for one window, which
-`--benchmark-json` also records as `per_window_us`, beside the block's
-minor page faults per window (`minor_faults_per_window`), which rise when
-the row buffers stop being allocated once per block. The seed stage has
-three figures: the scalar `derived_seed` reference, one H1 block's
-vectorized fan-out (its seeds and PCG64 state words, recorded per window the
-same way), and the Generator each drawn seed is built into. The FFT has two:
-one window alone, and one call over the harness.ROWS windows of a sub-block
-(`per_window_us` again).
+The seed stage has three figures: the scalar `derived_seed` reference, one
+H1 block's vectorized fan-out (its seeds and PCG64 state words, recorded
+per window the same way), and the Generator each drawn seed is built into.
+The FFT alone has two: one window, and one call over a sub-block's rows.
+The whole-window benchmarks time one block of harness.BLOCK_WINDOWS
+windows, the harness's unit of work, beside the block's minor page faults
+per window (`minor_faults_per_window`), which rise when the row buffers
+stop being allocated once per block.
 """
 
 import resource
@@ -29,51 +35,21 @@ import pytest
 from cyclosense import harness, scd, siggen
 
 PLAN = harness.desk_plan(3)
-CFG = PLAN.scd_cfg
-K = CFG.window_length_k
-FS = PLAN.signal_spec.sample_rate_hz
 A0 = PLAN.alpha0_bin
-SEED = harness.derived_seed(PLAN.master_seed, harness.STREAM_NOISE_FIT, 0)
+CFG = replace(PLAN.scd_cfg, alpha_grid=(A0,))  # the one column _block_task computes
+K = CFG.window_length_k
+ROWS = harness.ROWS
 WINDOW_SPEC = replace(PLAN.signal_spec, duration_samples=K)
-CELLS = K - abs(A0)
-SCALE = scd._periodogram_scale(CFG.taper, K)
+SNR_DB = -10.0
+# rounds of each benchmark that needs a fresh input per round
+ROUNDS = 300
 
 
-def cyclic_product_of(half, pair):
-    """Scaled cyclic periodogram at the feature bin of one window, before
-    smoothing, gathered from its rfft half into pair as the kernel does."""
-    shift, lo = A0 // 2, abs(A0) // 2
-    upper = scd._centered_bins(half, lo + shift - K // 2, pair[0])
-    lower = scd._centered_bins(half, lo - shift - K // 2, pair[1], conjugate=True)
-    np.multiply(upper, lower, out=upper)
-    scd._scale_parts(upper, 1.0 / SCALE)
-    return upper[0]
-
-
-@pytest.fixture(scope="module")
-def samples():
-    return siggen.generate_awgn(K, siggen.NoiseSpec(1.0, SEED), FS).samples
-
-
-@pytest.fixture(scope="module")
-def half(samples):
-    return scd._half_spectra(samples[None], CFG)
-
-
-@pytest.fixture(scope="module")
-def cyclic_product(half):
-    return cyclic_product_of(half, np.empty((2, 1, CELLS), complex)).copy()
-
-
-def record_per_window(benchmark, windows):
-    """Record the minimum time per window; with --benchmark-disable the
-    function runs once, untimed, and there is nothing to record."""
-    if benchmark.stats is not None:
-        benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / windows * 1e6
-
-
-def test_derived_seed(benchmark):
-    benchmark(harness.derived_seed, PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, 7, 1)
+def noise_states():
+    """PCG64 state words of the noise-fit stream's first ROWS windows."""
+    indices = np.arange(ROWS, dtype=np.uint64)
+    return harness._pcg64_states(harness._derived_seeds(
+        PLAN.master_seed, harness.STREAM_NOISE_FIT, indices))
 
 
 def h1_block_states():
@@ -81,6 +57,60 @@ def h1_block_states():
     indices = np.arange(harness.BLOCK_WINDOWS, dtype=np.uint64)
     return harness._pcg64_states(harness._derived_seeds(
         PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, indices[:, None], np.arange(2)))
+
+
+def draw(rows, states):
+    """The block's draws: each row's standard normals from its state words."""
+    for row, words in zip(rows, states):
+        harness._generator(words).standard_normal(row.size, out=row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def normals():
+    return draw(np.empty((ROWS, K)), noise_states())
+
+
+@pytest.fixture(scope="module")
+def h1_draws():
+    """The signal and the noise draws of the H1 block's first ROWS windows."""
+    states = h1_block_states()[:ROWS]
+    return draw(np.empty((ROWS, K)), states[:, 0]), draw(np.empty((ROWS, K)), states[:, 1])
+
+
+@pytest.fixture
+def work():
+    return scd._KernelBuffers(ROWS, CFG)
+
+
+@pytest.fixture
+def half(normals, work):
+    return scd._half_spectra(normals.copy(), CFG, out=work.half)
+
+
+def record_per_window(benchmark, windows=ROWS):
+    """Record the minimum time per window; with --benchmark-disable the
+    function runs once, untimed, and there is nothing to record."""
+    if benchmark.stats is not None:
+        benchmark.extra_info["per_window_us"] = benchmark.stats.stats.min / windows * 1e6
+
+
+def in_place(benchmark, target, fresh, *args, into=None):
+    """Time target(copy, *args), copy a copy of fresh made before each round
+    in into (a new array by default), for a target that writes its first
+    argument in place."""
+    copy = np.empty_like(fresh) if into is None else into
+
+    def setup():
+        copy[...] = fresh
+        return (copy, *args), {}
+
+    benchmark.pedantic(target, setup=setup, rounds=ROUNDS, warmup_rounds=1)
+    record_per_window(benchmark)
+
+
+def test_derived_seed(benchmark):
+    benchmark(harness.derived_seed, PLAN.master_seed, harness.STREAM_H1_TRIAL, 0, 0, 7, 1)
 
 
 def test_block_seed_fan_out(benchmark):
@@ -93,48 +123,57 @@ def test_generator_from_state_words(benchmark):
 
 
 def test_awgn(benchmark):
-    benchmark(siggen.generate_awgn, K, siggen.NoiseSpec(1.0, SEED), FS)
+    benchmark(draw, np.empty((ROWS, K)), noise_states())
+    record_per_window(benchmark)
 
 
-def test_am(benchmark):
-    benchmark(siggen.generate_am, WINDOW_SPEC, SEED)
+def test_am(benchmark, h1_draws, work):
+    in_place(benchmark, lambda rows: siggen._am_rows(WINDOW_SPEC, rows, work.half), h1_draws[0])
 
 
-def test_mix(benchmark, samples):
-    signal = siggen.generate_am(WINDOW_SPEC, SEED)
-    noise = siggen.SampleBuffer(samples, FS)
-    benchmark(siggen.mix_at_snr, signal, noise, -10.0)
+def test_mix(benchmark, h1_draws):
+    signal, noise = h1_draws
+    in_place(benchmark, siggen._mix_rows, siggen._am_rows(WINDOW_SPEC, signal.copy()), noise,
+             SNR_DB)
 
 
-def test_rfft(benchmark, samples):
-    benchmark(np.fft.rfft, samples)
+def test_rfft(benchmark, normals):
+    benchmark(np.fft.rfft, normals[0])
 
 
-def test_rfft_rows(benchmark):
-    rows = np.random.default_rng(SEED).standard_normal((harness.ROWS, K))
-    benchmark(np.fft.rfft, rows, axis=-1)
-    record_per_window(benchmark, harness.ROWS)
+def test_rfft_rows(benchmark, normals):
+    benchmark(np.fft.rfft, normals, axis=-1)
+    record_per_window(benchmark)
 
 
-def test_taper_real_fft(benchmark, samples):
-    benchmark(scd._half_spectra, samples[None], CFG)
+def test_taper_real_fft(benchmark, normals, work):
+    in_place(benchmark, lambda rows: scd._half_spectra(rows, CFG, out=work.half, tapered=rows),
+             normals)
 
 
-def test_cyclic_product(benchmark, half):
-    benchmark(cyclic_product_of, half, np.empty((2, 1, CELLS), complex))
+def test_smoothed_column(benchmark, half, work):
+    benchmark(scd._smoothed_column, half, A0, CFG, work)
+    record_per_window(benchmark)
 
 
-def test_smoother(benchmark, cyclic_product):
-    benchmark(scd._smoothed, cyclic_product, CFG.smoothing_length)
+def test_smoother(benchmark, half, work):
+    # the cyclic product: the kernel's column at smoothing length 1, equal to
+    # the product up to the rounding of one running-sum difference
+    product = scd._smoothed_column(half, A0, replace(CFG, smoothing_length=1), work).copy()
+    sums, out = work.pair[:, :, :product.shape[1]]
+    in_place(benchmark, lambda column: scd._smoothed(column, CFG.smoothing_length, sums=column,
+                                                     out=out), product, into=sums)
 
 
-def test_max_reduction(benchmark, cyclic_product):
-    smoothed = scd._smoothed(cyclic_product, CFG.smoothing_length)
-    benchmark(lambda: np.max(np.abs(smoothed)))
+def test_max_reduction(benchmark, half, work):
+    column = scd._smoothed_column(half, A0, CFG, work)
+    magnitudes, maxima = work.magnitudes[:, :column.shape[1]], np.empty(ROWS)
+    benchmark(lambda: np.max(np.abs(column, out=magnitudes), axis=-1, out=maxima))
+    record_per_window(benchmark)
 
 
-def test_kernel(benchmark, samples):
-    benchmark(scd.alpha_maxima, samples, replace(CFG, alpha_grid=(A0,)))
+def test_kernel(benchmark, normals, work):
+    in_place(benchmark, lambda rows: scd._maxima(rows, CFG, work, tapered=rows), normals)
 
 
 def benchmark_block(benchmark, kind, snr_index):

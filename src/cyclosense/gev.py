@@ -14,19 +14,19 @@ so the branches can never disagree about one parameter value.
 Every fit runs one solver: a damped Newton ascent of the log likelihood in
 (kappa, mu, log sigma) with the analytic score and observed information
 (Hosking, AS 215, 1985; Coles 2001, section 3.3), over whichever coordinates
-a stage frees. The default GEV fit is staged: a Gumbel fit for (mu, sigma),
-then the shape alone with the location and scale held fixed. That is the
-classic sequential recipe, not the joint maximum likelihood estimate when
-the true shape is nonzero; refine=True then frees all three parameters.
-The shape stage, the one stage with a single free coordinate, steps in
-closed form, -g/h, which equals LAPACK's 1x1 solve bit for bit; the others
-solve their 2x2 or 3x3 Newton system with LAPACK. A singular or non-finite
-system takes the per-sample score as its step. A fit reports converged only when every score component its last stage was
-free to move, in scale-free form per sample, is at most 1e-9; each stage
-stops after 200 Newton steps. Both limits are fixed. A fit evaluates its
-Newton loop in one workspace, allocated once per fit: no start point, step
-or rejected trial step of any stage allocates an n-length array, and the
-shape stage, which holds mu and sigma, forms z = (x - mu)/sigma once.
+a stage frees. One function, _fit, runs each fit as a sequence of stages
+from one Gumbel start point, in one workspace:
+
+    fit_gumbel_mle               (mu, sigma)
+    fit_gev_mle                  (mu, sigma), then kappa alone
+    fit_gev_mle(refine=True)     (mu, sigma), then kappa alone, then all three
+
+The default, staged fit is the classic sequential recipe, not the joint
+maximum likelihood estimate when the true shape is nonzero; the refined fit
+is. A fit reports converged when every stage converged, except that the
+joint stage answers alone: a stage converges when each score component it
+is free to move, in scale-free form per sample, is at most 1e-9 within 200
+Newton steps. Both limits are fixed.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def _ascent_step(g, h, n: int):
     return step if ascends else g / n
 
 
-def _newton(x: np.ndarray, theta, free: tuple[int, ...], work, z_current: bool = False):
+def _newton(x: np.ndarray, theta, free: tuple[int, ...], work, z_current: bool):
     """Damped Newton ascent of the log likelihood over the coordinates in free,
     one of (1, 2), (0,) and (0, 1, 2).
 
@@ -378,22 +378,13 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], work, z_current: bool =
     return theta, ll, _MAX_ITER, False
 
 
-def _report(x: np.ndarray, theta, ll: float, iterations: int, converged: bool) -> FitReport:
-    params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
-    return FitReport(
-        params=params,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        sample_count=int(x.size),
-        solver_tol=_TOL,
-    )
+# the free coordinates of each fit stage
+_GUMBEL, _SHAPE, _JOINT = (1, 2), (0,), (0, 1, 2)
 
 
-def _gumbel_stage(samples):
-    """The checks, start point, workspace and (mu, log sigma) Newton run of
-    fit_gumbel_mle: (validated samples, the fit's workspace, theta, log
-    likelihood, Newton steps, converged)."""
+def _fit(samples, stages) -> FitReport:
+    """Check the samples, then run one Newton stage per entry of stages from
+    the Gumbel start point, every stage in one workspace."""
     x = _as_finite_array(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
@@ -410,7 +401,15 @@ def _gumbel_stage(samples):
         raise DegenerateDataError(
             f"samples too large for float64: no finite start point (sigma {sigma_0}, mu {mu_0})")
     work = _workspace(x.size)
-    return (x, work, *_newton(x, (0.0, mu_0, math.log(sigma_0)), (1, 2), work))
+    theta, iterations, converged, z_current = (0.0, mu_0, math.log(sigma_0)), 0, True, False
+    for free in stages:
+        theta, ll, steps, stage_converged = _newton(x, theta, free, work, z_current)
+        iterations += steps
+        converged = stage_converged and (free == _JOINT or converged)
+        # the shape stage holds mu and sigma, so work's z is current after it
+        z_current = free == _SHAPE
+    params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
+    return FitReport(params, ll, iterations, converged, int(x.size), _TOL)
 
 
 def fit_gumbel_mle(samples) -> FitReport:
@@ -423,8 +422,7 @@ def fit_gumbel_mle(samples) -> FitReport:
     most 1e-9 (FitReport.solver_tol) within 200 steps; iterations counts
     Newton steps.
     """
-    x, _, *fit = _gumbel_stage(samples)
-    return _report(x, *fit)
+    return _fit(samples, (_GUMBEL,))
 
 
 def fit_gev_mle(samples, refine: bool = False) -> FitReport:
@@ -441,12 +439,4 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     the Gumbel stage must have converged too. iterations counts the Newton
     steps of all stages.
     """
-    x, work, theta, _, iterations, gumbel_converged = _gumbel_stage(samples)
-    theta, ll, steps, converged = _newton(x, theta, (0,), work)
-    iterations += steps
-    converged = gumbel_converged and converged
-    if refine:
-        # the shape stage held mu and sigma, so work's z is current at theta
-        theta, ll, steps, converged = _newton(x, theta, (0, 1, 2), work, z_current=True)
-        iterations += steps
-    return _report(x, theta, ll, iterations, converged)
+    return _fit(samples, (_GUMBEL, _SHAPE, _JOINT) if refine else (_GUMBEL, _SHAPE))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -132,8 +133,50 @@ def write_fit_json(path: str | Path, report: FitReport) -> Path:
     return path
 
 
+# write_fit_json's keys, each with the JSON type read_fit_json requires of its value
+_FIT_SCHEMA = {"kappa": float, "mu": float, "sigma": float, "log_likelihood": float,
+               "converged": bool, "sample_count": int,
+               "solver": {"tol": float, "iterations": int}}
+_JSON_TYPES = {float: "finite (a JSON number)", int: "a JSON integer", bool: "true or false"}
+
+
+def _is_json(kind: type, value) -> bool:
+    """value is of kind: a float a finite number and an int an integer, neither
+    of them a JSON true or false."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int)
+    # a comparison refuses nan, inf and integers beyond the float range alike
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _check_fields(payload, schema: dict, section: str = "") -> None:
+    """Raise ValueError, naming the key, unless payload, the fit.json section
+    at section (the top level when empty), has exactly schema's keys and each
+    value is of its key's type."""
+    name = f"fit.json {section or 'top level'}"
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be a JSON object, got {payload!r}")
+    missing, unknown = schema.keys() - payload.keys(), payload.keys() - schema.keys()
+    if missing or unknown:
+        raise ValueError(f"{name} must have exactly the keys {sorted(schema)}: "
+                         f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+    for key, kind in schema.items():
+        path, value = f"{section}.{key}" if section else key, payload[key]
+        if isinstance(kind, dict):
+            _check_fields(value, kind, path)
+        elif not _is_json(kind, value):
+            raise ValueError(f"fit.json {path} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
 def read_fit_json(path: str | Path) -> FitReport:
+    """The FitReport of a write_fit_json file, read as strictly as a plan:
+    exactly its keys at the top level and under solver, converged true or
+    false, sample_count and iterations integers, and the parameters, the log
+    likelihood and tol finite numbers. Anything else raises ValueError."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    _check_fields(payload, _FIT_SCHEMA)
     return FitReport(
         params=GevParams(payload["kappa"], payload["mu"], payload["sigma"]),
         log_likelihood=payload["log_likelihood"],

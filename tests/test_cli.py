@@ -182,8 +182,30 @@ class TestThreshold:
         (lambda text: text.replace('"kappa": 0.0', '"kappa": NaN'), "kappa must be finite"),
         (lambda text: text.replace('"kappa": 0.0', '"kappa": Infinity'), "kappa must be finite"),
         (lambda text: text.replace('"kappa": 0.0', '"kappa": -Infinity'), "kappa must be finite"),
+        (lambda text: text.replace('"converged": true', '"converged": "false"'),
+         "converged must be true or false"),
+        (lambda text: text.replace('"converged": true', '"converged": 1'),
+         "converged must be true or false"),
+        (lambda text: text.replace('"kappa": 0.0', '"kappa": true'), "kappa must be finite"),
+        (lambda text: text.replace('"log_likelihood": -1.0', '"log_likelihood": "-1.0"'),
+         "log_likelihood must be finite"),
+        (lambda text: text.replace('"sample_count": 1000', '"sample_count": 1000.0'),
+         "sample_count must be a JSON integer"),
+        (lambda text: text.replace('"iterations": 5', '"iterations": false'),
+         "solver.iterations must be a JSON integer"),
+        (lambda text: text.replace('"tol": 1e-09', '"tol": NaN'), "solver.tol must be finite"),
+        (lambda text: text.replace('"mu": 0.0', '"mu": 1' + '0' * 400), "mu must be finite"),
+        (lambda text: json.dumps({**json.loads(text), "solver": None}),
+         "solver must be a JSON object"),
+        (lambda text: json.dumps({**json.loads(text), "seed": 7}), "unknown ['seed']"),
+        (lambda text: text.replace('"tol"', '"max_iter": 200, "tol"'), "unknown ['max_iter']"),
+        (lambda text: text.replace('"iterations": 5,', ''), "missing ['iterations']"),
+        (lambda text: "[]", "top level must be a JSON object"),
     ], ids=["bad-json", "missing-key", "sigma-zero", "sigma-negative", "kappa-nan",
-            "kappa-inf", "kappa-minus-inf"])
+            "kappa-inf", "kappa-minus-inf", "converged-string", "converged-integer",
+            "kappa-bool", "log-likelihood-string", "sample-count-float", "iterations-bool",
+            "tol-nan", "mu-beyond-float", "solver-null", "extra-key", "extra-solver-key",
+            "missing-solver-key", "not-an-object"])
     def test_malformed_fit_json_is_config_error(self, tmp_path, change, message, capsys):
         path = tmp_path / "fit.json"
         io.write_fit_json(path, cs.FitReport(cs.GevParams(0.0, 0.0, 1.0), -1.0, 5, True, 1000, 1e-9))

@@ -8,6 +8,7 @@ quantiles/thresholds. Oracle constants are frozen below.
 """
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -500,6 +501,34 @@ def test_every_evaluation_of_a_fit_shares_one_workspace(monkeypatch):
     # the three stages' start points, accepted steps and rejected trial steps
     assert len(works) >= report.iterations + 3
     assert works[0] is not None and all(work is works[0] for work in works)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=3)),
+                         ids=lambda flags: "-".join("ok" if flag else "failed" for flag in flags))
+def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
+    # stage i of a fit converges as flags[i] says and takes 10**i Newton steps
+    draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 200, seed=7)
+    calls = []
+
+    def stage(x, theta, free, work, z_current):
+        calls.append((free, z_current))
+        return theta, -1.0, 10 ** (len(calls) - 1), flags[len(calls) - 1]
+
+    monkeypatch.setattr(gev_module, "_newton", stage)
+    gumbel_ok, shape_ok, joint_ok = flags
+    gumbel, gumbel_calls = cs.fit_gumbel_mle(draws), calls[:]
+    calls.clear()
+    staged, staged_calls = cs.fit_gev_mle(draws), calls[:]
+    calls.clear()
+    joint = cs.fit_gev_mle(draws, refine=True)
+    assert (gumbel.converged, gumbel.iterations) == (gumbel_ok, 1)
+    assert (staged.converged, staged.iterations) == (gumbel_ok and shape_ok, 11)
+    # the joint stage answers for the fit whatever the stages before it did
+    assert (joint.converged, joint.iterations) == (joint_ok, 111)
+    # only the stage after the shape stage, which holds mu and sigma, reuses z
+    assert gumbel_calls == [((1, 2), False)]
+    assert staged_calls == [((1, 2), False), ((0,), False)]
+    assert calls == [((1, 2), False), ((0,), False), ((0, 1, 2), True)]
 
 
 @pytest.mark.parametrize("n", [30, 1001, 10_000])
