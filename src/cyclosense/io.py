@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+# columns write_scd_matrix casts per call: a strip's transpose into the
+# row-major file layout stays in cache, and wider strips mean fewer calls
+_CAST_STRIP = 32
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.9g}"
 
@@ -75,8 +80,11 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Pa
     base = Path(path_base)
     data_path = base.with_suffix(".c64")
     meta_path = base.with_suffix(".json")
+    values = matrix.values
+    data = np.empty(values.shape, dtype="<c8")
     with np.errstate(over="ignore"):  # checked next
-        data = matrix.values.astype("<c8")
+        for start in range(0, values.shape[1], _CAST_STRIP):
+            data[:, start:start + _CAST_STRIP] = values[:, start:start + _CAST_STRIP]
     parts = data.view("<f4")
     if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):  # min and max keep nan
         bad = np.count_nonzero(~np.isfinite(data))
@@ -87,9 +95,9 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Pa
         "dtype": "complex64",
         "byte_order": "little",
         "order": "row-major",
-        "shape": list(matrix.values.shape),
-        "f_axis_hz": [float(v) for v in matrix.f_axis_hz],
-        "alpha_axis_hz": [float(v) for v in matrix.alpha_axis_hz],
+        "shape": list(values.shape),
+        "f_axis_hz": matrix.f_axis_hz.tolist(),
+        "alpha_axis_hz": matrix.alpha_axis_hz.tolist(),
         "alpha_bins": config["alpha_bins"],
         "valid_runs": matrix.valid_runs,
         "config": config,
@@ -225,13 +233,47 @@ def write_roc_csv(path: str | Path, plan: ExperimentPlan, thresholds, h0_counts,
 
 def _scd_dict(cfg: ScdConfig) -> dict:
     """ScdConfig fields as written to files, with alpha_grid as alpha_bins."""
-    fields = asdict(cfg)
+    fields = dict(vars(cfg))  # not asdict, which deep-copies every alpha bin
     fields["alpha_bins"] = list(fields.pop("alpha_grid"))
     return fields
 
 
 # fixed by the implementation: a plan may restate them but not change them
 _CONVENTIONS = {"snr_bandwidth": "full sampling bandwidth", "noise_variance": NOISE_VARIANCE}
+# the plan keys, as dotted paths, that take a number, each with whether it
+# takes a list of them; no plan key takes true or false
+_PLAN_NUMBERS = {"signal.carrier_freq_hz": False, "signal.baseband_bandwidth_hz": False,
+                 "signal.sample_rate_hz": False, "signal.duration_samples": False,
+                 "signal.modulation_index": False, "scd.window_length_k": False,
+                 "scd.smoothing_length": False, "scd.alpha_bins": True, "noise_windows": False,
+                 "signal_windows": False, "snr_db": True, "pf_grid": True, "master_seed": False}
+
+
+def _check_number(path: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"plan {path} must be a number, got {value!r}")
+
+
+def _check_plan_values(node, path: str = "") -> None:
+    """Raise ValueError, naming the key, at a true or false anywhere in the
+    plan node at path, or at a _PLAN_NUMBERS key whose value is not a number
+    or a list of numbers as that key takes."""
+    takes_list = _PLAN_NUMBERS.get(path)
+    if takes_list is False:
+        _check_number(path, node)
+    elif takes_list and not isinstance(node, (list, tuple)):
+        raise ValueError(f"plan {path} must be a list of numbers, got {node!r}")
+    elif takes_list:
+        for index, value in enumerate(node):
+            _check_number(f"{path}[{index}]", value)
+    elif isinstance(node, bool):
+        raise ValueError(f"plan {path} must not be true or false: no plan key takes them")
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            _check_plan_values(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        for index, value in enumerate(node):
+            _check_plan_values(value, f"{path}[{index}]")
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -252,7 +294,10 @@ def plan_from_dict(payload: dict) -> ExperimentPlan:
     plan_to_dict keys (conventions may be omitted, not changed), and the signal
     and scd sections exactly the SignalSpec and ScdConfig fields (alpha_grid
     written as alpha_bins), whose optional fields take the dataclass defaults.
-    An unknown or missing key raises ValueError."""
+    An unknown or missing key raises ValueError, and so does a value of the
+    wrong JSON type: true or false anywhere, or a non-number where a number
+    or a list of numbers belongs."""
+    _check_plan_values(payload)
     rest = dict(payload)
     if rest.pop("conventions", _CONVENTIONS) != _CONVENTIONS:
         raise ValueError(f"plan conventions must be {_CONVENTIONS} or omitted")

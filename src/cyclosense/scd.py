@@ -27,15 +27,28 @@ sample rate: its axes, valid runs and valid mask are derived from them.
 
 The helpers work on the last axis of a (rows, K) array of windows, one
 window per row, and write into work arrays a caller allocates once and
-reuses (_KernelBuffers). Each cyclic column is gathered from the rfft half
-into its own buffer, so the centered spectrum is never built. Every step is
-elementwise or runs along one row, so a window's maxima are the same bits
-whatever other windows share its array: the Monte Carlo harness runs
-_maxima on a few windows at a time, and estimate_scd and alpha_maxima call
-the helpers with one row. Every product is written through out=, never into
-a temporary: for a temporary of 256 KiB or more (16,384 complex cells)
-numpy elides the copy by reusing the temporary as the output with the
-operands swapped, and conj(Y) * X rounds differently from X * conj(Y).
+reuses (_KernelBuffers). The row kernel gathers each cyclic column from the
+rfft half into its own buffer, so it never builds the centered spectrum.
+Every step is elementwise or runs along one row, so a window's maxima are
+the same bits whatever other windows share its array: the Monte Carlo
+harness runs _maxima on a few windows at a time, and alpha_maxima calls it
+with one row.
+
+estimate_scd instead builds the window's centered spectrum and its
+conjugate once and computes the grid in strips of _STRIP columns, one row
+per column: each row holds its column's product, and the cells past the
+column's end hold -0.0 in both parts. One _smoothed call then smooths the
+whole strip. x + (-0.0) is x for every x, signed zeros included, so the
+running sum past a column's end repeats its last value bit for bit and
+every valid cell is the one-column smoother's (a +0.0 pad would turn a
+-0.0 sum into +0.0). Each smoothed row is stored contiguously as a row of a
+C-order (n_alpha, K) array, and the matrix's values are its transpose: a
+column-major (K, n_alpha) view.
+
+Every product is written through out=, never into a temporary: for a
+temporary of 256 KiB or more (16,384 complex cells) numpy elides the copy
+by reusing the temporary as the output with the operands swapped, and
+conj(Y) * X rounds differently from X * conj(Y).
 A complex array is divided by a real scale as its float64 view times the
 reciprocal 1.0/scale: numpy divides by a real scalar as by a complex one
 (Smith's algorithm), which with a zero imaginary part rounds each part of a
@@ -53,6 +66,12 @@ import numpy as np
 from .siggen import SampleBuffer, _integer
 
 TAPERS = ("hamming", "rectangular")
+
+# columns that estimate_scd smooths per call; its two (_STRIP, K) work
+# arrays fit in a core's L2 cache at the desk plan's K = 4,096
+_STRIP = 16
+# the pad past a strip row's end: x + (-0.0) is x for every x, signed zeros included
+_NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 __all__ = [
     "TAPERS",
@@ -109,10 +128,11 @@ class ScdMatrix:
     """Complex SCD estimate on a (f bin, alpha bin) grid.
 
     values has shape (K, n_alpha), one column per bin of the config it was
-    estimated with, from a window sampled at sample_rate_hz. Column a is
-    valid on its run of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2
-    and f - a/2 lie inside the K-bin axis, and zero elsewhere. The axes and
-    the valid cells follow from the config and the sample rate.
+    estimated with, from a window sampled at sample_rate_hz; it may be
+    column-major, as estimate_scd returns it. Column a is valid on its run
+    of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2 and f - a/2 lie
+    inside the K-bin axis, and zero elsewhere. The axes and the valid cells
+    follow from the config and the sample rate.
     """
 
     values: np.ndarray
@@ -279,15 +299,29 @@ def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
 
 
 def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
-    """Frequency-smoothed cyclic periodogram of one analysis window."""
-    k = cfg.window_length_k
-    work = _KernelBuffers(1, cfg)
-    half = _half_spectra(window.samples[None], cfg, out=work.half)
-    values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
-    for col, a in enumerate(cfg.alpha_grid):
-        lo = abs(a) // 2
-        values[lo:k - lo, col] = _smoothed_column(half, a, cfg, work)[0]
-    return ScdMatrix(values, cfg, window.sample_rate_hz)
+    """Frequency-smoothed cyclic periodogram of one analysis window, computed
+    _STRIP columns at a time (see the module docstring)."""
+    k, grid = cfg.window_length_k, cfg.alpha_grid
+    half = _half_spectra(window.samples[None], cfg)
+    spectrum = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128))[0]
+    conjugate = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128),
+                               conjugate=True)[0]
+    work = np.empty((2, _STRIP, k), dtype=np.complex128)
+    columns = np.zeros((len(grid), k), dtype=np.complex128)
+    for start in range(0, len(grid), _STRIP):
+        strip = grid[start:start + _STRIP]
+        lengths = [k - abs(a) for a in strip]
+        products, smoothed = work[:, :len(strip), :max(lengths)]
+        for row, (a, n) in enumerate(zip(strip, lengths)):
+            # written through out=: see the module docstring
+            np.multiply(spectrum[max(a, 0):][:n], conjugate[max(-a, 0):][:n],
+                        out=products[row, :n])
+            products[row, n:] = _NEGATIVE_ZERO
+        _scale_parts(products, 1.0 / _periodogram_scale(cfg.taper, k))
+        _smoothed(products, cfg.smoothing_length, sums=products, out=smoothed)
+        for row, (a, n) in enumerate(zip(strip, lengths)):
+            columns[start + row, abs(a) // 2:][:n] = smoothed[row, :n]
+    return ScdMatrix(columns.T, cfg, window.sample_rate_hz)
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:

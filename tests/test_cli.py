@@ -409,6 +409,26 @@ class TestOverridesAndErrors:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    # no plan key takes true or false, which Python would read as 1 and 0
+    @pytest.mark.parametrize("override, key", [
+        ("scd.smoothing_length=true", "scd.smoothing_length"),
+        ("master_seed=true", "master_seed"),
+        ("master_seed=false", "master_seed"),
+        ("scd.alpha_bins=[false, 2]", "scd.alpha_bins[0]"),
+        ("snr_db=[true]", "snr_db[0]"),
+        ("signal.modulation_index=true", "signal.modulation_index"),
+        ("scd.taper=false", "scd.taper"),
+        ("conventions.noise_variance=true", "conventions.noise_variance"),
+        ("scd.alpha_bins=abc", "scd.alpha_bins"),
+        ("scd.alpha_bins=[2, \"abc\"]", "scd.alpha_bins[1]"),
+        ("noise_windows=null", "noise_windows")])
+    def test_boolean_or_non_number_is_config_error_naming_the_key(self, tmp_path, plan_path,
+                                                                  override, key, capsys):
+        out = tmp_path / "out"
+        assert main(["scd", "--plan", str(plan_path), "--out", str(out), "--set", override]) == 2
+        assert f"plan {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     @pytest.mark.parametrize("field", ["sample_rate_hz", "carrier_freq_hz",
                                        "baseband_bandwidth_hz"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,19 @@ class TestPlanJson:
         assert io.plan_from_dict(payload) == mini_plan
         payload["conventions"] = {**io.plan_to_dict(mini_plan)["conventions"], **change}
         with pytest.raises(ValueError, match="conventions"):
+            io.plan_from_dict(payload)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scd", "window_length_k", True, "plan scd.window_length_k must be a number, got True"),
+        (None, "pf_grid", [0.01, False], "plan pf_grid[1] must be a number, got False"),
+        ("signal", "modulation", True, "plan signal.modulation must not be true or false"),
+        ("signal", "sample_rate_hz", "3e6", "plan signal.sample_rate_hz must be a number"),
+        (None, "snr_db", -10.0, "plan snr_db must be a list of numbers, got -10.0")])
+    def test_value_of_the_wrong_json_type_is_config_error(self, mini_plan, section, key, value,
+                                                          message):
+        payload = io.plan_to_dict(mini_plan)
+        (payload[section] if section else payload)[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             io.plan_from_dict(payload)
 
 

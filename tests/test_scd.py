@@ -8,7 +8,9 @@ Isserlis-theorem value; the remaining tests pin symmetry, scaling, the
 per-alpha maxima and the AM cyclic feature.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import signal as sp_signal
 
 import cyclosense as cs
+from cyclosense import harness, io
 from cyclosense.scd import (TAPERS, _centered_bins, _half_spectra, _KernelBuffers, _maxima,
                             _periodogram_scale, _smoothed, _smoothed_column,
                             taper_coefficients)
@@ -228,6 +231,73 @@ def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
     assert maxima.shape == (len(rows), len(cfg.alpha_grid))
     alone = np.array([cs.alpha_maxima(window, cfg) for window in rows])
     assert maxima.tobytes() == alone.tobytes()
+
+
+def one_column_values(window, cfg):
+    """estimate_scd's values computed one _smoothed_column call per column,
+    each stored into its column of a C-order matrix."""
+    k = cfg.window_length_k
+    work = _KernelBuffers(1, cfg)
+    half = _half_spectra(window.samples[None], cfg, out=work.half)
+    values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
+    for col, a in enumerate(cfg.alpha_grid):
+        lo = abs(a) // 2
+        values[lo:k - lo, col] = _smoothed_column(half, a, cfg, work)[0]
+    return values
+
+
+WINDOW_KINDS = ("normal", "zero", "negative zero", "constant", "sparse")
+
+
+def strip_window(kind, k, seed):
+    """A window of K samples: white noise, all +0.0 or all -0.0, one constant,
+    or zeros but for a few noise samples."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(k)
+    if kind in ("zero", "negative zero"):
+        return np.full(k, 0.0 if kind == "zero" else -0.0)
+    if kind == "constant":
+        return np.full(k, rng.uniform(-2.0, 2.0))
+    x = np.zeros(k)
+    x[rng.integers(0, k, 3)] = rng.standard_normal(3)
+    return x
+
+
+@st.composite
+def strip_cases(draw):
+    """A window and a config of 1-40 columns in any order, both signs and
+    any length down to 2 cells, so that strips mix lengths and the shortest
+    columns are shorter than the smoothing length."""
+    k = draw(st.sampled_from([4, 16, 64, 256, 1024]))
+    bins = st.integers(1 - k // 2, k // 2 - 1).map(lambda half: 2 * half)
+    grid = tuple(draw(st.lists(bins, min_size=1, max_size=min(40, k - 1), unique=True)))
+    cfg = cs.ScdConfig(k, draw(st.integers(1, k - 2)), grid, draw(st.sampled_from(TAPERS)))
+    x = strip_window(draw(st.sampled_from(WINDOW_KINDS)), k, draw(st.integers(0, 2**32 - 1)))
+    return x, cfg
+
+
+# the 699-column alpha scan of the desk window, offsets -2792, -2784, ..., 2792
+DESK_SCAN = (harness.export_window(harness.desk_plan()).samples,
+             replace(harness.desk_plan().scd_cfg, alpha_grid=tuple(range(-2792, 2793, 8))))
+
+
+# estimate_scd pads each strip row past its column's end with -0.0, which
+# leaves the running sum's bits as they are; a +0.0 pad or none at all
+# changes cells of zero, sparse or short-column cases
+@settings(deadline=None, derandomize=True, database=None)
+@given(strip_cases())
+@example(DESK_SCAN)
+def test_strips_equal_one_column_at_a_time_bit_for_bit(case):
+    x, cfg = case
+    window = cs.SampleBuffer(x, FS)
+    matrix, want = cs.estimate_scd(window, cfg), one_column_values(window, cfg)
+    assert matrix.values.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(matrix.values).view(np.uint64),
+                          want.view(np.uint64))
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path, _ = io.write_scd_matrix(Path(tmp) / "scd", matrix)
+        assert data_path.read_bytes() == want.astype("<c8").tobytes()
 
 
 class TestIsserlisOracle:
