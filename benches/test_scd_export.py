@@ -3,8 +3,10 @@
 
     PYTHONPATH=src python -m pytest benches/test_scd_export.py -q --benchmark-columns=min,median,iqr,rounds
 
-scd.estimate_scd builds the (K, 699) matrix and io.write_scd_matrix writes
-it as a 23 MB complex64 file plus its JSON header; the matrix is estimated
+scd.estimate_scd builds the (K, 699) matrix, as complex128 or, as
+`cyclosense scd` calls it, straight into the file's row-major complex64
+layout; io.write_scd_matrix writes the complex128 matrix as a 23 MB
+complex64 file plus its JSON header, cast included; the matrix is estimated
 once outside the timed writes. Each records its minimum time per call as
 `per_call_ms` in `--benchmark-json`. The directory is not in the test
 suite's `testpaths`.
@@ -12,6 +14,7 @@ suite's `testpaths`.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cyclosense import harness, io, scd
@@ -35,6 +38,12 @@ def matrix():
 
 def test_estimate_scd(benchmark):
     benchmark(scd.estimate_scd, WINDOW, CFG)
+    record_per_call(benchmark)
+
+
+def test_export_complex64(benchmark):
+    shape = (CFG.window_length_k, len(CFG.alpha_grid))
+    benchmark(lambda: scd.estimate_scd(WINDOW, CFG, out=np.empty(shape, dtype="<c8")))
     record_per_call(benchmark)
 
 

@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .gev import DegenerateDataError, FitReport, fit_gev_mle, threshold_for_pf
 from .harness import (
@@ -87,7 +89,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_scd(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    matrix = estimate_scd(export_window(plan), plan.scd_cfg)
+    cfg = plan.scd_cfg
+    # estimated straight into the file's row-major complex64 layout, which
+    # write_scd_matrix writes without a copy
+    values = np.empty((cfg.window_length_k, len(cfg.alpha_grid)), dtype="<c8")
+    matrix = estimate_scd(export_window(plan), cfg, out=values)
     out = _out_dir(args)
     io.write_scd_matrix(out / "scd", matrix)
     io.write_plan_json(out / "plan.json", plan)

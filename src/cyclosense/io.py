@@ -74,19 +74,28 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
 def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Path]:
     """Write SCD values as row-major little-endian complex64 plus a JSON header.
 
-    Raises FloatingPointError, and writes no file, when a cell is not finite
-    in complex64: nan or inf, or beyond the float32 range the cast overflows.
+    Values that already are a C-contiguous little-endian complex64 array,
+    as `cyclosense scd` estimates them, are written as they stand; others
+    are cast _CAST_STRIP columns at a time. Raises FloatingPointError, and
+    writes no file, when a cell is not finite in complex64: nan or inf, or
+    beyond the float32 range the cast overflows.
     """
     base = Path(path_base)
     data_path = base.with_suffix(".c64")
     meta_path = base.with_suffix(".json")
     values = matrix.values
-    data = np.empty(values.shape, dtype="<c8")
-    with np.errstate(over="ignore"):  # checked next
-        for start in range(0, values.shape[1], _CAST_STRIP):
-            data[:, start:start + _CAST_STRIP] = values[:, start:start + _CAST_STRIP]
+    if values.dtype == np.dtype("<c8") and values.flags.c_contiguous:
+        data = values
+    else:
+        data = np.empty(values.shape, dtype="<c8")
+        with np.errstate(over="ignore"):  # checked next
+            for start in range(0, values.shape[1], _CAST_STRIP):
+                data[:, start:start + _CAST_STRIP] = values[:, start:start + _CAST_STRIP]
     parts = data.view("<f4")
-    if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):  # min and max keep nan
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite sum needs finite cells
+        total = parts.sum(axis=0).sum()  # row by row: one vectorized pass
+    # the sum of finite cells may overflow float32: min and max (which keep nan) decide
+    if not np.isfinite(total) and not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
         bad = np.count_nonzero(~np.isfinite(data))
         raise FloatingPointError(f"{bad} of {data.size} SCD cells are not finite in complex64")
     data.tofile(data_path)

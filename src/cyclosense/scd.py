@@ -41,9 +41,13 @@ column's end hold -0.0 in both parts. One _smoothed call then smooths the
 whole strip. x + (-0.0) is x for every x, signed zeros included, so the
 running sum past a column's end repeats its last value bit for bit and
 every valid cell is the one-column smoother's (a +0.0 pad would turn a
--0.0 sum into +0.0). Each smoothed row is stored contiguously as a row of a
-C-order (n_alpha, K) array, and the matrix's values are its transpose: a
-column-major (K, n_alpha) view.
+-0.0 sum into +0.0). Each smoothed row's valid run is stored into its
+column of the values, whose other cells are zero. By default the values
+are the transpose of a C-order complex128 (n_alpha, K) array, a
+column-major (K, n_alpha) view, so each store is contiguous. A caller may
+pass its own (K, n_alpha) out array instead: `cyclosense scd` passes a
+row-major complex64 one, the layout of its file, and each column's store
+casts the run as it goes, so the plane is never held in complex128.
 
 Every product is written through out=, never into a temporary: for a
 temporary of 256 KiB or more (16,384 complex cells) numpy elides the copy
@@ -129,9 +133,11 @@ class ScdMatrix:
 
     values has shape (K, n_alpha), one column per bin of the config it was
     estimated with, from a window sampled at sample_rate_hz; it may be
-    column-major, as estimate_scd returns it. Column a is valid on its run
-    of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2 and f - a/2 lie
-    inside the K-bin axis, and zero elsewhere. The axes and the valid cells
+    column-major complex128, as estimate_scd returns it by default, or the
+    out array a caller gave estimate_scd, such as the row-major complex64
+    one that `cyclosense scd` writes as it stands. Column a is valid on its
+    run of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2 and f - a/2
+    lie inside the K-bin axis, and zero elsewhere. The axes and the valid cells
     follow from the config and the sample rate.
     """
 
@@ -298,16 +304,26 @@ def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
     return maxima
 
 
-def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
+def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
+                 out: np.ndarray | None = None) -> ScdMatrix:
     """Frequency-smoothed cyclic periodogram of one analysis window, computed
-    _STRIP columns at a time (see the module docstring)."""
+    _STRIP columns at a time (see the module docstring).
+
+    out, a (K, len(cfg.alpha_grid)) array whose every cell gets written,
+    becomes the matrix's values; cells beyond float32 range cast to a
+    complex64 out as inf, without a warning. Without out the values are
+    a column-major complex128 view.
+    """
     k, grid = cfg.window_length_k, cfg.alpha_grid
     half = _half_spectra(window.samples[None], cfg)
     spectrum = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128))[0]
     conjugate = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128),
                                conjugate=True)[0]
     work = np.empty((2, _STRIP, k), dtype=np.complex128)
-    columns = np.zeros((len(grid), k), dtype=np.complex128)
+    values = np.zeros((len(grid), k), dtype=np.complex128).T if out is None else out
+    matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
+    if out is not None:
+        out[...] = 0  # in one pass: the strips store only the valid runs
     for start in range(0, len(grid), _STRIP):
         strip = grid[start:start + _STRIP]
         lengths = [k - abs(a) for a in strip]
@@ -319,9 +335,10 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig) -> ScdMatrix:
             products[row, n:] = _NEGATIVE_ZERO
         _scale_parts(products, 1.0 / _periodogram_scale(cfg.taper, k))
         _smoothed(products, cfg.smoothing_length, sums=products, out=smoothed)
-        for row, (a, n) in enumerate(zip(strip, lengths)):
-            columns[start + row, abs(a) // 2:][:n] = smoothed[row, :n]
-    return ScdMatrix(columns.T, cfg, window.sample_rate_hz)
+        with np.errstate(over="ignore"):  # a complex64 out's cast; the writer checks it
+            for row, (a, n) in enumerate(zip(strip, lengths)):
+                values[abs(a) // 2:, start + row][:n] = smoothed[row, :n]
+    return matrix
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,21 @@ class TestScdCommand:
                      "--set", f"snr_db=[{snr_db}]"]) == 3
         assert "SCD cells are not finite in complex64" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    def test_scan_peak_memory_is_near_the_file_size(self, tmp_path):
+        # the 699-column scan of the desk window is estimated straight into the
+        # file's complex64 layout: no complex128 plane, no cast copy of it
+        io.write_plan_json(tmp_path / "plan.json", cs.desk_plan())
+        out = tmp_path / "s"
+        bins = json.dumps(list(range(-2792, 2793, 8)))
+        tracemalloc.start()
+        try:
+            assert main(["scd", "--plan", str(tmp_path / "plan.json"), "--out", str(out),
+                         "--set", f"scd.alpha_bins={bins}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (out / "scd.c64").stat().st_size
 
 
 class TestCollect:

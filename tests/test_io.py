@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclosense as cs
-from cyclosense import harness, io
+from cyclosense import cli, harness, io
 from cyclosense.scd import TAPERS
 
 
@@ -78,6 +78,35 @@ class TestScdFiles:
         assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths] == [
             "317699a932e530afa4fba62107d41460ded056c7434e277b038799c8debf09bb",
             "be2e1b97c1d6b725de142d7da1beb358f55aba91f574a8009fab7f310b055e93"]
+
+    def test_desk_export_digests_through_the_command(self, tmp_path):
+        # the command estimates into the file's complex64 layout; the same bits
+        # as test_desk_export_digests, which casts a complex128 matrix
+        io.write_plan_json(tmp_path / "plan.json", cs.desk_plan())
+        out = tmp_path / "out"
+        assert cli.main(["scd", "--plan", str(tmp_path / "plan.json"), "--out", str(out)]) == 0
+        paths = [out / "scd.c64", out / "scd.json"]
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths] == [
+            "317699a932e530afa4fba62107d41460ded056c7434e277b038799c8debf09bb",
+            "be2e1b97c1d6b725de142d7da1beb358f55aba91f574a8009fab7f310b055e93"]
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, complex(0.0, -1e39)])
+    def test_a_cell_not_finite_in_complex64_writes_no_file(self, tmp_path, cell):
+        cfg = cs.ScdConfig(64, 5, (0, 4, -8))
+        values = np.ones((64, 3), dtype=np.complex128)
+        values[40, 1] = cell
+        with pytest.raises(FloatingPointError, match="^1 of 192 SCD cells are not finite"):
+            io.write_scd_matrix(tmp_path / "scd", cs.ScdMatrix(values, cfg, 3.0e6))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finite_cells_whose_float32_sum_overflows_are_written(self, tmp_path):
+        cfg = cs.ScdConfig(64, 5, (0, 4, -8))
+        big = float(np.finfo(np.float32).max)
+        values = np.full((64, 3), complex(big, -big) * 0.75, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(values.astype("<c8").view("<f4").sum())
+        data_path, _ = io.write_scd_matrix(tmp_path / "scd", cs.ScdMatrix(values, cfg, 3.0e6))
+        assert data_path.read_bytes() == values.astype("<c8").tobytes()
 
 
 class TestProfileCsv:

@@ -295,9 +295,23 @@ def test_strips_equal_one_column_at_a_time_bit_for_bit(case):
     assert matrix.values.shape == want.shape
     assert np.array_equal(np.ascontiguousarray(matrix.values).view(np.uint64),
                           want.view(np.uint64))
+    # what `cyclosense scd` estimates: the file's layout, every cell written over the nan fill
+    nan = complex(np.nan, np.nan)
+    file_matrix = cs.estimate_scd(window, cfg, out=np.full(want.shape, nan, "<c8"))
+    assert file_matrix.values.tobytes() == want.astype("<c8").tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         data_path, _ = io.write_scd_matrix(Path(tmp) / "scd", matrix)
         assert data_path.read_bytes() == want.astype("<c8").tobytes()
+        data_path, _ = io.write_scd_matrix(Path(tmp) / "c64", file_matrix)
+        assert data_path.read_bytes() == want.astype("<c8").tobytes()
+
+
+def test_out_of_the_wrong_shape_is_refused_before_a_write():
+    cfg = cs.ScdConfig(64, 5, (0, 4))
+    out = np.full((64, 3), complex(np.nan, np.nan), "<c8")
+    with pytest.raises(ValueError, match="does not match"):
+        cs.estimate_scd(noise_window(64), cfg, out=out)
+    assert np.isnan(out.view(np.float32)).all()
 
 
 class TestIsserlisOracle:
