@@ -3,11 +3,11 @@
 
     PYTHONPATH=src python -m pytest benches/test_scd_export.py -q --benchmark-columns=min,median,iqr,rounds
 
-scd.estimate_scd builds the (K, 699) matrix, as complex128 or, as
-`cyclosense scd` calls it, straight into the file's row-major complex64
-layout; io.write_scd_matrix writes the complex128 matrix as a 23 MB
-complex64 file plus its JSON header, cast included; the matrix is estimated
-once outside the timed writes. Each records its minimum time per call as
+scd.estimate_scd builds the row-major (K, 699) matrix, as complex128 or, as
+`cyclosense scd` calls it, straight into the file's complex64 layout;
+io.write_scd_matrix writes the complex128 matrix as a 23 MB complex64 file
+plus its JSON header, cast included; the matrix is estimated once outside
+the timed writes. Each records its minimum time per call as
 `per_call_ms` in `--benchmark-json`. The directory is not in the test
 suite's `testpaths`.
 """

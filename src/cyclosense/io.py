@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 
-# columns write_scd_matrix casts per call: a strip's transpose into the
-# row-major file layout stays in cache, and wider strips mean fewer calls
-_CAST_STRIP = 32
-
-
 def _fmt(value: float) -> str:
     return f"{float(value):.9g}"
 
@@ -74,23 +69,17 @@ def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
 def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Path]:
     """Write SCD values as row-major little-endian complex64 plus a JSON header.
 
-    Values that already are a C-contiguous little-endian complex64 array,
-    as `cyclosense scd` estimates them, are written as they stand; others
-    are cast _CAST_STRIP columns at a time. Raises FloatingPointError, and
-    writes no file, when a cell is not finite in complex64: nan or inf, or
-    beyond the float32 range the cast overflows.
+    Values already in that layout, as `cyclosense scd` estimates them, are
+    written as they stand; others are cast to it first. Raises
+    FloatingPointError, and writes no file, when a cell is not finite in
+    complex64: nan or inf, or beyond the float32 range the cast overflows.
     """
     base = Path(path_base)
     data_path = base.with_suffix(".c64")
     meta_path = base.with_suffix(".json")
     values = matrix.values
-    if values.dtype == np.dtype("<c8") and values.flags.c_contiguous:
-        data = values
-    else:
-        data = np.empty(values.shape, dtype="<c8")
-        with np.errstate(over="ignore"):  # checked next
-            for start in range(0, values.shape[1], _CAST_STRIP):
-                data[:, start:start + _CAST_STRIP] = values[:, start:start + _CAST_STRIP]
+    with np.errstate(over="ignore"):  # checked next
+        data = np.ascontiguousarray(values, dtype="<c8")
     parts = data.view("<f4")
     with np.errstate(over="ignore", invalid="ignore"):  # a finite sum needs finite cells
         total = parts.sum(axis=0).sum()  # row by row: one vectorized pass

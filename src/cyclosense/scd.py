@@ -18,12 +18,12 @@ so no wraparound ever mixes unrelated frequencies.
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. alpha_maxima computes it
 for one window at the config's columns without building the matrix;
-estimate_scd builds the matrix from the same spectrum and column helpers, so
-the maximum of |values| over a column's valid_mask cells equals
-alpha_maxima bit for bit. A config's alpha_grid is the only list of columns
-the kernel computes: a caller that wants one column passes a config whose
-grid is that column. An ScdMatrix stores only its values, config and
-sample rate: its axes, valid runs and valid mask are derived from them.
+estimate_scd builds the matrix in strips (below), and the maximum of
+|values| over a column's valid_mask cells equals alpha_maxima bit for bit.
+A config's alpha_grid is the only list of columns the kernel computes: a
+caller that wants one column passes a config whose grid is that column. An
+ScdMatrix stores only its values, config and sample rate: its axes, valid
+runs and valid mask are derived from them.
 
 The helpers work on the last axis of a (rows, K) array of windows, one
 window per row, and write into work arrays a caller allocates once and
@@ -42,12 +42,10 @@ whole strip. x + (-0.0) is x for every x, signed zeros included, so the
 running sum past a column's end repeats its last value bit for bit and
 every valid cell is the one-column smoother's (a +0.0 pad would turn a
 -0.0 sum into +0.0). Each smoothed row's valid run is stored into its
-column of the values, whose other cells are zero. By default the values
-are the transpose of a C-order complex128 (n_alpha, K) array, a
-column-major (K, n_alpha) view, so each store is contiguous. A caller may
-pass its own (K, n_alpha) out array instead: `cyclosense scd` passes a
-row-major complex64 one, the layout of its file, and each column's store
-casts the run as it goes, so the plane is never held in complex128.
+column of the values, a row-major (K, n_alpha) array whose other cells are
+zero: complex128 by default, or a caller's complex out array, such as the
+complex64 one `cyclosense scd` writes to its file as it stands, into which
+each store casts its run.
 
 Every product is written through out=, never into a temporary: for a
 temporary of 256 KiB or more (16,384 complex cells) numpy elides the copy
@@ -131,11 +129,10 @@ class ScdConfig:
 class ScdMatrix:
     """Complex SCD estimate on a (f bin, alpha bin) grid.
 
-    values has shape (K, n_alpha), one column per bin of the config it was
-    estimated with, from a window sampled at sample_rate_hz; it may be
-    column-major complex128, as estimate_scd returns it by default, or the
-    out array a caller gave estimate_scd, such as the row-major complex64
-    one that `cyclosense scd` writes as it stands. Column a is valid on its
+    values is a row-major (K, n_alpha) array, one column per bin of the
+    config it was estimated with, from a window sampled at sample_rate_hz;
+    complex128 as estimate_scd returns it by default, or the complex out
+    array a caller gave estimate_scd. Column a is valid on its
     run of centered bins |a|/2 .. K-1-|a|/2, where both f + a/2 and f - a/2
     lie inside the K-bin axis, and zero elsewhere. The axes and the valid cells
     follow from the config and the sample rate.
@@ -309,21 +306,25 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
     """Frequency-smoothed cyclic periodogram of one analysis window, computed
     _STRIP columns at a time (see the module docstring).
 
-    out, a (K, len(cfg.alpha_grid)) array whose every cell gets written,
-    becomes the matrix's values; cells beyond float32 range cast to a
-    complex64 out as inf, without a warning. Without out the values are
-    a column-major complex128 view.
+    The values are a new row-major (K, len(cfg.alpha_grid)) complex128
+    array, or out, a complex C-contiguous array of that shape whose every
+    cell gets written; cells beyond float32 range cast to a complex64 out
+    as inf, without a warning. An out of another shape, a real dtype or
+    another layout raises ValueError before any write.
     """
     k, grid = cfg.window_length_k, cfg.alpha_grid
+    if out is not None and not (np.iscomplexobj(out) and out.flags.c_contiguous):
+        # a real out would drop the imaginary parts
+        raise ValueError(f"out must be a complex C-contiguous array, got {out.dtype} "
+                         f"with strides {out.strides}")
+    values = np.empty((k, len(grid)), dtype=np.complex128) if out is None else out
+    matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
+    values[...] = 0  # in one pass: the strips store only the valid runs
     half = _half_spectra(window.samples[None], cfg)
     spectrum = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128))[0]
     conjugate = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128),
                                conjugate=True)[0]
     work = np.empty((2, _STRIP, k), dtype=np.complex128)
-    values = np.zeros((len(grid), k), dtype=np.complex128).T if out is None else out
-    matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
-    if out is not None:
-        out[...] = 0  # in one pass: the strips store only the valid runs
     for start in range(0, len(grid), _STRIP):
         strip = grid[start:start + _STRIP]
         lengths = [k - abs(a) for a in strip]
@@ -347,4 +348,6 @@ def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     if np.iscomplexobj(samples):  # the estimator assumes X(-m) = conj X(m)
         raise ValueError("samples must be real, not complex")
     window = np.asarray(samples, dtype=np.float64)[None]
+    if not np.isfinite(window).all():  # as SampleBuffer refuses them
+        raise ValueError("samples must all be finite")
     return _maxima(window, cfg, _KernelBuffers(1, cfg))[0]

@@ -292,12 +292,12 @@ def test_strips_equal_one_column_at_a_time_bit_for_bit(case):
     x, cfg = case
     window = cs.SampleBuffer(x, FS)
     matrix, want = cs.estimate_scd(window, cfg), one_column_values(window, cfg)
-    assert matrix.values.shape == want.shape
-    assert np.array_equal(np.ascontiguousarray(matrix.values).view(np.uint64),
-                          want.view(np.uint64))
     # what `cyclosense scd` estimates: the file's layout, every cell written over the nan fill
     nan = complex(np.nan, np.nan)
     file_matrix = cs.estimate_scd(window, cfg, out=np.full(want.shape, nan, "<c8"))
+    for values in (matrix.values, file_matrix.values):
+        assert values.shape == want.shape and values.flags.c_contiguous
+    assert np.array_equal(matrix.values.view(np.uint64), want.view(np.uint64))
     assert file_matrix.values.tobytes() == want.astype("<c8").tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         data_path, _ = io.write_scd_matrix(Path(tmp) / "scd", matrix)
@@ -308,10 +308,18 @@ def test_strips_equal_one_column_at_a_time_bit_for_bit(case):
 
 def test_out_of_the_wrong_shape_is_refused_before_a_write():
     cfg = cs.ScdConfig(64, 5, (0, 4))
-    out = np.full((64, 3), complex(np.nan, np.nan), "<c8")
-    with pytest.raises(ValueError, match="does not match"):
-        cs.estimate_scd(noise_window(64), cfg, out=out)
-    assert np.isnan(out.view(np.float32)).all()
+    nan = complex(np.nan, np.nan)
+    # a real out would keep only the real parts, and a strided one is not the
+    # row-major layout that write_scd_matrix writes without a copy
+    cases = [(np.full((64, 3), nan, "<c8"), "does not match"),
+             (np.full((64, 2), np.nan), "complex C-contiguous"),
+             (np.full((64, 2), np.nan, np.float32), "complex C-contiguous"),
+             (np.full((2, 64), nan).T, "complex C-contiguous"),
+             (np.full((64, 4), nan)[:, ::2], "complex C-contiguous")]
+    for out, match in cases:
+        with pytest.raises(ValueError, match=match):
+            cs.estimate_scd(noise_window(64), cfg, out=out)
+        assert np.isnan(np.ascontiguousarray(out).view(out.real.dtype)).all()
 
 
 class TestIsserlisOracle:
@@ -511,6 +519,14 @@ class TestAlphaMaxima:
         x = noise_window(1024).samples
         with pytest.raises(ValueError, match="complex"):
             cs.alpha_maxima(x + 5j * x, cs.ScdConfig(1024, 301, (0,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # SampleBuffer refuses the same samples; the maxima would read nan
+        x = noise_window(1024).samples.copy()
+        x[100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cs.alpha_maxima(x, cs.ScdConfig(1024, 301, (0, 340)))
 
 
 class TestAlphaProfile:
