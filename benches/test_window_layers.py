@@ -8,10 +8,11 @@ kernel's own scd._KernelBuffers: the noise draws (a Generator from each
 window's PCG64 state words, then standard_normal into the row), AM synthesis
 (siggen._am_rows, its spectra in the kernel's half buffer), the SNR mix
 (siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
-buffer, tapering the rows in place), the gathered, multiplied and scaled
-cyclic product smoothed at the feature bin (scd._smoothed_column), the
-running-sum smoother alone (scd._smoothed), the abs + max reduction, and
-the whole kernel (scd._maxima). A step that writes its input in place gets
+buffer, tapering the rows in place), the kernel's strip step at the feature
+bin (scd._smoothed_strips: the gathered, multiplied and scaled cyclic
+product, smoothed), the running-sum smoother alone on that strip
+(scd._smoothed), the abs + max reduction of its valid runs, and the whole
+kernel (scd._maxima). A step that writes its input in place gets
 a fresh copy of it before each round, outside the timed call. Each records
 its minimum time per window as `per_window_us` in `--benchmark-json`. The
 directory is not in the test suite's `testpaths`.
@@ -151,22 +152,30 @@ def test_taper_real_fft(benchmark, normals, work):
              normals)
 
 
-def test_smoothed_column(benchmark, half, work):
-    benchmark(scd._smoothed_column, half, A0, CFG, work)
+def feature_run(half, work, cfg=CFG):
+    """The valid run of the feature column, the kernel's one strip: a
+    (ROWS, K - |A0|) view into work."""
+    [(_, [run])] = scd._smoothed_strips(half, cfg, work)
+    return run
+
+
+def test_smoothed_strip(benchmark, half, work):
+    benchmark(feature_run, half, work)
     record_per_window(benchmark)
 
 
 def test_smoother(benchmark, half, work):
-    # the cyclic product: the kernel's column at smoothing length 1, equal to
-    # the product up to the rounding of one running-sum difference
-    product = scd._smoothed_column(half, A0, replace(CFG, smoothing_length=1), work).copy()
-    sums, out = work.pair[:, :, :product.shape[1]]
-    in_place(benchmark, lambda column: scd._smoothed(column, CFG.smoothing_length, sums=column,
-                                                     out=out), product, into=sums)
+    # the cyclic product as the kernel's (ROWS, 1, K - |A0|) strip: its run at
+    # smoothing length 1, equal to the product up to the rounding of one
+    # running-sum difference
+    product = feature_run(half, work, replace(CFG, smoothing_length=1))[:, None].copy()
+    # as the kernel calls it: the strip is its own running-sum buffer
+    in_place(benchmark, scd._smoothed, product, CFG.smoothing_length, work.products,
+             work.smoothed, into=work.products)
 
 
 def test_max_reduction(benchmark, half, work):
-    column = scd._smoothed_column(half, A0, CFG, work)
+    column = feature_run(half, work)
     magnitudes, maxima = work.magnitudes[:, :column.shape[1]], np.empty(ROWS)
     benchmark(lambda: np.max(np.abs(column, out=magnitudes), axis=-1, out=maxima))
     record_per_window(benchmark)

@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a plan entry, e.g. scd.smoothing_length=301")
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker process count, capped at the CPU count (collect and roc)")
+                         help="worker process count, capped at the CPUs this process may run "
+                              "on (collect and roc)")
         return cmd
 
     add_plan_command("gen", "write the AM test signal and its sidecar").set_defaults(func=_cmd_gen)

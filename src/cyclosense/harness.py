@@ -320,11 +320,13 @@ def _blocks(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, count: 
 
 def _run(tasks: list[tuple], jobs: int) -> np.ndarray:
     """Statistics of all blocks from _blocks in task order: mapped on a pool of
-    min(jobs, CPU count) worker processes that lives for this one call, or in
-    this process when that is 1."""
+    min(jobs, CPUs this process may run on) worker processes that lives for
+    this one call, or in this process when that is 1."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    jobs = min(jobs, os.cpu_count() or 1)  # the pool forks all its workers at once
+    # the pool forks all its workers at once; os.cpu_count() ignores CPU affinity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     if jobs == 1:
         return np.concatenate([_block_task(t) for t in tasks])
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -16,36 +16,30 @@ cell is valid only when both f + a/2 and f - a/2 fall inside the K-bin axis,
 so no wraparound ever mixes unrelated frequencies.
 
 The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
-the per-alpha maximum magnitude over valid cells. alpha_maxima computes it
-for one window at the config's columns without building the matrix;
-estimate_scd builds the matrix in strips (below), and the maximum of
-|values| over a column's valid_mask cells equals alpha_maxima bit for bit.
-A config's alpha_grid is the only list of columns the kernel computes: a
-caller that wants one column passes a config whose grid is that column. An
-ScdMatrix stores only its values, config and sample rate: its axes, valid
-runs and valid mask are derived from them.
+the per-alpha maximum magnitude over valid cells. One kernel,
+_smoothed_strips, computes the valid run of each column of a config's
+alpha_grid, and of no other column, for a (rows, K) array of windows, one
+per row, in work arrays a caller allocates once (_KernelBuffers). _maxima
+reduces each run to its maximum magnitude: the Monte Carlo harness calls it
+on a few windows at a time, and alpha_maxima with one row. estimate_scd
+stores each run into its column of a row-major (K, n_alpha) array whose
+other cells are zero: complex128 by default, or a caller's complex out
+array, such as the complex64 one `cyclosense scd` writes to its file as it
+stands, into which each store casts its run. So the maximum of |values|
+over a column's valid_mask cells equals alpha_maxima bit for bit.
 
-The helpers work on the last axis of a (rows, K) array of windows, one
-window per row, and write into work arrays a caller allocates once and
-reuses (_KernelBuffers). The row kernel gathers each cyclic column from the
-rfft half into its own buffer, so it never builds the centered spectrum.
-Every step is elementwise or runs along one row, so a window's maxima are
-the same bits whatever other windows share its array: the Monte Carlo
-harness runs _maxima on a few windows at a time, and alpha_maxima calls it
-with one row.
-
-estimate_scd instead builds the window's centered spectrum and its
-conjugate once and computes the grid in strips of _STRIP columns, one row
-per column: each row holds its column's product, and the cells past the
-column's end hold -0.0 in both parts. One _smoothed call then smooths the
+From the rows' rfft halves the kernel gathers only the span of the centered
+spectrum and the span of its conjugate that the columns read, so it builds
+the whole centered spectrum only for a grid with columns of both signs. It
+computes the columns in strips of up to _STRIP, one strip row per column:
+each row holds its column's product, and the cells past the column's end
+hold -0.0 in both parts. One scale and one _smoothed call then serve the
 whole strip. x + (-0.0) is x for every x, signed zeros included, so the
 running sum past a column's end repeats its last value bit for bit and
 every valid cell is the one-column smoother's (a +0.0 pad would turn a
--0.0 sum into +0.0). Each smoothed row's valid run is stored into its
-column of the values, a row-major (K, n_alpha) array whose other cells are
-zero: complex128 by default, or a caller's complex out array, such as the
-complex64 one `cyclosense scd` writes to its file as it stands, into which
-each store casts its run.
+-0.0 sum into +0.0). Every step is elementwise or runs along one row, so a
+window's runs are the same bits whatever windows and columns share its
+arrays.
 
 Every product is written through out=, never into a temporary: for a
 temporary of 256 KiB or more (16,384 complex cells) numpy elides the copy
@@ -69,8 +63,8 @@ from .siggen import SampleBuffer, _integer
 
 TAPERS = ("hamming", "rectangular")
 
-# columns that estimate_scd smooths per call; its two (_STRIP, K) work
-# arrays fit in a core's L2 cache at the desk plan's K = 4,096
+# columns that the kernel smooths in one pass; a window's two (_STRIP, K)
+# strip arrays fit in a core's L2 cache at the desk plan's K = 4,096
 _STRIP = 16
 # the pad past a strip row's end: x + (-0.0) is x for every x, signed zeros included
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
@@ -232,15 +226,28 @@ def _scale_parts(values: np.ndarray, factor: float) -> None:
 
 
 class _KernelBuffers:
-    """Work arrays of the statistic kernel for up to `rows` windows and the
-    columns of cfg's alpha_grid, allocated once and reused by every call."""
+    """Work arrays of the kernel for up to `rows` windows and the columns of
+    cfg's alpha_grid, allocated once and reused by every call, and the
+    columns' places in them."""
 
     def __init__(self, rows: int, cfg: ScdConfig) -> None:
-        k = cfg.window_length_k
-        cells = max(k - abs(a) for a in cfg.alpha_grid)
+        k, grid = cfg.window_length_k, cfg.alpha_grid
+        # column a reads K - |a| bins of the centered spectrum from bin max(a, 0)
+        # and of its conjugate from bin max(-a, 0); the spans start at the least
+        self.firsts = first, conjugate_first = max(min(grid), 0), max(-max(grid), 0)
+        span = k - first - conjugate_first  # no column is longer
+        # per strip: its first column, its width and per column the offsets of
+        # its bins in the two spans and its length
+        self.strips = []
+        for start in range(0, len(grid), _STRIP):
+            columns = [(max(a, 0) - first, max(-a, 0) - conjugate_first, k - abs(a))
+                       for a in grid[start:start + _STRIP]]
+            self.strips.append((start, max(n for _, _, n in columns), columns))
         self.half = np.empty((rows, k // 2 + 1), dtype=np.complex128)
-        self.pair = np.empty((2, rows, cells), dtype=np.complex128)
-        self.magnitudes = np.empty((rows, cells))
+        self.spectrum, self.conjugate = np.empty((2, rows, span), dtype=np.complex128)
+        self.products, self.smoothed = np.empty((2, rows, min(_STRIP, len(grid)), span),
+                                                dtype=np.complex128)
+        self.magnitudes = np.empty((rows, span))
 
 
 def _half_spectra(windows: np.ndarray, cfg: ScdConfig, out: np.ndarray | None = None,
@@ -273,18 +280,29 @@ def _centered_bins(half: np.ndarray, first: int, out: np.ndarray,
     return out
 
 
-def _smoothed_column(half: np.ndarray, a: int, cfg: ScdConfig,
-                     work: _KernelBuffers) -> np.ndarray:
-    """Smoothed cyclic periodogram of each row at even offset a over its valid
-    run of centered bins [|a|/2, K-1-|a|/2], in work's buffers."""
+def _smoothed_strips(half: np.ndarray, cfg: ScdConfig, work: _KernelBuffers):
+    """Smoothed cyclic periodogram of the window whose rfft half is each row
+    of half, _STRIP columns of cfg's alpha_grid at a time (see the module
+    docstring): yields each strip's first column index and its columns'
+    (rows, K - |a|) valid runs, views into work until the next strip."""
     k, rows = cfg.window_length_k, len(half)
-    shift, lo = a // 2, abs(a) // 2
-    n = k - 2 * lo
-    upper = _centered_bins(half, lo + shift - k // 2, work.pair[0, :rows, :n])
-    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n], conjugate=True)
-    np.multiply(upper, lower, out=upper)  # written through out=: see the module docstring
-    _scale_parts(upper, 1.0 / _periodogram_scale(cfg.taper, k))
-    return _smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)
+    first, conjugate_first = work.firsts
+    spectrum = _centered_bins(half, first - k // 2, work.spectrum[:rows])
+    conjugate = _centered_bins(half, conjugate_first - k // 2, work.conjugate[:rows],
+                               conjugate=True)
+    scale = 1.0 / _periodogram_scale(cfg.taper, k)
+    for start, width, columns in work.strips:
+        products = work.products[:rows, :len(columns), :width]
+        for row, (upper, lower, n) in enumerate(columns):
+            # written through out=: see the module docstring
+            np.multiply(spectrum[:, upper:upper + n], conjugate[:, lower:lower + n],
+                        out=products[:, row, :n])
+            if n < width:
+                products[:, row, n:] = _NEGATIVE_ZERO
+        _scale_parts(products, scale)
+        smoothed = _smoothed(products, cfg.smoothing_length, sums=products,
+                             out=work.smoothed[:rows, :len(columns), :width])
+        yield start, [smoothed[:, row, :n] for row, (_, _, n) in enumerate(columns)]
 
 
 def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
@@ -294,17 +312,17 @@ def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
     rows = len(windows)
     half = _half_spectra(windows, cfg, out=work.half[:rows], tapered=tapered)
     maxima = np.empty((rows, len(cfg.alpha_grid)))
-    for j, a in enumerate(cfg.alpha_grid):
-        column = _smoothed_column(half, a, cfg, work)
-        magnitudes = np.abs(column, out=work.magnitudes[:rows, :column.shape[1]])
-        np.max(magnitudes, axis=-1, out=maxima[:, j])
+    for start, runs in _smoothed_strips(half, cfg, work):
+        for j, run in enumerate(runs, start):
+            magnitudes = np.abs(run, out=work.magnitudes[:rows, :run.shape[1]])
+            np.max(magnitudes, axis=-1, out=maxima[:, j])
     return maxima
 
 
 def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
                  out: np.ndarray | None = None) -> ScdMatrix:
-    """Frequency-smoothed cyclic periodogram of one analysis window, computed
-    _STRIP columns at a time (see the module docstring).
+    """Frequency-smoothed cyclic periodogram of one analysis window, each
+    column's valid run computed by the kernel (see the module docstring).
 
     The values are a new row-major (K, len(cfg.alpha_grid)) complex128
     array, or out, a complex C-contiguous array of that shape whose every
@@ -319,35 +337,17 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
                          f"with strides {out.strides}")
     values = np.empty((k, len(grid)), dtype=np.complex128) if out is None else out
     matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
-    values[...] = 0  # in one pass: the strips store only the valid runs
+    values[...] = 0  # in one pass: the kernel yields only the valid runs
     half = _half_spectra(window.samples[None], cfg)
-    spectrum = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128))[0]
-    conjugate = _centered_bins(half, -k // 2, np.empty((1, k), dtype=np.complex128),
-                               conjugate=True)[0]
-    work = np.empty((2, _STRIP, k), dtype=np.complex128)
-    for start in range(0, len(grid), _STRIP):
-        strip = grid[start:start + _STRIP]
-        lengths = [k - abs(a) for a in strip]
-        products, smoothed = work[:, :len(strip), :max(lengths)]
-        for row, (a, n) in enumerate(zip(strip, lengths)):
-            # written through out=: see the module docstring
-            np.multiply(spectrum[max(a, 0):][:n], conjugate[max(-a, 0):][:n],
-                        out=products[row, :n])
-            products[row, n:] = _NEGATIVE_ZERO
-        _scale_parts(products, 1.0 / _periodogram_scale(cfg.taper, k))
-        _smoothed(products, cfg.smoothing_length, sums=products, out=smoothed)
+    for start, runs in _smoothed_strips(half, cfg, _KernelBuffers(1, cfg)):
         with np.errstate(over="ignore"):  # a complex64 out's cast; the writer checks it
-            for row, (a, n) in enumerate(zip(strip, lengths)):
-                values[abs(a) // 2:, start + row][:n] = smoothed[row, :n]
+            for j, run in enumerate(runs, start):
+                values[abs(grid[j]) // 2:, j][:run.shape[1]] = run[0]
     return matrix
 
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window of K
     real samples, one per column of cfg's alpha_grid."""
-    if np.iscomplexobj(samples):  # the estimator assumes X(-m) = conj X(m)
-        raise ValueError("samples must be real, not complex")
-    window = np.asarray(samples, dtype=np.float64)[None]
-    if not np.isfinite(window).all():  # as SampleBuffer refuses them
-        raise ValueError("samples must all be finite")
-    return _maxima(window, cfg, _KernelBuffers(1, cfg))[0]
+    window = SampleBuffer(samples, 1.0).samples  # its checks of the samples; no rate is read
+    return _maxima(window[None], cfg, _KernelBuffers(1, cfg))[0]

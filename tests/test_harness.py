@@ -384,7 +384,9 @@ class TestRunRoc:
             with pytest.raises(ValueError, match="at least 1"):
                 windows(mini_plan, 0)
 
-    # (CPU count, jobs, workers the pool starts); a count of 1 runs in process
+    # (CPUs this process may run on, jobs, workers the pool starts); a count
+    # of 1 runs in process, and None is a platform without sched_getaffinity
+    # whose os.cpu_count() is None
     @pytest.mark.parametrize("cpus, jobs, started", [(4, 100000, [4]), (4, 2, [2]),
                                                      (1, 3, []), (None, 8, [])])
     def test_pool_has_at_most_one_worker_per_cpu(self, mini_plan, monkeypatch, cpus, jobs,
@@ -404,7 +406,12 @@ class TestRunRoc:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        else:  # more CPUs in the machine than this process may use
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         tasks = harness._blocks(mini_plan, "noise", 0, 0, 8)
         statistics = harness._run(tasks, jobs)

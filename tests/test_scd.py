@@ -21,7 +21,7 @@ from scipy import signal as sp_signal
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.scd import (TAPERS, _centered_bins, _half_spectra, _KernelBuffers, _maxima,
-                            _periodogram_scale, _smoothed, _smoothed_column,
+                            _periodogram_scale, _smoothed, _smoothed_strips,
                             taper_coefficients)
 
 FS = 3.0e6
@@ -102,14 +102,14 @@ def divided_smoothed(column, smoothing_length, sums=None, out=None):
     return out
 
 
-def divided_smoothed_column(half, a, cfg, work):
-    """Reference for _smoothed_column: the same product, divided by K * U as
-    a complex array, then divided_smoothed."""
+def divided_smoothed_column(half, a, cfg):
+    """Reference for the kernel's column a: the same product, divided by K * U
+    as a complex array, then divided_smoothed."""
     k, rows = cfg.window_length_k, len(half)
     shift, lo = a // 2, abs(a) // 2
     n = k - 2 * lo
-    upper = _centered_bins(half, lo + shift - k // 2, work.pair[0, :rows, :n])
-    lower = _centered_bins(half, lo - shift - k // 2, work.pair[1, :rows, :n])
+    upper = _centered_bins(half, lo + shift - k // 2, np.empty((rows, n), complex))
+    lower = _centered_bins(half, lo - shift - k // 2, np.empty((rows, n), complex))
     np.conjugate(lower, out=lower)
     np.multiply(upper, lower, out=upper)
     upper /= _periodogram_scale(cfg.taper, k)
@@ -141,14 +141,13 @@ def test_smoother_equals_complex_division_bit_for_bit(data, cells, magnitude):
 @settings(deadline=None, derandomize=True, database=None)
 @given(data=st.data(), k=st.sampled_from([4, 16, 256, 4096]),
        magnitude=st.sampled_from([1e-75, 1e75]) | st.floats(1e-75, 1e75))
-def test_smoothed_column_equals_complex_division_bit_for_bit(data, k, magnitude):
+def test_kernel_column_equals_complex_division_bit_for_bit(data, k, magnitude):
     smoothing_length, taper = data.draw(st.integers(1, k - 2)), data.draw(st.sampled_from(TAPERS))
     a = 2 * data.draw(st.integers(1 - k // 2, k // 2 - 1))
     cfg = cs.ScdConfig(k, smoothing_length, (a,), taper)
     half = complex_rows(data.draw(SEEDS), data.draw(st.integers(1, 4)), k // 2 + 1, magnitude)
-    got = _smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg))
-    want = divided_smoothed_column(half, a, cfg, _KernelBuffers(len(half), cfg))
-    assert got.tobytes() == want.tobytes()
+    [(_, [got])] = _smoothed_strips(half, cfg, _KernelBuffers(len(half), cfg))
+    assert got.tobytes() == divided_smoothed_column(half, a, cfg).tobytes()
 
 
 class TestSpectrum:
@@ -225,6 +224,9 @@ def window_rows_and_config(draw):
           cs.ScdConfig(4096, 1301, (2730, 0, -4094))))
 @example((np.random.default_rng(2).standard_normal((13, 4096)),
           cs.ScdConfig(4096, 1301, (-2730, 4094), "rectangular")))
+# more columns than one strip holds, of both signs and many lengths
+@example((np.random.default_rng(3).standard_normal((5, 1024)),
+          cs.ScdConfig(1024, 301, tuple(range(-1000, 1001, 100)))))
 def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
     rows, cfg = case
     maxima = _maxima(rows, cfg, _KernelBuffers(len(rows), cfg))
@@ -234,15 +236,17 @@ def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
 
 
 def one_column_values(window, cfg):
-    """estimate_scd's values computed one _smoothed_column call per column,
-    each stored into its column of a C-order matrix."""
+    """estimate_scd's values computed one one-column kernel call per column,
+    so that no strip holds a pad, each stored into its column of a C-order
+    matrix."""
     k = cfg.window_length_k
-    work = _KernelBuffers(1, cfg)
-    half = _half_spectra(window.samples[None], cfg, out=work.half)
     values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
     for col, a in enumerate(cfg.alpha_grid):
+        column = replace(cfg, alpha_grid=(a,))
+        half = _half_spectra(window.samples[None], column)
+        [(_, [run])] = _smoothed_strips(half, column, _KernelBuffers(1, column))
         lo = abs(a) // 2
-        values[lo:k - lo, col] = _smoothed_column(half, a, cfg, work)[0]
+        values[lo:k - lo, col] = run[0]
     return values
 
 
@@ -282,7 +286,7 @@ DESK_SCAN = (harness.export_window(harness.desk_plan()).samples,
              replace(harness.desk_plan().scd_cfg, alpha_grid=tuple(range(-2792, 2793, 8))))
 
 
-# estimate_scd pads each strip row past its column's end with -0.0, which
+# the kernel pads each strip row past its column's end with -0.0, which
 # leaves the running sum's bits as they are; a +0.0 pad or none at all
 # changes cells of zero, sparse or short-column cases
 @settings(deadline=None, derandomize=True, database=None)
@@ -299,6 +303,7 @@ def test_strips_equal_one_column_at_a_time_bit_for_bit(case):
         assert values.shape == want.shape and values.flags.c_contiguous
     assert np.array_equal(matrix.values.view(np.uint64), want.view(np.uint64))
     assert file_matrix.values.tobytes() == want.astype("<c8").tobytes()
+    assert cs.alpha_maxima(x, cfg).tobytes() == valid_maxima(cs.ScdMatrix(want, cfg, FS)).tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         data_path, _ = io.write_scd_matrix(Path(tmp) / "scd", matrix)
         assert data_path.read_bytes() == want.astype("<c8").tobytes()
@@ -512,8 +517,11 @@ class TestAlphaMaxima:
             cs.alpha_maxima(noise_window(1024).samples, cs.ScdConfig(1024, 301, (0, alpha)))
 
     def test_rejects_mismatched_window_length(self):
-        with pytest.raises(ValueError):
-            cs.alpha_maxima(noise_window(512).samples, cs.ScdConfig(1024, 301, (0,)))
+        # a (1, K) array holds K samples, but not as the one window SampleBuffer takes
+        for samples, match in ((noise_window(512).samples, "does not match"),
+                               (noise_window(1024).samples[None], "nonempty 1-D")):
+            with pytest.raises(ValueError, match=match):
+                cs.alpha_maxima(samples, cs.ScdConfig(1024, 301, (0,)))
 
     def test_rejects_complex_samples(self):
         x = noise_window(1024).samples
