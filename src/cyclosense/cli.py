@@ -2,12 +2,13 @@
 
 Experiments are described by a JSON plan file; flags exist only as overrides
 (`--set key=value` with dotted keys into the plan document, optional keys
-included). Plan files are read strictly: the top level takes exactly the
-plan keys and the signal and scd sections exactly the SignalSpec and
-ScdConfig fields, so an unknown key is a configuration error. Every
-plan-driven command writes the fully resolved plan.json next to its outputs
-for provenance, and rerunning a command with the same plan produces
-byte-identical files.
+included). Plan files are read strictly, by the schema walker that also
+reads fit.json: the top level takes exactly the plan keys and the signal
+and scd sections exactly the SignalSpec and ScdConfig fields, each value of
+its JSON type, so an unknown key or a value of the wrong type is a
+configuration error. Every plan-driven command writes the fully resolved
+plan.json next to its outputs for provenance, and rerunning a command with
+the same plan produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or convergence
 error, 4 I/O error.

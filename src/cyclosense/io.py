@@ -3,7 +3,10 @@
 Binary payloads are little-endian with a JSON sidecar or header carrying the
 metadata. Text outputs are deterministic: JSON is sorted with full-precision
 floats (17 significant digits where needed), CSV numbers carry 9 significant
-digits. Identical inputs therefore produce byte-identical files.
+digits. Identical inputs therefore produce byte-identical files. The JSON
+inputs, plans and fit.json, are read by one walker (_check) against a schema
+of each file's keys and value kinds, so a malformed file raises ValueError
+naming the key.
 """
 
 from __future__ import annotations
@@ -139,50 +142,56 @@ def write_fit_json(path: str | Path, report: FitReport) -> Path:
     return path
 
 
-# write_fit_json's keys, each with the JSON type read_fit_json requires of its value
+# write_fit_json's keys, each with the kind of its value (see _check)
 _FIT_SCHEMA = {"kappa": float, "mu": float, "sigma": float, "log_likelihood": float,
                "converged": bool, "sample_count": int,
                "solver": {"tol": float, "iterations": int}}
-_JSON_TYPES = {float: "finite (a JSON number)", int: "a JSON integer", bool: "true or false"}
+# any number, nan and the infinities included: the dataclasses check the values
+_NUMBER = (int, float)
+_KINDS = {float: "finite (a JSON number)", int: "a JSON integer", bool: "true or false",
+          str: "a string", _NUMBER: "a number"}
 
 
-def _is_json(kind: type, value) -> bool:
-    """value is of kind: a float a finite number and an int an integer, neither
-    of them a JSON true or false."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if kind is int:
-        return isinstance(value, int)
-    # a comparison refuses nan, inf and integers beyond the float range alike
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def _check_fields(payload, schema: dict, section: str = "") -> None:
-    """Raise ValueError, naming the key, unless payload, the fit.json section
-    at section (the top level when empty), has exactly schema's keys and each
-    value is of its key's type."""
-    name = f"fit.json {section or 'top level'}"
-    if not isinstance(payload, dict):
-        raise ValueError(f"{name} must be a JSON object, got {payload!r}")
-    missing, unknown = schema.keys() - payload.keys(), payload.keys() - schema.keys()
-    if missing or unknown:
-        raise ValueError(f"{name} must have exactly the keys {sorted(schema)}: "
-                         f"missing {sorted(missing)}, unknown {sorted(unknown)}")
-    for key, kind in schema.items():
-        path, value = f"{section}.{key}" if section else key, payload[key]
-        if isinstance(kind, dict):
-            _check_fields(value, kind, path)
-        elif not _is_json(kind, value):
-            raise ValueError(f"fit.json {path} must be {_JSON_TYPES[kind]}, got {value!r}")
+def _check(node, schema, name: str, path: str = "", optional=frozenset()) -> None:
+    """Raise ValueError, naming the key, unless node, the part of the name
+    file at the dotted path (the top level when empty), is of kind schema: a
+    dict of keys to kinds for a JSON object with exactly those keys, less the
+    dotted paths in optional that it omits; a one-entry list for a list of
+    numbers; or a _KINDS key."""
+    where = f"{name} {path or 'top level'}"
+    if isinstance(schema, dict):
+        if not isinstance(node, dict):
+            raise ValueError(f"{where} must be a JSON object, got {node!r}")
+        prefix = f"{path}." if path else ""
+        missing = {key for key in schema.keys() - node.keys() if prefix + key not in optional}
+        unknown = node.keys() - schema.keys()
+        if missing or unknown:
+            raise ValueError(f"{where} must have exactly the keys {sorted(schema)}: "
+                             f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+        for key, kind in schema.items():
+            if key in node:
+                _check(node[key], kind, name, prefix + key, optional)
+    elif isinstance(schema, list):
+        if not isinstance(node, (list, tuple)):
+            raise ValueError(f"{where} must be a list of numbers, got {node!r}")
+        for index, value in enumerate(node):
+            _check(value, schema[0], name, f"{path}[{index}]")
+    # true and false are of kind bool alone, not 1 and 0, and a float is finite: a
+    # comparison refuses nan, inf and integers beyond the float range alike
+    elif (isinstance(node, bool) != (schema is bool)
+          or not isinstance(node, _NUMBER if schema is float else schema)
+          or schema is float and not abs(node) <= sys.float_info.max):
+        raise ValueError(f"{where} must be {_KINDS[schema]}, got {node!r}")
 
 
 def read_fit_json(path: str | Path) -> FitReport:
-    """The FitReport of a write_fit_json file, read as strictly as a plan:
-    exactly its keys at the top level and under solver, converged true or
-    false, sample_count and iterations integers, and the parameters, the log
-    likelihood and tol finite numbers. Anything else raises ValueError."""
+    """The FitReport of a write_fit_json file, read by the walker that reads
+    plans against _FIT_SCHEMA: exactly its keys at the top level and under
+    solver, converged true or false, sample_count and iterations integers,
+    and the parameters, the log likelihood and tol finite numbers. Anything
+    else raises ValueError naming the key."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    _check_fields(payload, _FIT_SCHEMA)
+    _check(payload, _FIT_SCHEMA, "fit.json")
     return FitReport(
         params=GevParams(payload["kappa"], payload["mu"], payload["sigma"]),
         log_likelihood=payload["log_likelihood"],
@@ -238,40 +247,20 @@ def _scd_dict(cfg: ScdConfig) -> dict:
 
 # fixed by the implementation: a plan may restate them but not change them
 _CONVENTIONS = {"snr_bandwidth": "full sampling bandwidth", "noise_variance": NOISE_VARIANCE}
-# the plan keys, as dotted paths, that take a number, each with whether it
-# takes a list of them; no plan key takes true or false
-_PLAN_NUMBERS = {"signal.carrier_freq_hz": False, "signal.baseband_bandwidth_hz": False,
-                 "signal.sample_rate_hz": False, "signal.duration_samples": False,
-                 "signal.modulation_index": False, "scd.window_length_k": False,
-                 "scd.smoothing_length": False, "scd.alpha_bins": True, "noise_windows": False,
-                 "signal_windows": False, "snr_db": True, "pf_grid": True, "master_seed": False}
-
-
-def _check_number(path: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"plan {path} must be a number, got {value!r}")
-
-
-def _check_plan_values(node, path: str = "") -> None:
-    """Raise ValueError, naming the key, at a true or false anywhere in the
-    plan node at path, or at a _PLAN_NUMBERS key whose value is not a number
-    or a list of numbers as that key takes."""
-    takes_list = _PLAN_NUMBERS.get(path)
-    if takes_list is False:
-        _check_number(path, node)
-    elif takes_list and not isinstance(node, (list, tuple)):
-        raise ValueError(f"plan {path} must be a list of numbers, got {node!r}")
-    elif takes_list:
-        for index, value in enumerate(node):
-            _check_number(f"{path}[{index}]", value)
-    elif isinstance(node, bool):
-        raise ValueError(f"plan {path} must not be true or false: no plan key takes them")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            _check_plan_values(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(node, (list, tuple)):
-        for index, value in enumerate(node):
-            _check_plan_values(value, f"{path}[{index}]")
+# plan_to_dict's keys, each with the kind of its value (see _check)
+_PLAN_SCHEMA = {
+    "signal": {"carrier_freq_hz": _NUMBER, "baseband_bandwidth_hz": _NUMBER,
+               "sample_rate_hz": _NUMBER, "duration_samples": _NUMBER, "modulation": str,
+               "modulation_index": _NUMBER},
+    "scd": {"window_length_k": _NUMBER, "smoothing_length": _NUMBER, "alpha_bins": [_NUMBER],
+            "taper": str},
+    "noise_windows": _NUMBER, "signal_windows": _NUMBER, "snr_db": [_NUMBER],
+    "pf_grid": [_NUMBER], "master_seed": _NUMBER,
+    "conventions": {"snr_bandwidth": str, "noise_variance": _NUMBER},
+}
+# the plan keys a file may omit: the dataclass defaults, and _CONVENTIONS
+_PLAN_OPTIONAL = frozenset({"signal.modulation", "signal.modulation_index", "scd.taper",
+                            "conventions"})
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -288,35 +277,26 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_dict(payload: dict) -> ExperimentPlan:
-    """Plan from its dict form, read strictly: the top level takes exactly the
-    plan_to_dict keys (conventions may be omitted, not changed), and the signal
-    and scd sections exactly the SignalSpec and ScdConfig fields (alpha_grid
-    written as alpha_bins), whose optional fields take the dataclass defaults.
-    An unknown or missing key raises ValueError, and so does a value of the
-    wrong JSON type: true or false anywhere, or a non-number where a number
-    or a list of numbers belongs."""
-    _check_plan_values(payload)
-    rest = dict(payload)
-    if rest.pop("conventions", _CONVENTIONS) != _CONVENTIONS:
+    """Plan from its dict form, read by the walker that reads fit.json
+    against _PLAN_SCHEMA: exactly the plan_to_dict keys at every level (the
+    signal and scd sections hold the SignalSpec and ScdConfig fields, with
+    alpha_grid as alpha_bins), less any _PLAN_OPTIONAL key, which takes its
+    default; conventions may be omitted but not changed. A missing, unknown
+    or mistyped key raises ValueError naming it, as do the dataclasses'
+    own checks of the values."""
+    _check(payload, _PLAN_SCHEMA, "plan", optional=_PLAN_OPTIONAL)
+    if payload.get("conventions", _CONVENTIONS) != _CONVENTIONS:
         raise ValueError(f"plan conventions must be {_CONVENTIONS} or omitted")
-    try:
-        scd = dict(rest.pop("scd"))
-        plan = ExperimentPlan(
-            signal_spec=SignalSpec(**rest.pop("signal")),
-            scd_cfg=ScdConfig(alpha_grid=tuple(scd.pop("alpha_bins")), **scd),
-            noise_windows_l=rest.pop("noise_windows"),
-            signal_windows_m=rest.pop("signal_windows"),
-            snr_db_list=tuple(rest.pop("snr_db")),
-            pf_grid=tuple(rest.pop("pf_grid")),
-            master_seed=rest.pop("master_seed"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"plan is missing required key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"invalid plan: {exc}") from exc
-    if rest:
-        raise ValueError(f"unknown plan key(s) {sorted(rest)}")
-    return plan
+    scd = dict(payload["scd"])
+    return ExperimentPlan(
+        signal_spec=SignalSpec(**payload["signal"]),
+        scd_cfg=ScdConfig(alpha_grid=tuple(scd.pop("alpha_bins")), **scd),
+        noise_windows_l=payload["noise_windows"],
+        signal_windows_m=payload["signal_windows"],
+        snr_db_list=tuple(payload["snr_db"]),
+        pf_grid=tuple(payload["pf_grid"]),
+        master_seed=payload["master_seed"],
+    )
 
 
 def write_plan_json(path: str | Path, plan: ExperimentPlan) -> Path:

@@ -338,8 +338,9 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
     values = np.empty((k, len(grid)), dtype=np.complex128) if out is None else out
     matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
     values[...] = 0  # in one pass: the kernel yields only the valid runs
-    half = _half_spectra(window.samples[None], cfg)
-    for start, runs in _smoothed_strips(half, cfg, _KernelBuffers(1, cfg)):
+    work = _KernelBuffers(1, cfg)
+    half = _half_spectra(window.samples[None], cfg, out=work.half)
+    for start, runs in _smoothed_strips(half, cfg, work):
         with np.errstate(over="ignore"):  # a complex64 out's cast; the writer checks it
             for j, run in enumerate(runs, start):
                 values[abs(grid[j]) // 2:, j][:run.shape[1]] = run[0]

@@ -72,8 +72,10 @@ class SignalSpec:
 
 
 def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is a finite whole number."""
-    if value % 1 != 0:  # value % 1 is nan for inf and nan
+    """value as an int; ValueError unless it is a finite whole number, which
+    True and False, read as 1 and 0 elsewhere, are not."""
+    # value % 1 is nan for inf and nan
+    if isinstance(value, (bool, np.bool_)) or value % 1 != 0:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -128,9 +130,10 @@ class NoiseSpec:
 
 
 def _seed(seed) -> int:
-    """seed as an int; ValueError unless it is a nonnegative integer."""
+    """seed as an int; ValueError unless it is a nonnegative integer, which
+    True and False are not."""
     try:
-        valid = seed == int(seed) >= 0
+        valid = not isinstance(seed, (bool, np.bool_)) and seed == int(seed) >= 0
     except (TypeError, ValueError, OverflowError):  # int() of a str, nan or inf
         valid = False
     if not valid:

@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from numpy._core import _multiarray_umath
 
 import cyclosense as cs
 from cyclosense import harness
@@ -22,6 +25,22 @@ def mini_plan() -> cs.ExperimentPlan:
         signal_windows_m=120,
         snr_db_list=(-10.0, 0.0),
     )
+
+
+@pytest.fixture(scope="session")
+def dispatch_target() -> tuple[str, str]:
+    """(numpy's x86-64 level, OpenBLAS core) of this process: the SIMD ufunc
+    loops and BLAS kernels whose rounding the fit and roc digests pin. The
+    level is X86_V4 (AVX-512), X86_V3 (AVX2) or "below X86_V3"; the core is
+    what the OpenBLAS behind numpy picked, or "unknown" without one."""
+    features = _multiarray_umath.__cpu_features__
+    level = next((name for name in ("X86_V4", "X86_V3") if features.get(name)), "below X86_V3")
+    try:  # the wheel's OpenBLAS, reached through the extension that links it
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return level, "unknown"
+    corename.restype = ctypes.c_char_p
+    return level, corename().decode()
 
 
 @pytest.fixture

@@ -15,8 +15,15 @@ from cyclosense.harness import STREAM_EXPORT_NOISE, STREAM_EXPORT_SIGNAL, derive
 
 # SHA-256 over the mini-plan roc output files, each file's name, a NUL and its
 # bytes in name order; a change that is meant to keep the roc outputs must
-# keep these bits, and one that moves them re-pins it
+# keep these bits, and one that moves them re-pins every target's. Only
+# fit.json differs between targets (see FIT_DIGESTS in test_gev.py)
 ROC_DIGEST = "b9f76f301d286e55fc0bf9f122436fe9f2c9020b0f27dde35f5e3ee7c346e81a"
+ROC_DIGESTS = {
+    ("X86_V4", "SkylakeX"): ROC_DIGEST,
+    ("X86_V3", "SkylakeX"): "5588b0a4958cf5e652a6f125aa9b20d009a9a115a6e4f2d2b80bbbcbd6c4f1f2",
+    ("X86_V4", "Haswell"): "77117a0fd9bce2b5e98969c988ac537bb1299f07f32f8bed63c1bdfee5041508",
+    ("X86_V3", "Haswell"): "88d7be04ec17b6d49f6020c28096eab29e3b8555169b9a16fdf099d219caf8f4",
+}
 
 
 @pytest.fixture
@@ -268,13 +275,15 @@ class TestRoc:
         assert main(["roc", "--plan", str(plan_path), "--out", str(tmp_path / "r")]) == 0
         assert calls == [6]  # fit, H0 and 2 SNRs x 2 H1 batches, one block each
 
-    def test_outputs_are_pinned_bit_for_bit(self, tmp_path, plan_path):
+    def test_outputs_are_pinned_bit_for_bit(self, tmp_path, plan_path, dispatch_target):
+        assert dispatch_target in ROC_DIGESTS, \
+            f"no roc digest pinned for dispatch target {dispatch_target}"
         out = tmp_path / "r"
         assert main(["roc", "--plan", str(plan_path), "--out", str(out)]) == 0
         digest = hashlib.sha256()
         for name, data in tree_bytes(out).items():
             digest.update(name.encode() + b"\0" + data)
-        assert digest.hexdigest() == ROC_DIGEST
+        assert digest.hexdigest() == ROC_DIGESTS[dispatch_target]
 
     def test_snrs_sharing_a_file_name_are_config_error(self, tmp_path, mini_plan, capsys):
         bad = io.write_plan_json(tmp_path / "plan.json",

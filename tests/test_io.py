@@ -3,7 +3,7 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -180,7 +180,11 @@ class TestPlanJson:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_key_is_config_error(self, tmp_path):
-        with pytest.raises(ValueError, match="missing required key"):
+        with pytest.raises(ValueError, match=re.escape(
+                "plan top level must have exactly the keys ['conventions', 'master_seed', "
+                "'noise_windows', 'pf_grid', 'scd', 'signal', 'signal_windows', 'snr_db']: "
+                "missing ['master_seed', 'noise_windows', 'pf_grid', 'scd', 'signal_windows', "
+                "'snr_db']")):
             io.plan_from_dict({"signal": {}})
 
     def test_unknown_signal_key_is_config_error(self, mini_plan):
@@ -220,7 +224,7 @@ class TestPlanJson:
     @pytest.mark.parametrize("section, key, value, message", [
         ("scd", "window_length_k", True, "plan scd.window_length_k must be a number, got True"),
         (None, "pf_grid", [0.01, False], "plan pf_grid[1] must be a number, got False"),
-        ("signal", "modulation", True, "plan signal.modulation must not be true or false"),
+        ("signal", "modulation", True, "plan signal.modulation must be a string, got True"),
         ("signal", "sample_rate_hz", "3e6", "plan signal.sample_rate_hz must be a number"),
         (None, "snr_db", -10.0, "plan snr_db must be a list of numbers, got -10.0")])
     def test_value_of_the_wrong_json_type_is_config_error(self, mini_plan, section, key, value,
@@ -229,6 +233,20 @@ class TestPlanJson:
         (payload[section] if section else payload)[key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             io.plan_from_dict(payload)
+
+
+def test_plan_schema_matches_the_plan_and_its_dataclasses():
+    def assert_same_keys(schema, payload, path):
+        assert schema.keys() == payload.keys(), path
+        for key, kind in schema.items():
+            if isinstance(kind, dict):
+                assert_same_keys(kind, payload[key], f"{path}.{key}")
+
+    assert_same_keys(io._PLAN_SCHEMA, io.plan_to_dict(cs.desk_plan()), "plan")
+    defaults = {f"{section}.{field.name}"
+                for section, spec in (("signal", cs.SignalSpec), ("scd", cs.ScdConfig))
+                for field in fields(spec) if field.default is not MISSING}
+    assert io._PLAN_OPTIONAL == defaults | {"conventions"}
 
 
 @st.composite

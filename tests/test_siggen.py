@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cyclosense as cs
 from cyclosense import NoiseSpec, SampleBuffer, SignalSpec, generate_am, generate_awgn, mix_at_snr
 from cyclosense import siggen
 
@@ -200,3 +201,20 @@ class TestMixAtSnr:
                 pytest.warns(RuntimeWarning, match="overflow"):
             mix_at_snr(SampleBuffer(np.full(16, 1e-160), FS),
                        SampleBuffer(rng.standard_normal(16), FS), 3000.0)
+
+
+# Python reads True and False as 1 and 0, which each of these would take
+@pytest.mark.parametrize("make", [
+    lambda flag: cs.ScdConfig(4096, flag, (2730,)),
+    lambda flag: replace(cs.desk_plan(), master_seed=flag),
+    lambda flag: NoiseSpec(1.0, flag),
+    lambda flag: cs.sample_gev(cs.GevParams(0.0, 0.0, 1.0), 1, flag),
+    lambda flag: cs.sample_gev(cs.GevParams(0.0, 0.0, 1.0), flag, 1),
+    lambda flag: SignalSpec(FC, BW, FS, flag),
+    lambda flag: generate_am(SignalSpec(FC, BW, FS, 64), flag),
+], ids=["scd-smoothing-length", "plan-master-seed", "noise-seed", "gev-seed", "gev-count",
+        "signal-duration", "am-seed"])
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+def test_true_and_false_are_not_integers(make, flag):
+    with pytest.raises(ValueError, match=f"must be (a nonnegative|an) integer, got {flag!r}"):
+        make(flag)
