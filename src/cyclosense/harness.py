@@ -104,13 +104,17 @@ class ExperimentPlan:
             if value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
             object.__setattr__(self, name, value)
-        grid = tuple(float(p) for p in self.pf_grid)
+        try:
+            grid = tuple(float(p) for p in self.pf_grid)
+            snrs = tuple(float(s) for s in self.snr_db_list)
+        except OverflowError:  # float() of an int beyond the float range
+            raise ValueError("pf_grid and snr_db_list entries must lie within the float "
+                             "range") from None
         if not grid or any(not 0.0 < p < 1.0 for p in grid):
             raise ValueError("pf_grid entries must lie strictly between 0 and 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("pf_grid must be strictly increasing")
         object.__setattr__(self, "pf_grid", grid)
-        snrs = tuple(float(s) for s in self.snr_db_list)
         if not snrs:
             raise ValueError("snr_db_list must not be empty")
         for snr_db in snrs:

@@ -16,6 +16,7 @@ one row, so a row's samples are the same bits whatever else shares its array.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +53,8 @@ class SignalSpec:
 
     def __post_init__(self) -> None:
         for name in ("sample_rate_hz", "carrier_freq_hz", "baseband_bandwidth_hz"):
-            if not 0.0 < getattr(self, name) < np.inf:  # false for nan too
+            # false for nan, and for an int beyond the float range, too
+            if not 0.0 < getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite")
         if self.carrier_freq_hz >= self.sample_rate_hz / 2:
             raise ValueError(

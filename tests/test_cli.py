@@ -466,6 +466,24 @@ class TestOverridesAndErrors:
         assert f"{field} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # JSON reads these as Python ints, which float() cannot convert
+    @pytest.mark.parametrize("override", [f"signal.sample_rate_hz=1{'0' * 400}",
+                                          f"pf_grid=[1{'0' * 400}]", f"snr_db=[1{'0' * 400}]"],
+                             ids=["sample_rate_hz", "pf_grid", "snr_db"])
+    def test_integer_beyond_the_float_range_is_config_error_and_creates_no_out(
+            self, tmp_path, plan_path, override, capsys):
+        out = tmp_path / "out"
+        assert main(["gen", "--plan", str(plan_path), "--out", str(out),
+                     "--set", override]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+        assert not out.exists()
+
+    def test_seed_beyond_the_float_range_writes_its_plan(self, tmp_path, plan_path):
+        out = tmp_path / "out"
+        assert main(["gen", "--plan", str(plan_path), "--out", str(out),
+                     "--set", f"master_seed=1{'0' * 400}"]) == 0
+        assert json.loads((out / "plan.json").read_text())["master_seed"] == 10**400
+
     def test_integral_float_seed_writes_the_int_plan(self, tmp_path, plan_path):
         for name, seed in (("int", "7"), ("float", "7.0")):
             assert main(["gen", "--plan", str(plan_path), "--out", str(tmp_path / name),

@@ -502,15 +502,46 @@ def test_every_evaluation_of_a_fit_shares_one_workspace(monkeypatch):
     works = []
     derivatives = gev_module._derivatives
 
-    def recording(x, theta, free=(0, 1, 2), work=None, z_current=False):
+    def recording(x, theta, free=(0, 1, 2), work=None):
         works.append(work)
-        return derivatives(x, theta, free, work, z_current)
+        return derivatives(x, theta, free, work)
 
     monkeypatch.setattr(gev_module, "_derivatives", recording)
     report = cs.fit_gev_mle(cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7), refine=True)
     # the three stages' start points, accepted steps and rejected trial steps
     assert len(works) >= report.iterations + 3
     assert works[0] is not None and all(work is works[0] for work in works)
+
+
+def assert_same_evaluation(result, fresh):
+    assert (result[0], result[1].tobytes(), result[2].tobytes()) == (
+        fresh[0], fresh[1].tobytes(), fresh[2].tobytes())
+
+
+@pytest.mark.parametrize("moved", [(0.0, 0.001, 0.0), (0.0, 0.0, 0.01)], ids=["mu", "sigma"])
+@pytest.mark.parametrize("kappa", [0.1, 0.0], ids=["kappa=0.1", "kappa=0"])
+def test_an_evaluation_forms_z_again_only_at_another_location_or_scale(kappa, moved):
+    draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), 1000, seed=7)
+    theta = (kappa, 0.0427, np.log(0.0183))
+    work = gev_module._workspace(draws.size)
+    _derivatives(draws, theta, (0, 1, 2), work)
+    work[0][0].fill(np.nan)  # the z row
+    # a shape step holds mu and sigma, so it reuses the nan z, whose nan log
+    # likelihood _derivatives reports as -inf with no score
+    assert _derivatives(draws, (kappa + 0.01, *theta[1:]), (0,), work) == (
+        float("-inf"), None, None)
+    other = tuple(c + d for c, d in zip(theta, moved))
+    assert_same_evaluation(_derivatives(draws, other, (0, 1, 2), work),
+                           _derivatives(draws, other))
+
+
+def test_an_evaluation_forms_z_again_for_other_samples_at_the_same_theta():
+    theta = (0.1, 0.0427, np.log(0.0183))
+    first, second = (cs.sample_gev(gev(*theta[:2], 0.0183), 1000, seed) for seed in (7, 8))
+    work = gev_module._workspace(first.size)
+    _derivatives(first, theta, (0, 1, 2), work)
+    assert_same_evaluation(_derivatives(second, theta, (0, 1, 2), work),
+                           _derivatives(second, theta))
 
 
 @pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=3)),
@@ -520,8 +551,8 @@ def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
     draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 200, seed=7)
     calls = []
 
-    def stage(x, theta, free, work, z_current):
-        calls.append((free, z_current))
+    def stage(x, theta, free, work):
+        calls.append(free)
         return theta, -1.0, 10 ** (len(calls) - 1), flags[len(calls) - 1]
 
     monkeypatch.setattr(gev_module, "_newton", stage)
@@ -535,15 +566,14 @@ def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
     assert (staged.converged, staged.iterations) == (gumbel_ok and shape_ok, 11)
     # the joint stage answers for the fit whatever the stages before it did
     assert (joint.converged, joint.iterations) == (joint_ok, 111)
-    # only the stage after the shape stage, which holds mu and sigma, reuses z
-    assert gumbel_calls == [((1, 2), False)]
-    assert staged_calls == [((1, 2), False), ((0,), False)]
-    assert calls == [((1, 2), False), ((0,), False), ((0, 1, 2), True)]
+    assert gumbel_calls == [(1, 2)]
+    assert staged_calls == [(1, 2), (0,)]
+    assert calls == [(1, 2), (0,), (0, 1, 2)]
 
 
 @pytest.mark.parametrize("n", [30, 1001, 10_000])
 def test_workspace_rows_start_on_cache_lines(n):
-    rows, mask = gev_module._workspace(n)
+    rows, mask, _ = gev_module._workspace(n)
     assert rows.shape == (gev_module._WORK_ROWS, n) and mask.shape == (n,)
     assert all(row.flags.c_contiguous and row.ctypes.data % 64 == 0 for row in rows)
 
@@ -556,12 +586,22 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(g=1.0, h=5e-324)
 @example(g=-0.0, h=2.0)
 def test_one_coordinate_step_is_the_1x1_solve_bit_for_bit(g, h):
-    assert np.float64(-(g / h)).tobytes() == (-np.linalg.solve([[h]], [g]))[0].tobytes()
-    # and the closed form takes the same step, or the same score step, as the solve
+    solved = -np.linalg.solve([[h]], [g])
     with np.errstate(over="ignore"):  # as inside _newton
-        step = gev_module._ascent_step(g, h, 1000)
-        solved = gev_module._ascent_step(np.array([g]), np.array([[h]]), 1000)
-    assert np.float64(step).tobytes() == solved[0].tobytes()
+        step = gev_module._ascent_step(np.array([g]), np.array([[h]]), 1000)
+        # the division takes the solve's step where it ascends, else the same score step
+        expected = solved if solved @ [g] > 0 else np.array([g]) / 1000
+    assert step.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0])
+def test_a_zero_one_coordinate_system_takes_the_score_step_as_the_solve_does(h):
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve([[h]], [1.0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as inside _newton
+        for g in (1.0, -1.0):
+            step = gev_module._ascent_step(np.array([g]), np.array([[h]]), 1000)
+            assert step.tolist() == [g / 1000]
 
 
 def test_the_shape_stage_steps_without_a_linear_solve(monkeypatch):
@@ -588,8 +628,8 @@ def test_a_degenerate_newton_system_takes_the_score_step(monkeypatch, stage, hes
     # the first evaluation of the stage hands _newton a system with no solution
     derivatives, broken = gev_module._derivatives, []
 
-    def degenerate_once(x, theta, free=(0, 1, 2), work=None, z_current=False):
-        ll, score, full = derivatives(x, theta, free, work, z_current)
+    def degenerate_once(x, theta, free=(0, 1, 2), work=None):
+        ll, score, full = derivatives(x, theta, free, work)
         if free == stage and not broken:
             broken.append(free)
             return ll, score, hessian.copy()
