@@ -1,9 +1,11 @@
-import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
-from numpy._core import _multiarray_umath
 
 import cyclosense as cs
 from cyclosense import harness
@@ -27,20 +29,29 @@ def mini_plan() -> cs.ExperimentPlan:
     )
 
 
+# The dispatch target the fit and roc digests are pinned on, set before numpy
+# loads: numpy's x86-64-v3 (AVX2) loops and OpenBLAS's Haswell kernels
+PINNED_TARGET = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                 "OPENBLAS_CORETYPE": "Haswell"}
+
+
 @pytest.fixture(scope="session")
-def dispatch_target() -> tuple[str, str]:
-    """(numpy's x86-64 level, OpenBLAS core) of this process: the SIMD ufunc
-    loops and BLAS kernels whose rounding the fit and roc digests pin. The
-    level is X86_V4 (AVX-512), X86_V3 (AVX2) or "below X86_V3"; the core is
-    what the OpenBLAS behind numpy picked, or "unknown" without one."""
-    features = _multiarray_umath.__cpu_features__
-    level = next((name for name in ("X86_V4", "X86_V3") if features.get(name)), "below X86_V3")
-    try:  # the wheel's OpenBLAS, reached through the extension that links it
-        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
-    except AttributeError:
-        return level, "unknown"
-    corename.restype = ctypes.c_char_p
-    return level, corename().decode()
+def pinned_python():
+    """pinned_python(*args, **env) runs `python *args` in a child on
+    PINNED_TARGET plus env, failing with its stderr if it exits non-zero.
+    pytest's pythonpath does not reach a child: PYTHONPATH names src, and
+    tests so that -c code can import the test modules."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+
+    def run(*args, **env):
+        child = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                               env={**os.environ, **PINNED_TARGET, "PYTHONPATH": path, **env})
+        if child.returncode:
+            pytest.fail(f"child python {args} exited {child.returncode}:\n{child.stderr}")
+        return child
+
+    return run
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ quantiles/thresholds. Oracle constants are frozen below.
 
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,17 +22,10 @@ import cyclosense as cs
 import cyclosense.gev as gev_module
 from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, log_likelihood
 
-# SHA-256 of every fit in fit_digest(); a solver change that is meant to
-# keep the fits must keep these bits, and one that moves them re-pins every
-# target's. FIT_DIGEST was pinned on X86_V4 loops and SkylakeX kernels; numpy's
-# AVX2 loops and OpenBLAS's Haswell kernels each round the fit differently
-FIT_DIGEST = "875271d6d2891d28cc6b96554ee4515b1ec66afc1567c216754999b044126464"
-FIT_DIGESTS = {
-    ("X86_V4", "SkylakeX"): FIT_DIGEST,
-    ("X86_V3", "SkylakeX"): "878ecc9e7c57b416d1cb0c16c14aa028451883c9dad7eb31502e67be9cb42fda",
-    ("X86_V4", "Haswell"): "5f1c9e483323eadd2ef01b442d7edace00a2d385d342ed8302d801e48af98b45",
-    ("X86_V3", "Haswell"): "5e5c4ceba2f6855dffb708f4e779ec20dcab486747e7de541a806d49dcf31f95",
-}
+# SHA-256 of every fit in fit_digest() by a child on the pinned dispatch target
+# (PINNED_TARGET in conftest.py). A change that moves the fits re-pins this one
+# value, which the test's own child computes
+FIT_DIGEST = "5e5c4ceba2f6855dffb708f4e779ec20dcab486747e7de541a806d49dcf31f95"
 
 # frozen oracle constants
 PDF_GUMBEL01_AT_1 = 0.2546463800435825        # exp(-exp(-1) - 1)
@@ -425,10 +419,21 @@ def fit_digest():
     return digest.hexdigest()
 
 
-def test_fits_are_pinned_bit_for_bit(dispatch_target):
-    assert dispatch_target in FIT_DIGESTS, \
-        f"no fit digest pinned for dispatch target {dispatch_target}"
-    assert fit_digest() == FIT_DIGESTS[dispatch_target]
+def test_fits_are_pinned_bit_for_bit(pinned_python):
+    child = pinned_python("-c", "import test_gev; print(test_gev.fit_digest())")
+    assert child.stdout.strip() == FIT_DIGEST
+
+
+def test_children_run_the_pinned_target(pinned_python):
+    # the pins hold only on the target they were computed on; a runner that
+    # cannot run it fails here, naming what its child ran instead
+    code = ("import json; from numpy.lib.introspect import opt_func_info; "
+            "print(json.dumps(opt_func_info(func_name='exp|log', signature='float64')))")
+    child = pinned_python("-c", code, OPENBLAS_VERBOSE="2")
+    loops = {name: sig["current"] for name, info in json.loads(child.stdout).items()
+             if name in ("exp", "log") for sig in info.values()}
+    assert loops == {"exp": "X86_V3", "log": "X86_V3"}, f"numpy's float64 loops: {loops}"
+    assert "Core: Haswell" in child.stderr, f"OpenBLAS: {child.stderr}"
 
 
 def assert_reports_its_log_likelihood(draws):
@@ -575,7 +580,8 @@ def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
 def test_workspace_rows_start_on_cache_lines(n):
     rows, mask, _ = gev_module._workspace(n)
     assert rows.shape == (gev_module._WORK_ROWS, n) and mask.shape == (n,)
-    assert all(row.flags.c_contiguous and row.ctypes.data % 64 == 0 for row in rows)
+    assert all(row.flags.c_contiguous and row.__array_interface__["data"][0] % 64 == 0
+               for row in rows)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

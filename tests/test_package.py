@@ -1,11 +1,7 @@
 """Public surface: every exported name resolves, so no re-export goes stale."""
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,11 +24,7 @@ def test_module_all_resolves(module):
         assert hasattr(mod, name), f"cyclosense.{module}.{name}"
 
 
-def test_import_leaves_numpy_random_unloaded():
+def test_import_leaves_numpy_random_unloaded(pinned_python):
     # numpy.random loads on first use; an import-time load would cost every command
-    src = str(Path(cyclosense.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, cyclosense; print('numpy.random' in sys.modules, 'numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert pinned_python("-c", code).stdout.split() == ["False", "True"]
