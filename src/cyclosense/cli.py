@@ -34,6 +34,7 @@ from .harness import (
     run_windows,
 )
 from .scd import estimate_scd
+from .siggen import _integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,8 +67,7 @@ def _apply_overrides(plan_dict: dict, overrides: list[str]) -> dict:
 
 def _load_plan(args: argparse.Namespace) -> ExperimentPlan:
     """The plan of a plan command, after its --jobs check."""
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _integer("--jobs", args.jobs, 1)
     raw = json.loads(Path(args.plan).read_text(encoding="utf-8"))
     raw = _apply_overrides(raw, args.set or [])
     return io.plan_from_dict(raw)

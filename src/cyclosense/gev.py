@@ -35,11 +35,12 @@ Newton steps. Both limits are fixed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .siggen import _integer, _seed
+from .siggen import _integer, _positive, _samples
 
 KAPPA_EPS = 1e-6
 
@@ -80,11 +81,11 @@ class GevParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "mu", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        for name in ("kappa", "mu"):
+            value = getattr(self, name)
+            if not abs(value) <= sys.float_info.max:  # false for nan and an int beyond floats
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        _positive("sigma", self.sigma)
 
     @property
     def is_gumbel(self) -> bool:
@@ -103,16 +104,18 @@ class FitReport:
     solver_tol: float
 
 
-def _as_finite_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    return arr
+def _real(x) -> np.ndarray:
+    """x, of any shape, as a float64 array; ValueError if it is complex."""
+    if np.iscomplexobj(x):
+        raise ValueError("x must be real, not complex")
+    return np.asarray(x, dtype=np.float64)
 
 
 def pdf(x, p: GevParams):
     """Density at x. Points outside the support have density zero."""
-    arr = _as_finite_array(x)
+    arr = _real(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
     z = (arr - p.mu) / p.sigma
     if p.is_gumbel:
         # exp(-z) may overflow to inf far below the location; the density
@@ -132,7 +135,7 @@ def pdf(x, p: GevParams):
 
 def cdf(x, p: GevParams):
     """Distribution function at x, clamped to {0, 1} outside the support."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _real(x)
     if np.any(np.isnan(arr)):
         raise ValueError("x must not be NaN")
     z = (arr - p.mu) / p.sigma
@@ -168,24 +171,22 @@ def threshold_for_pf(pf: float, p: GevParams) -> float:
     reducing to mu - sigma*log(y_p) on the Gumbel branch. The round trip
     1 - cdf(threshold_for_pf(pf)) == pf holds to ~1e-15.
     """
-    if not (np.isfinite(pf) and 0.0 < pf < 1.0):
-        raise ValueError("pf must lie strictly between 0 and 1")
+    if not 0.0 < pf < 1.0:  # false for nan, infinities and an int beyond the float range
+        raise ValueError(f"pf must lie strictly between 0 and 1, got {pf!r}")
     return float(_quantile(-np.log1p(-pf), p))
 
 
 def sample_gev(p: GevParams, n: int, seed: int) -> np.ndarray:
     """Draw n values by inverse-CDF sampling of uniform variates."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    u = np.random.default_rng(_seed(seed)).random(n)
+    n = _integer("n", n, 1)
+    u = np.random.default_rng(_integer("seed", seed, 0)).random(n)
     u = np.clip(u, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
     return _quantile(-np.log(u), p)
 
 
 def log_likelihood(samples, p: GevParams) -> float:
     """Joint log likelihood of the samples; -inf if any point is off-support."""
-    x = _as_finite_array(samples)
+    x = _samples(samples)
     z = (x - p.mu) / p.sigma
     if p.is_gumbel:
         return float(-x.size * np.log(p.sigma) - np.sum(z) - np.sum(np.exp(-z)))
@@ -382,7 +383,7 @@ _GUMBEL, _SHAPE, _JOINT = (1, 2), (0,), (0, 1, 2)
 def _fit(samples, stages) -> FitReport:
     """Check the samples, then run one Newton stage per entry of stages from
     the Gumbel start point, every stage in one workspace."""
-    x = _as_finite_array(samples)
+    x = _samples(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
     with np.errstate(over="ignore"):

@@ -39,7 +39,7 @@ import numpy as np
 from .gev import FitReport, GevParams, cdf, threshold_for_pf
 from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
 from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _integer, _mix_rows,
-                     _power_ratio, generate_am, generate_awgn, mix_at_snr)
+                     _number, _power_ratio, _samples, generate_am, generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -100,18 +100,14 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name, low in (("noise_windows_l", 100), ("signal_windows_m", 100), ("master_seed", 0)):
-            value = _integer(name, getattr(self, name))
-            if value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-            object.__setattr__(self, name, value)
-        try:
-            grid = tuple(float(p) for p in self.pf_grid)
-            snrs = tuple(float(s) for s in self.snr_db_list)
-        except OverflowError:  # float() of an int beyond the float range
-            raise ValueError("pf_grid and snr_db_list entries must lie within the float "
-                             "range") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        grid, snrs = tuple(self.pf_grid), tuple(self.snr_db_list)
+        if not all(map(_number, grid + snrs)):
+            raise ValueError(f"pf_grid and snr_db_list entries must be numbers, got {grid + snrs}")
+        # each entry is checked before float(), which overflows beyond the float range
         if not grid or any(not 0.0 < p < 1.0 for p in grid):
             raise ValueError("pf_grid entries must lie strictly between 0 and 1")
+        grid = tuple(float(p) for p in grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("pf_grid must be strictly increasing")
         object.__setattr__(self, "pf_grid", grid)
@@ -119,7 +115,7 @@ class ExperimentPlan:
             raise ValueError("snr_db_list must not be empty")
         for snr_db in snrs:
             _power_ratio(snr_db)  # raises for a non-finite or overflowing SNR
-        object.__setattr__(self, "snr_db_list", snrs)
+        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in snrs))
         if max(self.noise_windows_l, self.signal_windows_m) > 2**32:
             raise ValueError("window counts above 2**32 exceed the seed fan-out's 32-bit index")
         k = self.scd_cfg.window_length_k
@@ -326,8 +322,7 @@ def _run(tasks: list[tuple], jobs: int) -> np.ndarray:
     """Statistics of all blocks from _blocks in task order: mapped on a pool of
     min(jobs, CPUs this process may run on) worker processes that lives for
     this one call, or in this process when that is 1."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = _integer("jobs", jobs, 1)
     # the pool forks all its workers at once; os.cpu_count() ignores CPU affinity
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)
@@ -344,7 +339,7 @@ def collect_noise_profile(plan: ExperimentPlan, jobs: int = 1) -> np.ndarray:
 
 def ks_statistic(samples, params: GevParams) -> float:
     """One-sample Kolmogorov-Smirnov statistic against the fitted CDF."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    x = np.sort(_samples(samples))
     n = x.size
     model = cdf(x, params)
     steps = np.arange(n + 1) / n  # the ECDF's levels, i/n

@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .siggen import SampleBuffer, _integer
+from .siggen import SampleBuffer, _integer, _samples
 
 TAPERS = ("hamming", "rectangular")
 
@@ -95,14 +95,11 @@ class ScdConfig:
     taper: str = "hamming"
 
     def __post_init__(self) -> None:
-        k = _integer("window_length_k", self.window_length_k)
-        if k < 2 or (k & (k - 1)) != 0:
-            raise ValueError("window_length_k must be a power of two >= 2")
+        k = _integer("window_length_k", self.window_length_k, 2)
+        if k & (k - 1) != 0:
+            raise ValueError(f"window_length_k must be a power of two, got {k}")
         object.__setattr__(self, "window_length_k", k)
-        sm = _integer("smoothing_length", self.smoothing_length)
-        if sm < 1:
-            raise ValueError("smoothing_length must be positive")
-        sm |= 1  # odd coercion
+        sm = _integer("smoothing_length", self.smoothing_length, 1) | 1  # odd coercion
         if sm >= k:
             raise ValueError("smoothing_length must be smaller than the window")
         object.__setattr__(self, "smoothing_length", sm)
@@ -349,6 +346,6 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
 
 def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window of K
-    real samples, one per column of cfg's alpha_grid."""
-    window = SampleBuffer(samples, 1.0).samples  # its checks of the samples; no rate is read
-    return _maxima(window[None], cfg, _KernelBuffers(1, cfg))[0]
+    samples, one per column of cfg's alpha_grid. The samples pass the checks
+    SampleBuffer makes (real, finite, nonempty and 1-D) and are not copied."""
+    return _maxima(_samples(samples)[None], cfg, _KernelBuffers(1, cfg))[0]

@@ -10,8 +10,11 @@ The AM and mix steps are row helpers that do arithmetic only, in place on
 the last axis of a (rows, n) array, one window per row: the Monte Carlo
 harness calls them on a few windows at a time, and generate_am and
 mix_at_snr with one row. SampleBuffer, which every generator returns
-through, checks the samples. Every operation is elementwise or runs along
-one row, so a row's samples are the same bits whatever else shares its array.
+through, checks the samples with _samples, the one checker of a sample vector
+that the scd and gev modules use too; _integer and _positive are the one
+checkers of a whole number and of a positive real. Every operation is
+elementwise or runs along one row, so a row's samples are the same bits
+whatever else shares its array.
 """
 
 from __future__ import annotations
@@ -53,9 +56,7 @@ class SignalSpec:
 
     def __post_init__(self) -> None:
         for name in ("sample_rate_hz", "carrier_freq_hz", "baseband_bandwidth_hz"):
-            # false for nan, and for an int beyond the float range, too
-            if not 0.0 < getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be positive and finite")
+            _positive(name, getattr(self, name))
         if self.carrier_freq_hz >= self.sample_rate_hz / 2:
             raise ValueError(
                 f"carrier {self.carrier_freq_hz} Hz violates the Nyquist limit "
@@ -63,23 +64,48 @@ class SignalSpec:
             )
         if self.baseband_bandwidth_hz >= self.carrier_freq_hz:
             raise ValueError("baseband_bandwidth_hz must lie in (0, carrier_freq_hz)")
-        duration = _integer("duration_samples", self.duration_samples)
-        if duration < 1:
-            raise ValueError("duration_samples must be a positive integer")
-        object.__setattr__(self, "duration_samples", duration)
+        object.__setattr__(self, "duration_samples",
+                           _integer("duration_samples", self.duration_samples, 1))
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unsupported modulation {self.modulation!r}")
         if not 0.0 <= self.modulation_index <= 1.0:
             raise ValueError("modulation_index must lie in [0, 1]")
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is a finite whole number, which
-    True and False, read as 1 and 0 elsewhere, are not."""
+def _number(value) -> bool:
+    """Whether value is an int or a float, Python's or numpy's, which True and
+    False, read as 1 and 0 elsewhere, and strings are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError unless it is a whole number of at least
+    low, or any whole number when low is None."""
     # value % 1 is nan for inf and nan
-    if isinstance(value, (bool, np.bool_)) or value % 1 != 0:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not (_number(value) and value % 1 == 0 and (low is None or value >= low)):
+        bound = "" if low is None else f" of at least {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _positive(name: str, value) -> None:
+    """ValueError unless value is a number in (0, sys.float_info.max], which
+    nan, inf and an int beyond the float range are not."""
+    if not (_number(value) and 0.0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _samples(values) -> np.ndarray:
+    """values as a float64 array by np.asarray, so not copied when it already
+    is one; ValueError unless it is real, finite, nonempty and 1-D."""
+    if np.iscomplexobj(values):
+        raise ValueError("samples must be real, not complex")
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"samples must be a nonempty 1-D sequence, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must all be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -91,15 +117,8 @@ class SampleBuffer:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.samples):
-            raise ValueError("samples must be real, not complex")
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("samples must be a nonempty 1-D sequence")
-        if not np.isfinite(arr).all():
-            raise ValueError("samples must all be finite")
-        if not 0.0 < self.sample_rate_hz < np.inf:  # false for nan too
-            raise ValueError("sample_rate_hz must be positive and finite")
+        arr = _samples(self.samples).copy()
+        _positive("sample_rate_hz", self.sample_rate_hz)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -126,21 +145,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.variance < np.inf:  # false for nan too
-            raise ValueError("variance must be positive and finite")
-        object.__setattr__(self, "seed", _seed(self.seed))
-
-
-def _seed(seed) -> int:
-    """seed as an int; ValueError unless it is a nonnegative integer, which
-    True and False are not."""
-    try:
-        valid = not isinstance(seed, (bool, np.bool_)) and seed == int(seed) >= 0
-    except (TypeError, ValueError, OverflowError):  # int() of a str, nan or inf
-        valid = False
-    if not valid:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+        _positive("variance", self.variance)
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 @lru_cache(maxsize=16)
@@ -198,7 +204,7 @@ def generate_am(spec: SignalSpec, seed: int) -> SampleBuffer:
     deviation never exceeds the modulation index. With index 0 the output is
     exactly the unmodulated carrier cos(2*pi*fc*k/fs).
     """
-    wave = np.random.default_rng(_seed(seed)).standard_normal(spec.duration_samples)
+    wave = np.random.default_rng(_integer("seed", seed, 0)).standard_normal(spec.duration_samples)
     _am_rows(spec, wave[None])
     return SampleBuffer(wave, spec.sample_rate_hz)
 
@@ -209,9 +215,7 @@ def generate_awgn(length: int, noise: NoiseSpec, sample_rate_hz: float = 1.0) ->
     White noise has no band structure of its own; pass the sample rate of the
     signal it will accompany (default 1.0 for standalone statistical use).
     """
-    if _integer("length", length) < 1:
-        raise ValueError("length must be a positive integer")
-    samples = np.random.default_rng(noise.seed).standard_normal(int(length))
+    samples = np.random.default_rng(noise.seed).standard_normal(_integer("length", length, 1))
     samples *= np.sqrt(noise.variance)
     return SampleBuffer(samples, sample_rate_hz)
 

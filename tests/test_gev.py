@@ -168,7 +168,8 @@ class TestThreshold:
         lam = cs.threshold_for_pf(pf, params)
         assert abs((1.0 - cs.cdf(lam, params)) - pf) <= 1e-10
 
-    @pytest.mark.parametrize("pf", [0.0, 1.0, -0.2, 1.7, np.nan])
+    @pytest.mark.parametrize("pf", [0.0, 1.0, -0.2, 1.7, np.nan,
+                                    pytest.param(10**400, id="beyond-float")])
     def test_domain_errors(self, pf):
         with pytest.raises(ValueError):
             cs.threshold_for_pf(pf, gev(0.0))
@@ -312,6 +313,36 @@ class TestGevFit:
 
 FITS = {"gumbel": cs.fit_gumbel_mle, "staged": cs.fit_gev_mle,
         "joint": lambda x: cs.fit_gev_mle(x, refine=True)}
+
+
+# every taker of a sample vector checks it as SampleBuffer does
+SAMPLE_TAKERS = {**FITS, "log_likelihood": lambda x: log_likelihood(x, gev(0.0)),
+                 "ks_statistic": lambda x: cs.ks_statistic(x, gev(0.0))}
+DRAWS = np.arange(400.0) / 400
+
+
+@pytest.mark.parametrize("take", SAMPLE_TAKERS.values(), ids=SAMPLE_TAKERS.keys())
+@pytest.mark.parametrize("samples", [DRAWS + 1j * DRAWS, DRAWS.reshape(20, 20), [],
+                                     np.append(DRAWS, np.nan)],
+                         ids=["complex", "2-D", "empty", "nan"])
+def test_sample_vectors_are_checked_by_one_rule(take, samples):
+    with pytest.raises(ValueError, match="^samples must"):
+        take(samples)
+
+
+@pytest.mark.parametrize("function", [cs.pdf, cs.cdf], ids=["pdf", "cdf"])
+@pytest.mark.parametrize("x", [0.5 + 0.5j, DRAWS + 1j * DRAWS], ids=["scalar", "array"])
+def test_density_and_distribution_refuse_complex_x(function, x):
+    with pytest.raises(ValueError, match="^x must be real, not complex"):
+        function(x, gev(0.1))
+
+
+@pytest.mark.parametrize("field", ["kappa", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "beyond-float", "below-float"])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        cs.GevParams(**{"kappa": 0.1, "mu": 0.0, "sigma": 1.0, field: value})
 
 
 @pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())

@@ -42,6 +42,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             replace(mini_plan, signal_windows_m=99)
 
+    @pytest.mark.parametrize("field, value", [("pf_grid", ("0.05", 0.1)), ("pf_grid", (True,)),
+                                              ("snr_db_list", ("-5",))])
+    def test_pf_and_snr_entries_must_be_numbers(self, mini_plan, field, value):
+        # float() would read a string, and a bool as 0 or 1
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            replace(mini_plan, **{field: value})
+
     def test_signal_must_cover_two_windows(self, mini_plan):
         short = cs.SignalSpec(1.0e6, 1.0e4, 3.0e6, 1024)
         with pytest.raises(ValueError, match="two analysis windows"):
@@ -62,6 +69,7 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("field, value", [("noise_windows_l", 150.5),
                                               ("signal_windows_m", 120.5),
+                                              ("noise_windows_l", "150"),
                                               ("master_seed", 7.5),
                                               ("master_seed", float("inf"))])
     def test_counts_and_seed_must_be_whole_numbers(self, mini_plan, field, value):

@@ -34,7 +34,7 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             SignalSpec(FC, BW, FS, 4096, "fm")
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, "3e6"])
     @pytest.mark.parametrize("field", ["sample_rate_hz", "carrier_freq_hz",
                                        "baseband_bandwidth_hz"])
     def test_rejects_non_finite_rate_or_frequency(self, field, value):
@@ -65,7 +65,10 @@ class TestSampleBuffer:
                                                (np.arange(1.0, 5.0) * (1 + 5j), FS),
                                                (np.ones(4), 0.0),
                                                (np.ones(4), np.inf),
-                                               (np.ones(4), np.nan)])
+                                               (np.ones(4), np.nan),
+                                               pytest.param(np.ones(4), 10**400,
+                                                            id="rate-beyond-float"),
+                                               (np.ones(4), "1")])
     def test_rejects_bad_samples_or_rate(self, samples, rate):
         with pytest.raises(ValueError):
             SampleBuffer(samples, rate)
@@ -113,9 +116,9 @@ class TestGenerateAm:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", float("inf"), float("nan")])
     def test_rejects_bad_seed(self, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
             generate_am(table_spec(), seed)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
             NoiseSpec(1.0, seed)
 
     def test_peak_normalized_message_respects_index(self):
@@ -216,5 +219,40 @@ class TestMixAtSnr:
         "signal-duration", "am-seed"])
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
 def test_true_and_false_are_not_integers(make, flag):
-    with pytest.raises(ValueError, match=f"must be (a nonnegative|an) integer, got {flag!r}"):
+    with pytest.raises(ValueError, match=rf"must be an integer of at least \d+, got {flag!r}"):
         make(flag)
+
+
+# each whole-number field with its lower bound; alpha offsets take any whole number
+INTEGERS = {
+    "length": (lambda v: generate_awgn(v, NoiseSpec(1.0, 0)), 1),
+    "window_length_k": (lambda v: cs.ScdConfig(v, 1, (0,)), 2),
+    "smoothing_length": (lambda v: cs.ScdConfig(64, v, (0,)), 1),
+    "duration_samples": (lambda v: SignalSpec(FC, BW, FS, v), 1),
+    "n": (lambda v: cs.sample_gev(cs.GevParams(0.0, 0.0, 1.0), v, 1), 1),
+    "alpha bin offset": (lambda v: cs.ScdConfig(64, 1, (v,)), None),
+}
+
+
+@pytest.mark.parametrize("name", INTEGERS)
+@pytest.mark.parametrize("value", ["8", 2.5, np.inf], ids=repr)
+def test_integers_are_checked_by_one_rule(name, value):
+    make, low = INTEGERS[name]
+    bound = "" if low is None else f" of at least {low}"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer{bound}, got {value!r}$"):
+        make(value)
+
+
+POSITIVES = {
+    "variance": lambda v: NoiseSpec(v, 1),
+    "sample_rate_hz": lambda v: SampleBuffer(np.ones(4), v),
+    "sigma": lambda v: cs.GevParams(0.0, 0.0, v),
+}
+
+
+@pytest.mark.parametrize("name", POSITIVES)
+@pytest.mark.parametrize("value", [0.0, -1, np.inf, np.nan, 10**400, "1", True],
+                         ids=["zero", "negative", "inf", "nan", "beyond-float", "string", "true"])
+def test_positive_reals_are_checked_by_one_rule(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        POSITIVES[name](value)
