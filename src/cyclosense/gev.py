@@ -35,12 +35,11 @@ Newton steps. Both limits are fixed.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .siggen import _integer, _positive, _samples
+from .siggen import _integer, _real, _samples
 
 KAPPA_EPS = 1e-6
 
@@ -81,11 +80,9 @@ class GevParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "mu"):
-            value = getattr(self, name)
-            if not abs(value) <= sys.float_info.max:  # false for nan and an int beyond floats
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        _positive("sigma", self.sigma)
+        _real("kappa", self.kappa)
+        _real("mu", self.mu)
+        _real("sigma", self.sigma, 0.0)
 
     @property
     def is_gumbel(self) -> bool:
@@ -104,7 +101,7 @@ class FitReport:
     solver_tol: float
 
 
-def _real(x) -> np.ndarray:
+def _real_array(x) -> np.ndarray:
     """x, of any shape, as a float64 array; ValueError if it is complex."""
     if np.iscomplexobj(x):
         raise ValueError("x must be real, not complex")
@@ -113,7 +110,7 @@ def _real(x) -> np.ndarray:
 
 def pdf(x, p: GevParams):
     """Density at x. Points outside the support have density zero."""
-    arr = _real(x)
+    arr = _real_array(x)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
     z = (arr - p.mu) / p.sigma
@@ -135,7 +132,7 @@ def pdf(x, p: GevParams):
 
 def cdf(x, p: GevParams):
     """Distribution function at x, clamped to {0, 1} outside the support."""
-    arr = _real(x)
+    arr = _real_array(x)
     if np.any(np.isnan(arr)):
         raise ValueError("x must not be NaN")
     z = (arr - p.mu) / p.sigma
@@ -171,9 +168,7 @@ def threshold_for_pf(pf: float, p: GevParams) -> float:
     reducing to mu - sigma*log(y_p) on the Gumbel branch. The round trip
     1 - cdf(threshold_for_pf(pf)) == pf holds to ~1e-15.
     """
-    if not 0.0 < pf < 1.0:  # false for nan, infinities and an int beyond the float range
-        raise ValueError(f"pf must lie strictly between 0 and 1, got {pf!r}")
-    return float(_quantile(-np.log1p(-pf), p))
+    return float(_quantile(-np.log1p(-_real("pf", pf, 0.0, 1.0)), p))
 
 
 def sample_gev(p: GevParams, n: int, seed: int) -> np.ndarray:

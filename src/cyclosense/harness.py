@@ -39,7 +39,7 @@ import numpy as np
 from .gev import FitReport, GevParams, cdf, threshold_for_pf
 from .scd import ScdConfig, _KernelBuffers, _maxima, snap_alpha_to_even_bin
 from .siggen import (NoiseSpec, SampleBuffer, SignalSpec, _am_rows, _integer, _mix_rows,
-                     _number, _power_ratio, _samples, generate_am, generate_awgn, mix_at_snr)
+                     _power_ratio, _real, _samples, generate_am, generate_awgn, mix_at_snr)
 
 __all__ = [
     "ExperimentPlan",
@@ -101,21 +101,15 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         for name, low in (("noise_windows_l", 100), ("signal_windows_m", 100), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
-        grid, snrs = tuple(self.pf_grid), tuple(self.snr_db_list)
-        if not all(map(_number, grid + snrs)):
-            raise ValueError(f"pf_grid and snr_db_list entries must be numbers, got {grid + snrs}")
-        # each entry is checked before float(), which overflows beyond the float range
-        if not grid or any(not 0.0 < p < 1.0 for p in grid):
-            raise ValueError("pf_grid entries must lie strictly between 0 and 1")
-        grid = tuple(float(p) for p in grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("pf_grid must be strictly increasing")
+        grid = tuple(_real("pf_grid entry", p, 0.0, 1.0) for p in self.pf_grid)
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("pf_grid must be nonempty and strictly increasing")
         object.__setattr__(self, "pf_grid", grid)
+        snrs = tuple(_real("snr_db_list entry", s) for s in self.snr_db_list)
         if not snrs:
             raise ValueError("snr_db_list must not be empty")
-        for snr_db in snrs:
-            _power_ratio(snr_db)  # raises for a non-finite or overflowing SNR
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in snrs))
+        _power_ratio(max(snrs))  # raises if the largest SNR's power ratio overflows
+        object.__setattr__(self, "snr_db_list", snrs)
         if max(self.noise_windows_l, self.signal_windows_m) > 2**32:
             raise ValueError("window counts above 2**32 exceed the seed fan-out's 32-bit index")
         k = self.scd_cfg.window_length_k
@@ -147,11 +141,12 @@ class RocCurve:
     snr_db: float
 
     def __post_init__(self) -> None:
-        pfs = [p for p, _ in self.points]
+        _real("snr_db", self.snr_db)
+        pfs = [_real("pf", pf, 0.0, 1.0, closed=True) for pf, _ in self.points]
+        for _, pd in self.points:
+            _real("pd", pd, 0.0, 1.0, closed=True)
         if any(b < a for a, b in zip(pfs, pfs[1:])):
             raise ValueError("pf coordinates must be ascending")
-        if any(not (0.0 <= pd <= 1.0 and 0.0 <= pf <= 1.0) for pf, pd in self.points):
-            raise ValueError("probabilities must lie in [0, 1]")
 
 
 def derived_seed(master_seed: int, *tags: int) -> int:

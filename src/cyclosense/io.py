@@ -22,7 +22,7 @@ import numpy as np
 from .gev import FitReport, GevParams
 from .harness import NOISE_VARIANCE, ExperimentPlan
 from .scd import ScdConfig, ScdMatrix
-from .siggen import SampleBuffer, SignalSpec
+from .siggen import SampleBuffer, SignalSpec, _samples
 
 __all__ = [
     "write_signal",
@@ -46,6 +46,16 @@ def _fmt(value: float) -> str:
 
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write the header line and then each row of rows to the CSV at path."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def write_signal(path_base: str | Path, buffer: SampleBuffer, spec: SignalSpec,
@@ -110,13 +120,9 @@ def write_scd_matrix(path_base: str | Path, matrix: ScdMatrix) -> tuple[Path, Pa
 def write_profile_csv(path: str | Path, alpha_hz: float, maxima) -> Path:
     """Noise maxima at one cyclic frequency, row i for window i:
     alpha_hz,max_magnitude,window_index."""
-    path = Path(path)
     alpha = _fmt(alpha_hz)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha_hz", "max_magnitude", "window_index"])
-        writer.writerows([alpha, _fmt(value), index] for index, value in enumerate(maxima))
-    return path
+    return _write_csv(path, ["alpha_hz", "max_magnitude", "window_index"],
+                      ([alpha, _fmt(value), index] for index, value in enumerate(maxima)))
 
 
 def read_profile_samples(path: str | Path) -> np.ndarray:
@@ -204,38 +210,28 @@ def read_fit_json(path: str | Path) -> FitReport:
 
 def write_histogram_csv(path: str | Path, samples, bins: int | None = None) -> Path:
     """Density histogram of the samples, bins defaulting to the Sturges count:
-    bin_lo,bin_hi,count,density."""
-    x = np.asarray(samples, dtype=np.float64)
+    bin_lo,bin_hi,count,density. The samples pass the one sample-vector check:
+    real, finite, nonempty and 1-D."""
+    x = _samples(samples)
     if bins is None:
         bins = int(np.ceil(np.log2(x.size))) + 1
     counts, edges = np.histogram(x, bins=int(bins))
-    path = Path(path)
     total = int(counts.sum())
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            density = count / (total * (hi - lo)) if hi > lo else 0.0
-            writer.writerow([_fmt(lo), _fmt(hi), int(count), _fmt(density)])
-    return path
+    return _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], (
+        [_fmt(lo), _fmt(hi), int(count), _fmt(count / (total * (hi - lo)) if hi > lo else 0.0)]
+        for lo, hi, count in zip(edges[:-1], edges[1:], counts)))
 
 
 def write_roc_csv(path: str | Path, plan: ExperimentPlan, thresholds, h0_counts,
                   h1_counts) -> Path:
     """One row per preset pf of the plan: its threshold and rates, the H0 count
     over L and the theoretical and empirical curves' H1 counts (2, P) over M."""
-    path = Path(path)
     noise, trials = plan.noise_windows_l, plan.signal_windows_m
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "pf_preset", "pf_empirical", "pd_theoretical_curve",
-            "pd_empirical", "threshold", "trials",
-        ])
-        for pf, lam, h0, h1_t, h1_e in zip(plan.pf_grid, thresholds, h0_counts, *h1_counts):
-            writer.writerow([_fmt(pf), _fmt(h0 / noise), _fmt(h1_t / trials),
-                             _fmt(h1_e / trials), _fmt(lam), trials])
-    return path
+    header = ["pf_preset", "pf_empirical", "pd_theoretical_curve", "pd_empirical", "threshold",
+              "trials"]
+    return _write_csv(path, header, (
+        [_fmt(pf), _fmt(h0 / noise), _fmt(h1_t / trials), _fmt(h1_e / trials), _fmt(lam), trials]
+        for pf, lam, h0, h1_t, h1_e in zip(plan.pf_grid, thresholds, h0_counts, *h1_counts)))
 
 
 def _scd_dict(cfg: ScdConfig) -> dict:

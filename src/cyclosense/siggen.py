@@ -11,15 +11,15 @@ the last axis of a (rows, n) array, one window per row: the Monte Carlo
 harness calls them on a few windows at a time, and generate_am and
 mix_at_snr with one row. SampleBuffer, which every generator returns
 through, checks the samples with _samples, the one checker of a sample vector
-that the scd and gev modules use too; _integer and _positive are the one
-checkers of a whole number and of a positive real. Every operation is
-elementwise or runs along one row, so a row's samples are the same bits
-whatever else shares its array.
+that the scd, gev and io modules use too; _integer and _real are the one
+checkers of a whole number and of a real number in an interval, for every
+module. Every operation is elementwise or runs along one row, so a row's
+samples are the same bits whatever else shares its array.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,21 +55,18 @@ class SignalSpec:
     modulation_index: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("sample_rate_hz", "carrier_freq_hz", "baseband_bandwidth_hz"):
-            _positive(name, getattr(self, name))
-        if self.carrier_freq_hz >= self.sample_rate_hz / 2:
-            raise ValueError(
-                f"carrier {self.carrier_freq_hz} Hz violates the Nyquist limit "
-                f"{self.sample_rate_hz / 2} Hz"
-            )
-        if self.baseband_bandwidth_hz >= self.carrier_freq_hz:
+        fs, fc, bw = (_real(name, getattr(self, name), 0.0)
+                      for name in ("sample_rate_hz", "carrier_freq_hz", "baseband_bandwidth_hz"))
+        if fc >= fs / 2:
+            raise ValueError(f"carrier {self.carrier_freq_hz} Hz violates the Nyquist limit "
+                             f"{fs / 2} Hz")
+        if bw >= fc:
             raise ValueError("baseband_bandwidth_hz must lie in (0, carrier_freq_hz)")
         object.__setattr__(self, "duration_samples",
                            _integer("duration_samples", self.duration_samples, 1))
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unsupported modulation {self.modulation!r}")
-        if not 0.0 <= self.modulation_index <= 1.0:
-            raise ValueError("modulation_index must lie in [0, 1]")
+        _real("modulation_index", self.modulation_index, 0.0, 1.0, closed=True)
 
 
 def _number(value) -> bool:
@@ -88,11 +85,21 @@ def _integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def _positive(name: str, value) -> None:
-    """ValueError unless value is a number in (0, sys.float_info.max], which
-    nan, inf and an int beyond the float range are not."""
-    if not (_number(value) and 0.0 < value <= sys.float_info.max):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
+          closed: bool = False) -> float:
+    """value as a float; ValueError unless it is a number in (low, high), or in
+    [low, high] when closed, which nan, the infinities and an int beyond the
+    float range never are. Compared as float(value), so no bound is cast to a
+    narrower numpy float."""
+    try:
+        x = float(value) if _number(value) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (low <= x <= high if closed else low < x < high):
+        interval = f"{'[' if closed else '('}{low:g}, {high:g}{']' if closed else ')'}"
+        rule = {"(-inf, inf)": "finite", "(0, inf)": "positive and finite"}.get(interval)
+        raise ValueError(f"{name} must be {rule or 'in ' + interval}, got {value!r}")
+    return x
 
 
 def _samples(values) -> np.ndarray:
@@ -118,7 +125,7 @@ class SampleBuffer:
 
     def __post_init__(self) -> None:
         arr = _samples(self.samples).copy()
-        _positive("sample_rate_hz", self.sample_rate_hz)
+        _real("sample_rate_hz", self.sample_rate_hz, 0.0)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -145,7 +152,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        _positive("variance", self.variance)
+        _real("variance", self.variance, 0.0)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
@@ -235,9 +242,7 @@ def mix_at_snr(signal: SampleBuffer, noise: SampleBuffer, snr_db: float) -> Samp
 
 def _power_ratio(snr_db: float) -> float:
     """10**(snr_db/10); ValueError for a non-finite snr_db or a float64 overflow."""
-    if not -np.inf < snr_db < np.inf:  # false for nan too
-        raise ValueError("snr_db must be finite")
     try:
-        return 10.0 ** (float(snr_db) / 10.0)
+        return 10.0 ** (_real("snr_db", snr_db) / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db {snr_db} overflows the float64 power ratio") from None

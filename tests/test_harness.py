@@ -46,7 +46,8 @@ class TestPlanValidation:
                                               ("snr_db_list", ("-5",))])
     def test_pf_and_snr_entries_must_be_numbers(self, mini_plan, field, value):
         # float() would read a string, and a bool as 0 or 1
-        with pytest.raises(ValueError, match="entries must be numbers"):
+        with pytest.raises(ValueError, match=rf"^{field} entry must be (in \(0, 1\)|finite), "
+                                             rf"got {value[0]!r}$"):
             replace(mini_plan, **{field: value})
 
     def test_signal_must_cover_two_windows(self, mini_plan):

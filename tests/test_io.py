@@ -149,6 +149,13 @@ class TestHistogramCsv:
         assert total == pytest.approx(1.0, rel=1e-6)
         assert sum(int(count) for _, _, count, _ in rows) == 1000
 
+    @pytest.mark.parametrize("samples", [[], [1 + 1j, 2.0], np.ones((3, 3)), [0.5, np.nan]],
+                             ids=["empty", "complex", "2-D", "nan"])
+    def test_samples_pass_the_one_sample_check(self, tmp_path, samples):
+        with pytest.raises(ValueError, match="^samples must"):
+            io.write_histogram_csv(tmp_path / "h.csv", samples)
+        assert not (tmp_path / "h.csv").exists()
+
 
 class TestRocCsv:
     def test_format_and_precision(self, tmp_path, mini_plan):

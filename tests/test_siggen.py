@@ -1,5 +1,7 @@
 """Signal generation: spectral placement, power contracts, determinism."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -256,3 +258,57 @@ POSITIVES = {
 def test_positive_reals_are_checked_by_one_rule(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
         POSITIVES[name](value)
+
+
+ONES = SampleBuffer(np.ones(8), FS)
+# each real field: its maker, the name and rule its ValueError gives, a value
+# inside its interval and one outside (None where any finite value is inside)
+REALS = {
+    "signal-sample_rate_hz": (lambda v: SignalSpec(1000.0, 10.0, v, 64), "sample_rate_hz",
+                              "positive and finite", 3000.0, 0.0),
+    "carrier_freq_hz": (lambda v: SignalSpec(v, 10.0, 3000.0, 64), "carrier_freq_hz",
+                        "positive and finite", 1000.0, -1.0),
+    "baseband_bandwidth_hz": (lambda v: SignalSpec(1000.0, v, 3000.0, 64), "baseband_bandwidth_hz",
+                              "positive and finite", 10.0, 0.0),
+    "modulation_index": (lambda v: SignalSpec(1000.0, 10.0, 3000.0, 64, "am", v),
+                         "modulation_index", "in [0, 1]", 0.5, 1.5),
+    "buffer-sample_rate_hz": (lambda v: SampleBuffer(np.ones(4), v), "sample_rate_hz",
+                              "positive and finite", 1.0, -1.0),
+    "variance": (lambda v: NoiseSpec(v, 1), "variance", "positive and finite", 1.0, 0.0),
+    "kappa": (lambda v: cs.GevParams(v, 0.0, 1.0), "kappa", "finite", 0.1, None),
+    "mu": (lambda v: cs.GevParams(0.0, v, 1.0), "mu", "finite", 0.1, None),
+    "sigma": (lambda v: cs.GevParams(0.0, 0.0, v), "sigma", "positive and finite", 0.5, -0.5),
+    "threshold-pf": (lambda v: cs.threshold_for_pf(v, cs.GevParams(0.0, 0.0, 1.0)), "pf",
+                     "in (0, 1)", 0.1, 1.0),
+    "mix-snr_db": (lambda v: mix_at_snr(ONES, ONES, v), "snr_db", "finite", -10.0, None),
+    "pf_grid-entry": (lambda v: replace(cs.desk_plan(), pf_grid=(v,)), "pf_grid entry",
+                      "in (0, 1)", 0.1, 0.0),
+    "snr_db_list-entry": (lambda v: replace(cs.desk_plan(), snr_db_list=(v,)),
+                          "snr_db_list entry", "finite", -10.0, None),
+    "roc-pf": (lambda v: cs.RocCurve(((v, 0.5),), -10.0), "pf", "in [0, 1]", 0.1, -0.1),
+    "roc-pd": (lambda v: cs.RocCurve(((0.1, v),), -10.0), "pd", "in [0, 1]", 0.5, 1.5),
+    "roc-snr_db": (lambda v: cs.RocCurve(((0.1, 0.5),), v), "snr_db", "finite", -10.0, None),
+}
+BAD_REALS = {"string": "1", "true": True, "none": None, "complex": 1j, "nan": np.nan,
+             "inf": np.inf, "-inf": -np.inf, "beyond-float": 10**400, "below-float": -10**400}
+
+
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param(field, value, id=f"{field}-{kind}")
+      for field in REALS for kind, value in BAD_REALS.items()),
+    *(pytest.param(field, outside, id=f"{field}-outside")
+      for field, (*_, outside) in REALS.items() if outside is not None)])
+def test_reals_are_checked_by_one_rule(field, value):
+    make, name, rule, _, _ = REALS[field]
+    message = re.escape(f"{name} must be {rule}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("field", REALS)
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_reals_take_every_numpy_float_without_a_warning(field, dtype):
+    make, _, _, inside, _ = REALS[field]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make(dtype(inside))
