@@ -11,11 +11,12 @@ call. The directory is not in the test suite's `testpaths`.
 One log likelihood evaluation per Newton stage, `gev._derivatives` with
 that stage's free coordinates, is timed at the point the stage ends on:
 the Gumbel stage's (mu, log sigma), the staged fit's shape and the joint
-fit's three parameters. It writes into one workspace, as every evaluation
-of a fit does, and costs what one Newton step of its stage costs: the
-Gumbel and joint cases clear the workspace's z record before each call, so
-they form z = (x - mu)/sigma every time, as a step that moves mu and sigma
-does, while the shape case reuses z, as its stage's steps do. The staged
+fit's three parameters. It writes into one workspace, built from the
+draws, as every evaluation of a fit does, and costs what one Newton step of
+its stage costs: the Gumbel and joint cases clear the workspace's
+(mu, log sigma) record before each call, so they form z = (x - mu)/sigma
+every time, as a step that moves mu and sigma does, while the shape case
+reuses z, as its stage's steps do. The staged
 and joint fits are also timed at n = 1,000, the size of one
 parametric-bootstrap replicate. The Kolmogorov-Smirnov distance of
 n = 10^4 draws to their staged fit, which the benchmark's fit_sweep takes
@@ -66,13 +67,13 @@ def test_derivatives(benchmark, stage):
     x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), N, seed=1)
     p = fit(x).params
     theta = np.array([p.kappa, p.mu, np.log(p.sigma)])
-    work = gev._workspace(N)
+    work = gev._workspace(x)
     forms_z = stage != "shape"
 
     def step():
         if forms_z:
-            work[2][0] = None  # forget the samples z was formed from
-        return gev._derivatives(x, theta, free, work)
+            work[-1][0] = None  # forget the location z was formed at
+        return gev._derivatives(work, theta, free)
 
     benchmark(step)
     record_per_call_us(benchmark)

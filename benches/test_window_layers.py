@@ -4,15 +4,17 @@
 
 One benchmark per stage of the statistic path, each timing the call that
 harness._block_task makes on one sub-block of harness.ROWS windows, in the
-kernel's own scd._KernelBuffers: the noise draws (a Generator from each
-window's PCG64 state words, then standard_normal into the row), AM synthesis
-(siggen._am_rows, its spectra in the kernel's half buffer), the SNR mix
-(siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
+kernel's own scd._KernelBuffers, which hold the feature column's config:
+the noise draws (a Generator from each window's PCG64 state words, then
+standard_normal into the row), AM synthesis (siggen._am_rows with the
+plan's full-length spec, its spectra in the kernel's half buffer), the SNR
+mix (siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
 buffer, tapering the rows in place), the kernel's strip step at the feature
 bin (scd._smoothed_strips: the gathered, multiplied and scaled cyclic
 product, smoothed), the running-sum smoother alone on that strip
-(scd._smoothed), the abs + max reduction of its valid runs, and the whole
-kernel (scd._maxima). A step that writes its input in place gets
+(scd._smoothed, its input the strip of a smoothing-length-1 kernel of its
+own), the abs + max reduction of its valid runs, and the whole kernel
+(scd._maxima). A step that writes its input in place gets
 a fresh copy of it before each round, outside the timed call. Each records
 its minimum time per window as `per_window_us` in `--benchmark-json`. The
 directory is not in the test suite's `testpaths`.
@@ -40,7 +42,6 @@ A0 = PLAN.alpha0_bin
 CFG = replace(PLAN.scd_cfg, alpha_grid=(A0,))  # the one column _block_task computes
 K = CFG.window_length_k
 ROWS = harness.ROWS
-WINDOW_SPEC = replace(PLAN.signal_spec, duration_samples=K)
 SNR_DB = -10.0
 # rounds of each benchmark that needs a fresh input per round
 ROUNDS = 300
@@ -86,7 +87,7 @@ def work():
 
 @pytest.fixture
 def half(normals, work):
-    return scd._half_spectra(normals.copy(), CFG, out=work.half)
+    return scd._half_spectra(normals.copy(), work)
 
 
 def record_per_window(benchmark, windows=ROWS):
@@ -129,13 +130,14 @@ def test_awgn(benchmark):
 
 
 def test_am(benchmark, h1_draws, work):
-    in_place(benchmark, lambda rows: siggen._am_rows(WINDOW_SPEC, rows, work.half), h1_draws[0])
+    in_place(benchmark, lambda rows: siggen._am_rows(PLAN.signal_spec, rows, work.half),
+             h1_draws[0])
 
 
 def test_mix(benchmark, h1_draws):
     signal, noise = h1_draws
-    in_place(benchmark, siggen._mix_rows, siggen._am_rows(WINDOW_SPEC, signal.copy()), noise,
-             SNR_DB)
+    in_place(benchmark, siggen._mix_rows, siggen._am_rows(PLAN.signal_spec, signal.copy()),
+             noise, SNR_DB)
 
 
 def test_rfft(benchmark, normals):
@@ -148,14 +150,13 @@ def test_rfft_rows(benchmark, normals):
 
 
 def test_taper_real_fft(benchmark, normals, work):
-    in_place(benchmark, lambda rows: scd._half_spectra(rows, CFG, out=work.half, tapered=rows),
-             normals)
+    in_place(benchmark, lambda rows: scd._half_spectra(rows, work, tapered=rows), normals)
 
 
-def feature_run(half, work, cfg=CFG):
+def feature_run(half, work):
     """The valid run of the feature column, the kernel's one strip: a
     (ROWS, K - |A0|) view into work."""
-    [(_, [run])] = scd._smoothed_strips(half, cfg, work)
+    [(_, [run])] = scd._smoothed_strips(half, work)
     return run
 
 
@@ -165,10 +166,11 @@ def test_smoothed_strip(benchmark, half, work):
 
 
 def test_smoother(benchmark, half, work):
-    # the cyclic product as the kernel's (ROWS, 1, K - |A0|) strip: its run at
-    # smoothing length 1, equal to the product up to the rounding of one
-    # running-sum difference
-    product = feature_run(half, work, replace(CFG, smoothing_length=1))[:, None].copy()
+    # the cyclic product as the kernel's (ROWS, 1, K - |A0|) strip: the run of
+    # a kernel at smoothing length 1, equal to the product up to the rounding
+    # of one running-sum difference
+    unsmoothed = scd._KernelBuffers(ROWS, replace(CFG, smoothing_length=1))
+    product = feature_run(half, unsmoothed)[:, None].copy()
     # as the kernel calls it: the strip is its own running-sum buffer
     in_place(benchmark, scd._smoothed, product, CFG.smoothing_length, work.products,
              work.smoothed, into=work.products)
@@ -182,7 +184,7 @@ def test_max_reduction(benchmark, half, work):
 
 
 def test_kernel(benchmark, normals, work):
-    in_place(benchmark, lambda rows: scd._maxima(rows, CFG, work, tapered=rows), normals)
+    in_place(benchmark, lambda rows: scd._maxima(rows, work, tapered=rows), normals)
 
 
 def benchmark_block(benchmark, kind, snr_index):

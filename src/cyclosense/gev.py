@@ -196,24 +196,24 @@ def log_likelihood(samples, p: GevParams) -> float:
     )
 
 
-def _workspace(n: int):
-    """The buffers of one fit: _WORK_ROWS float64 rows and a bool mask, all of
-    length n, that every _derivatives evaluation of the fit writes into, and
-    the record [x, mu, log sigma] of the samples, location and scale its
-    first row last formed z = (x - mu)/sigma from, all None until then.
+def _workspace(x: np.ndarray):
+    """One fit's samples x and the buffers that every _derivatives evaluation
+    of the fit writes into: _WORK_ROWS float64 rows and a bool mask, all of
+    length x.size, and the record [mu, log sigma] that its first row last
+    formed z = (x - mu)/sigma at, [None, None] until then.
 
     Each row starts on a 64-byte boundary, where malloc promises 16: on an
     AVX-512 CPU an evaluation at n = 10**4 ran 12-18 % slower on rows that
     straddle cache lines.
     """
-    stride = -(-n // 8) * 8
+    stride = -(-x.size // 8) * 8
     raw = np.empty(_WORK_ROWS * stride + 7)
     start = -raw.ctypes.data % 64 // 8
-    rows = raw[start:start + _WORK_ROWS * stride].reshape(_WORK_ROWS, stride)[:, :n]
-    return rows, np.empty(n, dtype=bool), [None, None, None]
+    rows = raw[start:start + _WORK_ROWS * stride].reshape(_WORK_ROWS, stride)[:, :x.size]
+    return x, rows, np.empty(x.size, dtype=bool), [None, None]
 
 
-def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=None):
+def _derivatives(work, theta, free: tuple[int, ...] = (0, 1, 2)):
     """Log likelihood, score and observed Hessian in theta = (kappa, mu, log sigma).
 
     With y = log(t)/kappa and u = exp(-y) each sample contributes
@@ -223,23 +223,23 @@ def _derivatives(x: np.ndarray, theta, free: tuple[int, ...] = (0, 1, 2), work=N
     log_likelihood's expression, so a fit reports the value its solver held.
     Only the score and Hessian entries of the coordinates in free are formed,
     each by the expression the full evaluation uses; the others are nan.
-    Every n-length value is written into work, a _workspace(x.size) (a fresh
-    one when None), by the same operations in the same order as the plain
-    expressions in the comments, up to exact sign folds. z is formed only when
-    work's record holds other samples or another (mu, log sigma) than theta's:
-    no row is written over z, and the same inputs form the same z bits.
+    Every n-length value is written into work, the _workspace of the samples,
+    by the same operations in the same order as the plain expressions in the
+    comments, up to exact sign folds. z is formed only when work's record
+    holds another (mu, log sigma) than theta's: no row is written over z, and
+    the same inputs form the same z bits.
     Returns (-inf, None, None) when a sample lies outside the support or the
     log likelihood is -inf or nan.
     """
     kappa, mu, log_sigma = theta
     shape, location = 0 in free, 1 in free or 2 in free
-    rows, mask, formed = _workspace(x.size) if work is None else work
+    x, rows, mask, formed = work
     z, t, zr, y_k, u, v, w = rows  # -y lives in v or u, and y_kk in w, until they are spent
     sigma = np.exp(log_sigma)
-    if formed[0] is not x or formed[1:] != [mu, log_sigma]:
+    if formed != [mu, log_sigma]:
         np.subtract(x, mu, out=z)
         z /= sigma                                   # z = (x - mu) / sigma
-        formed[:] = x, mu, log_sigma
+        formed[:] = mu, log_sigma
     if abs(kappa) <= KAPPA_EPS:
         # t = 1: r is None where the general branch multiplies by 1/t
         kappa, r, zr = 0.0, None, z
@@ -325,9 +325,9 @@ def _ascent_step(g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     return step if step @ g > 0 else g / n
 
 
-def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
-    """Damped Newton ascent of the log likelihood over the coordinates in free,
-    one of (1, 2), (0,) and (0, 1, 2).
+def _newton(work, theta, free: tuple[int, ...]):
+    """Damped Newton ascent of the log likelihood of work's samples over the
+    coordinates in free, one of (1, 2), (0,) and (0, 1, 2).
 
     Works in the scale-free coordinates (kappa, mu/sigma, log sigma), every
     stage in the same loop body over the score and Hessian of its free
@@ -339,12 +339,12 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
     evaluation writes into work, the fit's _workspace.
     Returns (theta, its log likelihood, Newton steps taken, converged).
     """
-    n, limit = x.size, _TOL * x.size
+    n, limit = work[0].size, _TOL * work[0].size
     theta = [float(c) for c in theta]
     span = slice(free[0], free[-1] + 1)
     # the scale-free coordinates scale mu's entries by sigma and no other
     scale = np.ones(len(free))
-    ll, score, hessian = _derivatives(x, theta, free, work)
+    ll, score, hessian = _derivatives(work, theta, free)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iteration in range(_MAX_ITER + 1):
             if 1 in free:
@@ -361,7 +361,7 @@ def _newton(x: np.ndarray, theta, free: tuple[int, ...], work):
             for _ in range(60):
                 trial = [c + d for c, d in zip(theta, delta)]
                 if trial[0] > -1.0:
-                    trial_ll, trial_score, trial_hessian = _derivatives(x, trial, free, work)
+                    trial_ll, trial_score, trial_hessian = _derivatives(work, trial, free)
                     if trial_ll >= ll - slack:
                         break
                 delta = [d * 0.5 for d in delta]
@@ -393,10 +393,10 @@ def _fit(samples, stages) -> FitReport:
     if not (math.isfinite(sigma_0) and math.isfinite(mu_0)):
         raise DegenerateDataError(
             f"samples too large for float64: no finite start point (sigma {sigma_0}, mu {mu_0})")
-    work = _workspace(x.size)
+    work = _workspace(x)
     theta, iterations, converged = (0.0, mu_0, math.log(sigma_0)), 0, True
     for free in stages:
-        theta, ll, steps, stage_converged = _newton(x, theta, free, work)
+        theta, ll, steps, stage_converged = _newton(work, theta, free)
         iterations += steps
         converged = stage_converged and (free == _JOINT or converged)
     params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))

@@ -18,13 +18,13 @@ consecutive windows: each window draws its normals from its own generator
 into its own row of a (ROWS, K) array, and a noise row is its unit-variance
 draws as they stand. Every later stage (AM message, SNR mix, taper, FFT,
 cyclic product, smoother, max) runs once per sub-block through the siggen and
-scd row helpers, on arrays, a one-window signal spec and a one-column feature
-config built once per block; the block checks only that each statistic is
-finite. Each row's arithmetic is that of the window alone, so no statistic
-depends on ROWS, BLOCK_WINDOWS or jobs. run_windows runs a plan's noise-fit,
-H0 and H1 windows in one _run call, so roc finds an unconverged fit only
-after the last window, and exceedances aggregates them into order-independent
-counts.
+scd row helpers, on arrays and a one-column feature config built once per
+block and the plan's own signal spec, whose AM tables take the rows' length;
+the block checks only that each statistic is finite. Each row's arithmetic
+is that of the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS
+or jobs. run_windows runs a plan's noise-fit, H0 and H1 windows in one _run
+call, so roc finds an unconverged fit only after the last window, and
+exceedances aggregates them into order-independent counts.
 """
 
 from __future__ import annotations
@@ -266,7 +266,6 @@ def _block_task(args: tuple) -> np.ndarray:
     window has alone; top-level so process pools can pickle it."""
     plan, kind, snr_index, batch, start, stop = args
     cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
-    window_spec = replace(plan.signal_spec, duration_samples=cfg.window_length_k)
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
@@ -290,9 +289,9 @@ def _block_task(args: tuple) -> np.ndarray:
                 _generator(words).standard_normal(row.size, out=row)
         windows = normals[-1, :n]  # NOISE_VARIANCE is 1: the draws are the noise
         if kind == "h1":
-            signal = _am_rows(window_spec, normals[0, :n], work.half[:n])
+            signal = _am_rows(plan.signal_spec, normals[0, :n], work.half[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
-        maxima = _maxima(windows, cfg, work, tapered=windows)
+        maxima = _maxima(windows, work, tapered=windows)
         statistics[first:first + n] = maxima[:, 0]
     bad = statistics[~np.isfinite(statistics)]
     if bad.size:  # a nan would silently count as unoccupied

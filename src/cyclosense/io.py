@@ -22,7 +22,7 @@ import numpy as np
 from .gev import FitReport, GevParams
 from .harness import NOISE_VARIANCE, ExperimentPlan
 from .scd import ScdConfig, ScdMatrix
-from .siggen import SampleBuffer, SignalSpec, _samples
+from .siggen import SampleBuffer, SignalSpec, _integer, _samples
 
 __all__ = [
     "write_signal",
@@ -211,11 +211,10 @@ def read_fit_json(path: str | Path) -> FitReport:
 def write_histogram_csv(path: str | Path, samples, bins: int | None = None) -> Path:
     """Density histogram of the samples, bins defaulting to the Sturges count:
     bin_lo,bin_hi,count,density. The samples pass the one sample-vector check:
-    real, finite, nonempty and 1-D."""
+    real, finite, nonempty and 1-D; bins, an integer of at least 1."""
     x = _samples(samples)
-    if bins is None:
-        bins = int(np.ceil(np.log2(x.size))) + 1
-    counts, edges = np.histogram(x, bins=int(bins))
+    bins = int(np.ceil(np.log2(x.size))) + 1 if bins is None else _integer("bins", bins, 1)
+    counts, edges = np.histogram(x, bins=bins)
     total = int(counts.sum())
     return _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], (
         [_fmt(lo), _fmt(hi), int(count), _fmt(count / (total * (hi - lo)) if hi > lo else 0.0)]

@@ -19,7 +19,9 @@ The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. One kernel,
 _smoothed_strips, computes the valid run of each column of a config's
 alpha_grid, and of no other column, for a (rows, K) array of windows, one
-per row, in work arrays a caller allocates once (_KernelBuffers). _maxima
+per row, in work arrays a caller allocates once (_KernelBuffers), which
+also hold the config they were built for, its taper and its scale: the
+kernel's functions take those buffers and no config beside them. _maxima
 reduces each run to its maximum magnitude: the Monte Carlo harness calls it
 on a few windows at a time, and alpha_maxima with one row. estimate_scd
 stores each run into its column of a row-major (K, n_alpha) array whose
@@ -59,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .siggen import SampleBuffer, _integer, _samples
+from .siggen import SampleBuffer, _integer, _real, _samples
 
 TAPERS = ("hamming", "rectangular")
 
@@ -179,17 +181,11 @@ def taper_coefficients(name: str, length: int) -> np.ndarray:
     return coeffs
 
 
-@lru_cache(maxsize=16)
-def _periodogram_scale(name: str, length: int) -> float:
-    """K * U, the cyclic periodogram normalization of a taper."""
-    coeffs = taper_coefficients(name, length)
-    return length * float(np.mean(coeffs * coeffs))
-
-
 def snap_alpha_to_even_bin(alpha_hz: float, sample_rate_hz: float, window_length_k: int) -> int:
     """Snap a cyclic frequency in Hz to the nearest even DFT-bin offset."""
-    bins = alpha_hz * window_length_k / sample_rate_hz
-    return 2 * int(round(bins / 2.0))
+    bins = (_real("alpha_hz", alpha_hz) * _integer("window_length_k", window_length_k, 1)
+            / _real("sample_rate_hz", sample_rate_hz, 0.0))
+    return 2 * int(round(_real("alpha_hz * window_length_k / sample_rate_hz", bins) / 2.0))
 
 
 def _smoothed(column: np.ndarray, smoothing_length: int, sums: np.ndarray | None = None,
@@ -225,10 +221,14 @@ def _scale_parts(values: np.ndarray, factor: float) -> None:
 class _KernelBuffers:
     """Work arrays of the kernel for up to `rows` windows and the columns of
     cfg's alpha_grid, allocated once and reused by every call, and the
-    columns' places in them."""
+    columns' places in them; cfg itself, its taper and its cyclic
+    periodogram scale 1/(K*U)."""
 
     def __init__(self, rows: int, cfg: ScdConfig) -> None:
         k, grid = cfg.window_length_k, cfg.alpha_grid
+        self.cfg = cfg
+        self.taper = taper_coefficients(cfg.taper, k)
+        self.scale = 1.0 / (k * float(np.mean(self.taper * self.taper)))
         # column a reads K - |a| bins of the centered spectrum from bin max(a, 0)
         # and of its conjugate from bin max(-a, 0); the spans start at the least
         self.firsts = first, conjugate_first = max(min(grid), 0), max(-max(grid), 0)
@@ -247,16 +247,16 @@ class _KernelBuffers:
         self.magnitudes = np.empty((rows, span))
 
 
-def _half_spectra(windows: np.ndarray, cfg: ScdConfig, out: np.ndarray | None = None,
+def _half_spectra(windows: np.ndarray, work: _KernelBuffers,
                   tapered: np.ndarray | None = None) -> np.ndarray:
-    """Real FFT, bins 0 .. K/2, of each tapered row of windows. tapered
-    receives the tapered rows (a new array by default; windows itself to
-    taper in place)."""
-    k = cfg.window_length_k
+    """Real FFT, bins 0 .. K/2, of each tapered row of windows, into work's
+    half buffer. tapered receives the tapered rows (a new array by default;
+    windows itself to taper in place)."""
+    k = work.cfg.window_length_k
     if windows.ndim != 2 or windows.shape[1] != k:
         raise ValueError(f"window length {windows.shape[-1]} does not match K={k}")
-    tapered = np.multiply(windows, taper_coefficients(cfg.taper, k), out=tapered)
-    return np.fft.rfft(tapered, axis=-1, out=out)
+    tapered = np.multiply(windows, work.taper, out=tapered)
+    return np.fft.rfft(tapered, axis=-1, out=work.half[:len(windows)])
 
 
 def _centered_bins(half: np.ndarray, first: int, out: np.ndarray,
@@ -277,17 +277,16 @@ def _centered_bins(half: np.ndarray, first: int, out: np.ndarray,
     return out
 
 
-def _smoothed_strips(half: np.ndarray, cfg: ScdConfig, work: _KernelBuffers):
+def _smoothed_strips(half: np.ndarray, work: _KernelBuffers):
     """Smoothed cyclic periodogram of the window whose rfft half is each row
-    of half, _STRIP columns of cfg's alpha_grid at a time (see the module
+    of half, _STRIP columns of work's alpha_grid at a time (see the module
     docstring): yields each strip's first column index and its columns'
     (rows, K - |a|) valid runs, views into work until the next strip."""
-    k, rows = cfg.window_length_k, len(half)
+    k, rows = work.cfg.window_length_k, len(half)
     first, conjugate_first = work.firsts
     spectrum = _centered_bins(half, first - k // 2, work.spectrum[:rows])
     conjugate = _centered_bins(half, conjugate_first - k // 2, work.conjugate[:rows],
                                conjugate=True)
-    scale = 1.0 / _periodogram_scale(cfg.taper, k)
     for start, width, columns in work.strips:
         products = work.products[:rows, :len(columns), :width]
         for row, (upper, lower, n) in enumerate(columns):
@@ -296,20 +295,20 @@ def _smoothed_strips(half: np.ndarray, cfg: ScdConfig, work: _KernelBuffers):
                         out=products[:, row, :n])
             if n < width:
                 products[:, row, n:] = _NEGATIVE_ZERO
-        _scale_parts(products, scale)
-        smoothed = _smoothed(products, cfg.smoothing_length, sums=products,
+        _scale_parts(products, work.scale)
+        smoothed = _smoothed(products, work.cfg.smoothing_length, sums=products,
                              out=work.smoothed[:rows, :len(columns), :width])
         yield start, [smoothed[:, row, :n] for row, (_, _, n) in enumerate(columns)]
 
 
-def _maxima(windows: np.ndarray, cfg: ScdConfig, work: _KernelBuffers,
+def _maxima(windows: np.ndarray, work: _KernelBuffers,
             tapered: np.ndarray | None = None) -> np.ndarray:
-    """(rows, len(cfg.alpha_grid)) maxima of |SCD| over each column's valid
-    cells for each row of windows; see _half_spectra for tapered."""
+    """(rows, len(work.cfg.alpha_grid)) maxima of |SCD| over each column's
+    valid cells for each row of windows; see _half_spectra for tapered."""
     rows = len(windows)
-    half = _half_spectra(windows, cfg, out=work.half[:rows], tapered=tapered)
-    maxima = np.empty((rows, len(cfg.alpha_grid)))
-    for start, runs in _smoothed_strips(half, cfg, work):
+    half = _half_spectra(windows, work, tapered)
+    maxima = np.empty((rows, len(work.cfg.alpha_grid)))
+    for start, runs in _smoothed_strips(half, work):
         for j, run in enumerate(runs, start):
             magnitudes = np.abs(run, out=work.magnitudes[:rows, :run.shape[1]])
             np.max(magnitudes, axis=-1, out=maxima[:, j])
@@ -336,8 +335,8 @@ def estimate_scd(window: SampleBuffer, cfg: ScdConfig,
     matrix = ScdMatrix(values, cfg, window.sample_rate_hz)  # checks out's shape before a write
     values[...] = 0  # in one pass: the kernel yields only the valid runs
     work = _KernelBuffers(1, cfg)
-    half = _half_spectra(window.samples[None], cfg, out=work.half)
-    for start, runs in _smoothed_strips(half, cfg, work):
+    half = _half_spectra(window.samples[None], work)
+    for start, runs in _smoothed_strips(half, work):
         with np.errstate(over="ignore"):  # a complex64 out's cast; the writer checks it
             for j, run in enumerate(runs, start):
                 values[abs(grid[j]) // 2:, j][:run.shape[1]] = run[0]
@@ -348,4 +347,4 @@ def alpha_maxima(samples: np.ndarray, cfg: ScdConfig) -> np.ndarray:
     """Per-alpha maxima of |SCD| over the valid support of one window of K
     samples, one per column of cfg's alpha_grid. The samples pass the checks
     SampleBuffer makes (real, finite, nonempty and 1-D) and are not copied."""
-    return _maxima(_samples(samples)[None], cfg, _KernelBuffers(1, cfg))[0]
+    return _maxima(_samples(samples)[None], _KernelBuffers(1, cfg))[0]

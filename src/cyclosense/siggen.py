@@ -4,7 +4,7 @@ Every generator is a pure function of its spec and its seed, a nonnegative
 integer that seeds np.random.default_rng, so identical inputs reproduce
 identical buffers. Buffers are read-only copies, safe to share across
 workers. The carrier and message stop bin, which no seed changes, are cached
-per spec.
+per spec and row length.
 
 The AM and mix steps are row helpers that do arithmetic only, in place on
 the last axis of a (rows, n) array, one window per row: the Monte Carlo
@@ -157,10 +157,10 @@ class NoiseSpec:
 
 
 @lru_cache(maxsize=16)
-def _am_tables(spec: SignalSpec) -> tuple[np.ndarray, int]:
-    """The spec's carrier cos(2*pi*fc*k/fs) for k < n, read-only, and its first
-    rfft bin above the message bandwidth."""
-    n = int(spec.duration_samples)
+def _am_tables(spec: SignalSpec, n: int) -> tuple[np.ndarray, int]:
+    """The spec's carrier cos(2*pi*fc*k/fs) for k < n, read-only, and the
+    first bin of an n-point rfft above its message bandwidth; n, not the
+    spec's duration, is the length of the rows they serve."""
     carrier = np.cos(2.0 * np.pi * spec.carrier_freq_hz / spec.sample_rate_hz * np.arange(n))
     carrier.setflags(write=False)
     freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
@@ -169,11 +169,11 @@ def _am_tables(spec: SignalSpec) -> tuple[np.ndarray, int]:
 
 def _am_rows(spec: SignalSpec, rows: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
     """Turn each row of standard normals in rows, a (rows, n) float64 array,
-    into the spec's AM waveform in place. The message is the row
+    into the spec's AM waveform of n samples in place. The message is the row
     brickwall-filtered to the rfft bins 1 .. stop_bin-1 and normalized to unit
     peak (it stays zero when no bin is in band); spectra, if given, is a
     (rows, n//2 + 1) complex128 array that receives the rows' rfft."""
-    carrier, stop_bin = _am_tables(spec)
+    carrier, stop_bin = _am_tables(spec, rows.shape[-1])
     spectra = np.fft.rfft(rows, axis=-1, out=spectra)
     spectra[:, stop_bin:] = 0.0
     spectra[:, 0] = 0.0

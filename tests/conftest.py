@@ -54,6 +54,19 @@ def pinned_python():
     return run
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Repeat the `ACCEPTANCE n:` lines that tests/test_acceptance.py prints,
+    which pytest captures from a passing test, at the end of every run, so
+    that each run's log records the gate's figures."""
+    lines = sorted(line for reports in terminalreporter.stats.values() for rep in reports
+                   if getattr(rep, "when", None) == "call"
+                   for line in rep.capstdout.splitlines() if line.startswith("ACCEPTANCE "))
+    if lines:
+        terminalreporter.section("acceptance gate")
+        for line in lines:
+            terminalreporter.write_line(line)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

@@ -20,7 +20,7 @@ from scipy.stats import genextreme
 
 import cyclosense as cs
 import cyclosense.gev as gev_module
-from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, log_likelihood
+from cyclosense.gev import KAPPA_EPS, _derivatives, _quantile, _workspace, log_likelihood
 
 # SHA-256 of every fit in fit_digest() by a child on the pinned dispatch target
 # (PINNED_TARGET in conftest.py). A change that moves the fits re-pins this one
@@ -370,7 +370,7 @@ def test_fits_are_equivariant_under_affine_maps(fit, kappa, b, a):
 
 def scale_free_score(draws, params):
     """Per-sample (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) at params."""
-    _, score, _ = _derivatives(draws, (params.kappa, params.mu, np.log(params.sigma)))
+    _, score, _ = _derivatives(_workspace(draws), (params.kappa, params.mu, np.log(params.sigma)))
     return score * np.array([1.0, params.sigma, 1.0]) / draws.size
 
 
@@ -413,7 +413,7 @@ class TestDerivatives:
         def ll(t):
             return log_likelihood(draws, cs.GevParams(t[0], t[1], np.exp(t[2])))
 
-        value, score, hessian = _derivatives(draws, theta)
+        value, score, hessian = _derivatives(_workspace(draws), theta)
         assert value == pytest.approx(ll(theta), rel=1e-13)
         fd_score = [(ll(theta + e) - ll(theta - e)) / (2 * e.sum()) for e in steps]
         fd_hessian = [[(ll(theta + e + f) - ll(theta + e - f) - ll(theta - e + f)
@@ -424,7 +424,7 @@ class TestDerivatives:
 
     def test_off_support_point_has_no_derivatives(self):
         draws = np.array([0.0, 1.0, 10.0])
-        assert _derivatives(draws, (-0.5, 0.0, 0.0)) == (float("-inf"), None, None)
+        assert _derivatives(_workspace(draws), (-0.5, 0.0, 0.0)) == (float("-inf"), None, None)
 
 
 # (n, kappa) of the sample_gev draws in fit_digest
@@ -496,8 +496,8 @@ def test_stage_derivatives_equal_the_full_evaluation_bit_for_bit(free, kappa, n,
                                                                   d_log_sigma):
     draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), n, seed)
     theta = (kappa, 0.0427 + d_mu * 0.0183, np.log(0.0183) + d_log_sigma)
-    ll, score, hessian = _derivatives(draws, theta)
-    stage_ll, stage_score, stage_hessian = _derivatives(draws, theta, free)
+    ll, score, hessian = _derivatives(_workspace(draws), theta)
+    stage_ll, stage_score, stage_hessian = _derivatives(_workspace(draws), theta, free)
     assert stage_ll == ll
     if score is None:  # a sample off the support
         assert stage_score is None and stage_hessian is None
@@ -514,21 +514,22 @@ def test_stage_derivatives_equal_the_full_evaluation_bit_for_bit(free, kappa, n,
 def test_workspace_evaluation_allocates_no_sample_length_array(free, kappa):
     draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), 10_000, seed=1)
     theta = (kappa, 0.0427, np.log(0.0183))
-    work = gev_module._workspace(draws.size)
+    work = _workspace(draws)
 
-    def peak_above_baseline(*args):
+    def peak_above_baseline(make_work):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            result = _derivatives(draws, theta, free, *args)
+            result = _derivatives(make_work(), theta, free)
             return result, tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    (ll, score, hessian), peak = peak_above_baseline(work)
+    (ll, score, hessian), peak = peak_above_baseline(lambda: work)
     assert score is not None and peak < draws.nbytes
-    # the same measurement sees the workspace an evaluation without one allocates
-    (fresh_ll, fresh_score, fresh_hessian), fresh_peak = peak_above_baseline()
+    # the same measurement sees the workspace a fresh evaluation allocates
+    (fresh_ll, fresh_score, fresh_hessian), fresh_peak = peak_above_baseline(
+        lambda: _workspace(draws))
     assert fresh_peak > draws.nbytes
     assert (fresh_ll, fresh_score.tobytes(), fresh_hessian.tobytes()) == (
         ll, score.tobytes(), hessian.tobytes())
@@ -538,9 +539,9 @@ def test_every_evaluation_of_a_fit_shares_one_workspace(monkeypatch):
     works = []
     derivatives = gev_module._derivatives
 
-    def recording(x, theta, free=(0, 1, 2), work=None):
+    def recording(work, theta, free=(0, 1, 2)):
         works.append(work)
-        return derivatives(x, theta, free, work)
+        return derivatives(work, theta, free)
 
     monkeypatch.setattr(gev_module, "_derivatives", recording)
     report = cs.fit_gev_mle(cs.sample_gev(gev(0.1, 0.0427, 0.0183), 1000, seed=7), refine=True)
@@ -559,25 +560,15 @@ def assert_same_evaluation(result, fresh):
 def test_an_evaluation_forms_z_again_only_at_another_location_or_scale(kappa, moved):
     draws = cs.sample_gev(gev(kappa, 0.0427, 0.0183), 1000, seed=7)
     theta = (kappa, 0.0427, np.log(0.0183))
-    work = gev_module._workspace(draws.size)
-    _derivatives(draws, theta, (0, 1, 2), work)
-    work[0][0].fill(np.nan)  # the z row
+    work = _workspace(draws)
+    _derivatives(work, theta, (0, 1, 2))
+    work[1][0].fill(np.nan)  # the z row
     # a shape step holds mu and sigma, so it reuses the nan z, whose nan log
     # likelihood _derivatives reports as -inf with no score
-    assert _derivatives(draws, (kappa + 0.01, *theta[1:]), (0,), work) == (
-        float("-inf"), None, None)
+    assert _derivatives(work, (kappa + 0.01, *theta[1:]), (0,)) == (float("-inf"), None, None)
     other = tuple(c + d for c, d in zip(theta, moved))
-    assert_same_evaluation(_derivatives(draws, other, (0, 1, 2), work),
-                           _derivatives(draws, other))
-
-
-def test_an_evaluation_forms_z_again_for_other_samples_at_the_same_theta():
-    theta = (0.1, 0.0427, np.log(0.0183))
-    first, second = (cs.sample_gev(gev(*theta[:2], 0.0183), 1000, seed) for seed in (7, 8))
-    work = gev_module._workspace(first.size)
-    _derivatives(first, theta, (0, 1, 2), work)
-    assert_same_evaluation(_derivatives(second, theta, (0, 1, 2), work),
-                           _derivatives(second, theta))
+    assert_same_evaluation(_derivatives(work, other, (0, 1, 2)),
+                           _derivatives(_workspace(draws), other))
 
 
 @pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=3)),
@@ -587,7 +578,7 @@ def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
     draws = cs.sample_gev(gev(0.1, 0.0427, 0.0183), 200, seed=7)
     calls = []
 
-    def stage(x, theta, free, work):
+    def stage(work, theta, free):
         calls.append(free)
         return theta, -1.0, 10 ** (len(calls) - 1), flags[len(calls) - 1]
 
@@ -609,7 +600,9 @@ def test_stage_flags_and_steps_combine_into_the_fit(monkeypatch, flags):
 
 @pytest.mark.parametrize("n", [30, 1001, 10_000])
 def test_workspace_rows_start_on_cache_lines(n):
-    rows, mask, _ = gev_module._workspace(n)
+    x = np.zeros(n)
+    samples, rows, mask, formed = _workspace(x)
+    assert samples is x and formed == [None, None]
     assert rows.shape == (gev_module._WORK_ROWS, n) and mask.shape == (n,)
     assert all(row.flags.c_contiguous and row.__array_interface__["data"][0] % 64 == 0
                for row in rows)
@@ -665,8 +658,8 @@ def test_a_degenerate_newton_system_takes_the_score_step(monkeypatch, stage, hes
     # the first evaluation of the stage hands _newton a system with no solution
     derivatives, broken = gev_module._derivatives, []
 
-    def degenerate_once(x, theta, free=(0, 1, 2), work=None):
-        ll, score, full = derivatives(x, theta, free, work)
+    def degenerate_once(work, theta, free=(0, 1, 2)):
+        ll, score, full = derivatives(work, theta, free)
         if free == stage and not broken:
             broken.append(free)
             return ll, score, hessian.copy()

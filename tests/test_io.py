@@ -156,6 +156,20 @@ class TestHistogramCsv:
             io.write_histogram_csv(tmp_path / "h.csv", samples)
         assert not (tmp_path / "h.csv").exists()
 
+    @pytest.mark.parametrize("bins", [2.5, True, "3", 0, -1, np.inf, np.nan, 1j], ids=repr)
+    def test_bins_pass_the_one_integer_check(self, tmp_path, bins):
+        with pytest.raises(ValueError, match=f"^bins must be an integer of at least 1, got "
+                                             f"{re.escape(repr(bins))}$"):
+            io.write_histogram_csv(tmp_path / "h.csv", np.arange(8.0), bins)
+        assert not (tmp_path / "h.csv").exists()
+
+    # None is the Sturges count, ceil(log2(8)) + 1 for 8 samples
+    @pytest.mark.parametrize("bins, rows", [(None, 4), (1, 1), (3, 3), (np.int64(3), 3),
+                                            (3.0, 3)], ids=repr)
+    def test_whole_number_bins_write_that_many_rows(self, tmp_path, bins, rows):
+        path = io.write_histogram_csv(tmp_path / "h.csv", np.arange(8.0), bins)
+        assert len(path.read_text().splitlines()) == 1 + rows
+
 
 class TestRocCsv:
     def test_format_and_precision(self, tmp_path, mini_plan):

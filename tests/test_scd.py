@@ -8,6 +8,7 @@ Isserlis-theorem value; the remaining tests pin symmetry, scaling, the
 per-alpha maxima and the AM cyclic feature.
 """
 
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,8 +22,7 @@ from scipy import signal as sp_signal
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.scd import (TAPERS, _centered_bins, _half_spectra, _KernelBuffers, _maxima,
-                            _periodogram_scale, _smoothed, _smoothed_strips,
-                            taper_coefficients)
+                            _smoothed, _smoothed_strips, taper_coefficients)
 
 FS = 3.0e6
 
@@ -52,7 +52,8 @@ def centered_spectrum(x, cfg):
     """Bins -K/2 .. K/2-1 of one window, gathered from its rfft half as the
     cyclic columns are."""
     k = cfg.window_length_k
-    return _centered_bins(_half_spectra(x[None], cfg), -k // 2, np.empty((1, k), complex))[0]
+    half = _half_spectra(x[None], _KernelBuffers(1, cfg))
+    return _centered_bins(half, -k // 2, np.empty((1, k), complex))[0]
 
 
 def valid_maxima(scd):
@@ -104,7 +105,7 @@ def divided_smoothed(column, smoothing_length, sums=None, out=None):
 
 def divided_smoothed_column(half, a, cfg):
     """Reference for the kernel's column a: the same product, divided by K * U
-    as a complex array, then divided_smoothed."""
+    (U the taper's mean square) as a complex array, then divided_smoothed."""
     k, rows = cfg.window_length_k, len(half)
     shift, lo = a // 2, abs(a) // 2
     n = k - 2 * lo
@@ -112,7 +113,8 @@ def divided_smoothed_column(half, a, cfg):
     lower = _centered_bins(half, lo - shift - k // 2, np.empty((rows, n), complex))
     np.conjugate(lower, out=lower)
     np.multiply(upper, lower, out=upper)
-    upper /= _periodogram_scale(cfg.taper, k)
+    taper = taper_coefficients(cfg.taper, k)
+    upper /= k * float(np.mean(taper * taper))
     return divided_smoothed(upper, cfg.smoothing_length, sums=upper, out=lower)
 
 
@@ -146,7 +148,7 @@ def test_kernel_column_equals_complex_division_bit_for_bit(data, k, magnitude):
     a = 2 * data.draw(st.integers(1 - k // 2, k // 2 - 1))
     cfg = cs.ScdConfig(k, smoothing_length, (a,), taper)
     half = complex_rows(data.draw(SEEDS), data.draw(st.integers(1, 4)), k // 2 + 1, magnitude)
-    [(_, [got])] = _smoothed_strips(half, cfg, _KernelBuffers(len(half), cfg))
+    [(_, [got])] = _smoothed_strips(half, _KernelBuffers(len(half), cfg))
     assert got.tobytes() == divided_smoothed_column(half, a, cfg).tobytes()
 
 
@@ -229,7 +231,7 @@ def window_rows_and_config(draw):
           cs.ScdConfig(1024, 301, tuple(range(-1000, 1001, 100)))))
 def test_rows_of_windows_equal_one_window_calls_bit_for_bit(case):
     rows, cfg = case
-    maxima = _maxima(rows, cfg, _KernelBuffers(len(rows), cfg))
+    maxima = _maxima(rows, _KernelBuffers(len(rows), cfg))
     assert maxima.shape == (len(rows), len(cfg.alpha_grid))
     alone = np.array([cs.alpha_maxima(window, cfg) for window in rows])
     assert maxima.tobytes() == alone.tobytes()
@@ -242,9 +244,8 @@ def one_column_values(window, cfg):
     k = cfg.window_length_k
     values = np.zeros((k, len(cfg.alpha_grid)), dtype=np.complex128)
     for col, a in enumerate(cfg.alpha_grid):
-        column = replace(cfg, alpha_grid=(a,))
-        half = _half_spectra(window.samples[None], column)
-        [(_, [run])] = _smoothed_strips(half, column, _KernelBuffers(1, column))
+        work = _KernelBuffers(1, replace(cfg, alpha_grid=(a,)))
+        [(_, [run])] = _smoothed_strips(_half_spectra(window.samples[None], work), work)
         lo = abs(a) // 2
         values[lo:k - lo, col] = run[0]
     return values
@@ -405,6 +406,31 @@ class TestSnap:
     def test_snapping_is_always_even(self):
         for alpha in (0.37e6, 1.1e6, 2.9e6):
             assert cs.snap_alpha_to_even_bin(alpha, FS, 4096) % 2 == 0
+
+    @pytest.mark.parametrize("alpha, rate, k, message", [
+        (np.nan, FS, 4096, "alpha_hz must be finite, got nan"),
+        (np.inf, FS, 4096, "alpha_hz must be finite, got inf"),
+        ("2", FS, 4096, "alpha_hz must be finite, got '2'"),
+        (True, FS, 4096, "alpha_hz must be finite, got True"),
+        (2.0e6, 0.0, 4096, "sample_rate_hz must be positive and finite, got 0.0"),
+        (2.0e6, -FS, 4096, "sample_rate_hz must be positive and finite, got -3000000.0"),
+        (2.0e6, np.nan, 4096, "sample_rate_hz must be positive and finite, got nan"),
+        (2.0e6, True, 4096, "sample_rate_hz must be positive and finite, got True"),
+        (2.0e6, FS, 4096.5, "window_length_k must be an integer of at least 1, got 4096.5"),
+        (2.0e6, FS, "4096", "window_length_k must be an integer of at least 1, got '4096'"),
+        (2.0e6, FS, True, "window_length_k must be an integer of at least 1, got True"),
+        (2.0e6, FS, 0, "window_length_k must be an integer of at least 1, got 0"),
+        (1e308, 1.0, 4096, "alpha_hz * window_length_k / sample_rate_hz must be finite, got inf"),
+    ])
+    def test_rejects_bad_arguments(self, alpha, rate, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cs.snap_alpha_to_even_bin(alpha, rate, k)
+
+    @pytest.mark.parametrize("alpha, rate, k", [
+        (2.0e6, FS, 4096), (2000, 3000, 4096), (np.float32(2.0e6), np.float64(FS), np.int64(4096)),
+        (-2.0e6, FS, 4096.0)])
+    def test_takes_any_real_rate_and_whole_length(self, alpha, rate, k):
+        assert cs.snap_alpha_to_even_bin(alpha, rate, k) == 2730 * (1 if alpha > 0 else -1)
 
 
 class TestEstimateScd:

@@ -95,10 +95,10 @@ class TestGenerateAm:
         assert buf.power == pytest.approx(0.5, rel=0.01)
 
     def test_carrier_cache_is_read_only_fresh_cosine(self):
-        carrier, _ = siggen._am_tables(table_spec())
+        carrier, _ = siggen._am_tables(table_spec(), 4096)
         assert not carrier.flags.writeable
         assert np.array_equal(carrier, np.cos(2.0 * np.pi * FC / FS * np.arange(4096)))
-        assert siggen._am_tables(table_spec())[0] is carrier
+        assert siggen._am_tables(table_spec(), 4096)[0] is carrier
         assert not np.shares_memory(generate_am(table_spec(index=0.0), 3).samples, carrier)
 
     @pytest.mark.parametrize("spec", [table_spec(), SignalSpec(100.0, 10.0, 4096.0, 4096),
@@ -107,7 +107,25 @@ class TestGenerateAm:
     def test_stop_bin_is_first_bin_above_bandwidth(self, spec):
         freqs = np.fft.rfftfreq(spec.duration_samples, d=1.0 / spec.sample_rate_hz)
         first_above = np.flatnonzero(freqs > spec.baseband_bandwidth_hz)[0]
-        assert siggen._am_tables(spec)[1] == first_above
+        assert siggen._am_tables(spec, spec.duration_samples)[1] == first_above
+
+    @pytest.mark.parametrize("n", [64, 4095, 4096])
+    def test_tables_take_the_row_length_not_the_duration(self, n):
+        spec = table_spec(n=3 * 4096)
+        carrier, stop_bin = siggen._am_tables(spec, n)
+        assert np.array_equal(carrier, np.cos(2.0 * np.pi * FC / FS * np.arange(n)))
+        assert stop_bin == siggen._am_tables(replace(spec, duration_samples=n), n)[1]
+
+    def test_rows_shorter_than_the_spec_equal_a_spec_of_their_length_bit_for_bit(self):
+        # the harness passes its plan's full-length spec with K-sample rows
+        plan = cs.desk_plan()
+        spec, k, seeds = plan.signal_spec, plan.scd_cfg.window_length_k, (3, 7, 11)
+        assert spec.duration_samples > k
+        rows = np.array([np.random.default_rng(seed).standard_normal(k) for seed in seeds])
+        siggen._am_rows(spec, rows)
+        for row, seed in zip(rows, seeds):
+            alone = generate_am(replace(spec, duration_samples=k), seed).samples
+            assert row.tobytes() == alone.tobytes()
 
     def test_seed_determinism(self):
         a = generate_am(table_spec(), seed=11)
@@ -288,6 +306,10 @@ REALS = {
     "roc-pf": (lambda v: cs.RocCurve(((v, 0.5),), -10.0), "pf", "in [0, 1]", 0.1, -0.1),
     "roc-pd": (lambda v: cs.RocCurve(((0.1, v),), -10.0), "pd", "in [0, 1]", 0.5, 1.5),
     "roc-snr_db": (lambda v: cs.RocCurve(((0.1, 0.5),), v), "snr_db", "finite", -10.0, None),
+    "snap-alpha_hz": (lambda v: cs.snap_alpha_to_even_bin(v, 3000.0, 4096), "alpha_hz", "finite",
+                      2000.0, None),
+    "snap-sample_rate_hz": (lambda v: cs.snap_alpha_to_even_bin(2000.0, v, 4096),
+                            "sample_rate_hz", "positive and finite", 3000.0, 0.0),
 }
 BAD_REALS = {"string": "1", "true": True, "none": None, "complex": 1j, "nan": np.nan,
              "inf": np.inf, "-inf": -np.inf, "beyond-float": 10**400, "below-float": -10**400}
