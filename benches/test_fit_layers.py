@@ -22,6 +22,13 @@ parametric-bootstrap replicate. The Kolmogorov-Smirnov distance of
 n = 10^4 draws to their staged fit, which the benchmark's fit_sweep takes
 twice per draw set, is timed on its own. `--benchmark-json` records each
 call's minimum time as `per_call_us`.
+
+The joint fit is one Newton stage over all three parameters that starts
+at the sample L-moments' estimate of them (or at the Gumbel start where
+that estimate is unusable); it runs no Gumbel or shape stage first.
+`test_bootstrap_refits` times the fits of one parametric bootstrap: 200
+joint refits, each of its own n = 1,000 draw set from the desk noise fit's
+law, and records `per_call_us` for all 200.
 """
 
 import numpy as np
@@ -31,7 +38,10 @@ from cyclosense import gev, harness
 
 N = 10_000
 BOOTSTRAP_N = 1_000
+BOOTSTRAP_REFITS = 200
 KAPPAS = (-0.3, 0.0, 0.4)
+# the desk noise maxima's joint fit, rounded
+DESK_LAW = gev.GevParams(-0.0176, 0.0427, 0.0183)
 PF_GRID = harness.desk_plan().pf_grid
 STAGES = {"gumbel": (gev._GUMBEL, gev.fit_gumbel_mle),
           "shape": (gev._SHAPE, gev.fit_gev_mle),
@@ -83,6 +93,12 @@ def test_derivatives(benchmark, stage):
 def test_fit_at_bootstrap_size(benchmark, refine):
     x = gev.sample_gev(gev.GevParams(0.1, 0.0427, 0.0183), BOOTSTRAP_N, seed=1)
     benchmark(gev.fit_gev_mle, x, refine=refine)
+    record_per_call_us(benchmark)
+
+
+def test_bootstrap_refits(benchmark):
+    draws = [gev.sample_gev(DESK_LAW, BOOTSTRAP_N, seed) for seed in range(BOOTSTRAP_REFITS)]
+    benchmark(lambda: [gev.fit_gev_mle(x, refine=True) for x in draws])
     record_per_call_us(benchmark)
 
 

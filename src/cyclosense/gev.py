@@ -18,18 +18,24 @@ a stage frees, each stage through the same loop body: a one-coordinate
 system divides where a larger one solves, and the fit's workspace keeps
 z = (x - mu)/sigma while (mu, sigma) stays put, so the shape stage, which
 holds them, forms z once. One function, _fit, runs each fit as a sequence
-of stages from one Gumbel start point, in one workspace:
+of stages from one start point, in one workspace:
 
-    fit_gumbel_mle               (mu, sigma)
-    fit_gev_mle                  (mu, sigma), then kappa alone
-    fit_gev_mle(refine=True)     (mu, sigma), then kappa alone, then all three
+    fit                          stages                          start
+    fit_gumbel_mle               (mu, sigma)                     Gumbel
+    fit_gev_mle                  (mu, sigma), then kappa alone   Gumbel
+    fit_gev_mle(refine=True)     all three at once               L-moment
 
-The default, staged fit is the classic sequential recipe, not the joint
-maximum likelihood estimate when the true shape is nonzero; the refined fit
-is. A fit reports converged when every stage converged, except that the
-joint stage answers alone: a stage converges when each score component it
-is free to move, in scale-free form per sample, is at most 1e-9 within 200
-Newton steps. Both limits are fixed.
+The Gumbel start is the moment-estimate scale and the location that
+maximizes the likelihood at that scale. The L-moment start is the
+closed-form probability-weighted-moment estimate of all three parameters
+(Hosking, Wallis & Wood, 1985); where it is no usable start, a sample off
+its support among other things, the joint stage starts from the Gumbel
+start instead. The default, staged fit is the classic sequential recipe,
+not the joint maximum likelihood estimate when the true shape is nonzero;
+the refined fit is. A fit reports converged when every stage it ran
+converged: a stage converges when each score component it is free to move,
+in scale-free form per sample, is at most 1e-9 within 200 Newton steps.
+Both limits are fixed.
 """
 
 from __future__ import annotations
@@ -375,9 +381,62 @@ def _newton(work, theta, free: tuple[int, ...]):
 _GUMBEL, _SHAPE, _JOINT = (1, 2), (0,), (0, 1, 2)
 
 
+def _l_moment_start(x: np.ndarray):
+    """The probability-weighted-moment estimate of (kappa, mu, log sigma)
+    (Hosking, Wallis & Wood, Technometrics 27, 1985; Hosking, JRSS B 52,
+    1990), or None where it is no usable Newton start.
+
+    One sort and two dot products give the unbiased moments
+    b_r = mean(x_(j) * C(j, r)/C(n - 1, r)) of the sorted samples, and from
+    them lambda1 = b0, lambda2 = 2b1 - b0 and tau3. Then
+    c = 2/(3 + tau3) - log 2/log 3, k = 7.8590c + 2.9554c**2,
+    sigma = lambda2*k/((1 - 2**-k)*Gamma(1 + k)),
+    mu = lambda1 - sigma*(1 - Gamma(1 + k))/k and kappa = -k, or their
+    k -> 0 limits sigma = lambda2/log 2 and mu = lambda1 - euler_gamma*sigma
+    where |k| <= KAPPA_EPS.
+
+    Unusable means: kappa <= -1; a non-finite value; the smallest or largest
+    sample off the support; lambda2 <= 0 or |tau3| >= 1, which only rounding
+    of a near-constant sample gives; or an exp(-y) term above n at the
+    smallest sample, where that term is largest. Those terms sum to n
+    wherever the likelihood is stationary in (mu, sigma), and the Gumbel
+    start bounds each by n, so such a start is far from every maximum; from
+    one at the support's edge the Newton stage overflows or cannot step.
+    """
+    s, n = np.sort(x), x.size
+    j = np.arange(n, dtype=np.float64)
+    w1 = j / (n - 1)                                 # C(j, 1)/C(n - 1, 1)
+    w2 = w1 * (j - 1) / (n - 2)                      # C(j, 2)/C(n - 1, 2)
+    b0, b1, b2 = float(s.mean()), float(w1 @ s) / n, float(w2 @ s) / n
+    lambda2 = 2.0 * b1 - b0
+    tau3 = (6.0 * b2 - 6.0 * b1 + b0) / lambda2 if lambda2 > 0 else math.nan
+    if not abs(tau3) < 1.0:
+        return None
+    c = 2.0 / (3.0 + tau3) - math.log(2.0) / math.log(3.0)
+    k = 7.8590 * c + 2.9554 * c * c
+    if abs(k) <= KAPPA_EPS:
+        kappa, sigma = 0.0, lambda2 / math.log(2.0)
+        mu = b0 - np.euler_gamma * sigma
+    else:
+        gamma = math.gamma(1.0 + k)
+        kappa, sigma = -k, lambda2 * k / ((1.0 - 2.0 ** -k) * gamma)
+        mu = b0 - sigma * (1.0 - gamma) / k
+    if not (kappa > -1.0 and math.isfinite(mu) and math.isfinite(sigma)):
+        return None
+    z_low, z_high = (float(s[0]) - mu) / sigma, (float(s[-1]) - mu) / sigma
+    t_low, t_high = 1.0 + kappa * z_low, 1.0 + kappa * z_high
+    if not (t_low > 0 and t_high > 0):
+        return None
+    if -(math.log(t_low) / kappa if kappa else z_low) > math.log(n):
+        return None
+    return kappa, mu, math.log(sigma)
+
+
 def _fit(samples, stages) -> FitReport:
-    """Check the samples, then run one Newton stage per entry of stages from
-    the Gumbel start point, every stage in one workspace."""
+    """Check the samples, then run one Newton stage per entry of stages, every
+    stage in one workspace. A fit whose first stage is the joint one starts
+    from the L-moment estimate where it is usable, every other fit from the
+    Gumbel start point."""
     x = _samples(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
@@ -395,10 +454,12 @@ def _fit(samples, stages) -> FitReport:
             f"samples too large for float64: no finite start point (sigma {sigma_0}, mu {mu_0})")
     work = _workspace(x)
     theta, iterations, converged = (0.0, mu_0, math.log(sigma_0)), 0, True
+    if stages[0] == _JOINT:
+        theta = _l_moment_start(x) or theta
     for free in stages:
         theta, ll, steps, stage_converged = _newton(work, theta, free)
         iterations += steps
-        converged = stage_converged and (free == _JOINT or converged)
+        converged = converged and stage_converged
     params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
     return FitReport(params, ll, iterations, converged, int(x.size), _TOL)
 
@@ -422,12 +483,16 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     The staged fit takes (mu, sigma) from fit_gumbel_mle and then maximizes
     the likelihood in kappa alone with them held fixed. That is the classic
     sequential recipe, not the joint maximum when the true shape is nonzero.
-    refine=True continues with Newton over all three parameters, which gives
-    the joint maximum likelihood estimate. converged means every score
-    component the last stage was free to move, in the scale-free form
-    (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per sample, is at most 1e-9
-    (FitReport.solver_tol) within 200 steps per stage; for the staged fit
-    the Gumbel stage must have converged too. iterations counts the Newton
-    steps of all stages.
+    refine=True instead runs one Newton stage over all three parameters,
+    which gives the joint maximum likelihood estimate. It starts from the
+    sample L-moments' estimate of (kappa, mu, sigma), or from
+    fit_gumbel_mle's start point where that estimate is no usable start: a
+    sample off its support or so near its lower edge that the sample's
+    exp(-y) term exceeds the sample count, kappa <= -1 or a value that is
+    not finite.
+    converged means every score component that each stage was free to move,
+    in the scale-free form (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per
+    sample, is at most 1e-9 (FitReport.solver_tol) within 200 steps per
+    stage. iterations counts the Newton steps of all stages.
     """
-    return _fit(samples, (_GUMBEL, _SHAPE, _JOINT) if refine else (_GUMBEL, _SHAPE))
+    return _fit(samples, (_JOINT,) if refine else (_GUMBEL, _SHAPE))
