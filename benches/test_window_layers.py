@@ -4,20 +4,20 @@
 
 One benchmark per stage of the statistic path, each timing the call that
 harness._block_task makes on one sub-block of harness.ROWS windows, in the
-kernel's own scd._KernelBuffers, which hold the feature column's config:
-the noise draws (a Generator from each window's PCG64 state words, then
-standard_normal into the row), AM synthesis (siggen._am_rows with the
-plan's full-length spec, its spectra in the kernel's half buffer), the SNR
-mix (siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
-buffer, tapering the rows in place), the kernel's strip step at the feature
-bin (scd._smoothed_strips: the gathered, multiplied and scaled cyclic
-product, smoothed), the running-sum smoother alone on that strip
-(scd._smoothed, its input the strip of a smoothing-length-1 kernel of its
-own), the abs + max reduction of its valid runs, and the whole kernel
-(scd._maxima). A step that writes its input in place gets
-a fresh copy of it before each round, outside the timed call. Each records
-its minimum time per window as `per_window_us` in `--benchmark-json`. The
-directory is not in the test suite's `testpaths`.
+kernel's own scd._KernelBuffers, which hold the feature column's config: the
+noise draws (a Generator from each window's PCG64 state words, then
+standard_normal into the row), AM synthesis (siggen._am_rows with the plan's
+full-length spec, its spectra in the kernel's half buffer), the SNR mix
+(siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
+buffer, the tapered rows in the kernel's own buffer), the kernel's strip
+step at the feature bin (scd._smoothed_strips: the gathered, multiplied and
+scaled cyclic product, smoothed), the running-sum smoother alone on that
+strip (scd._smoothed, its input the strip of a smoothing-length-1 kernel of
+its own), the abs + max reduction of its valid runs, and the whole kernel
+(scd._maxima). A step that writes its input in place (AM, mix, smoother)
+gets a fresh copy of it before each round, outside the timed call. Each
+records its minimum time per window as `per_window_us` in
+`--benchmark-json`. The directory is not in the test suite's `testpaths`.
 
 The seed stage has three figures: the scalar `derived_seed` reference, one
 H1 block's vectorized fan-out (its seeds and PCG64 state words, recorded
@@ -26,7 +26,9 @@ The FFT alone has two: one window, and one call over a sub-block's rows.
 The whole-window benchmarks time one block of harness.BLOCK_WINDOWS
 windows, the harness's unit of work, beside the block's minor page faults
 per window (`minor_faults_per_window`), which rise when the row buffers
-stop being allocated once per block.
+stop being allocated once per block. Beside the H1 one, the window source
+alone (harness._window_rows: one H1 block's seeds, draws, AM and mix, no
+kernel) records its `per_window_us`.
 """
 
 import resource
@@ -87,7 +89,7 @@ def work():
 
 @pytest.fixture
 def half(normals, work):
-    return scd._half_spectra(normals.copy(), work)
+    return scd._half_spectra(normals, work)
 
 
 def record_per_window(benchmark, windows=ROWS):
@@ -150,7 +152,8 @@ def test_rfft_rows(benchmark, normals):
 
 
 def test_taper_real_fft(benchmark, normals, work):
-    in_place(benchmark, lambda rows: scd._half_spectra(rows, work, tapered=rows), normals)
+    benchmark(scd._half_spectra, normals, work)
+    record_per_window(benchmark)
 
 
 def feature_run(half, work):
@@ -184,7 +187,8 @@ def test_max_reduction(benchmark, half, work):
 
 
 def test_kernel(benchmark, normals, work):
-    in_place(benchmark, lambda rows: scd._maxima(rows, work, tapered=rows), normals)
+    benchmark(scd._maxima, normals, work)
+    record_per_window(benchmark)
 
 
 def benchmark_block(benchmark, kind, snr_index):
@@ -211,3 +215,12 @@ def test_noise_window(benchmark):
 
 def test_h1_window(benchmark):
     benchmark_block(benchmark, "h1", 1)
+
+
+def test_window_source(benchmark, work):
+    def run():
+        for _ in harness._window_rows(PLAN, "h1", 1, 0, 0, harness.BLOCK_WINDOWS, work):
+            pass
+
+    benchmark(run)
+    record_per_window(benchmark, harness.BLOCK_WINDOWS)

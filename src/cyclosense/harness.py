@@ -9,28 +9,29 @@ Every analysis window is generated from a seed derived deterministically from
 (master_seed, stream, indices...), so results are a pure function of the plan
 and independent of worker count or scheduling: _run(tasks, jobs) maps a
 command's windows on at most one process per CPU. Each task is a block of
-consecutive window indices of one batch, (plan, kind, snr_index, batch,
-start, stop), at most BLOCK_WINDOWS long. A block derives
-all its seeds, and the PCG64 state words default_rng would hash from each of
-them, in one vectorized port of numpy's SeedSequence hash; derived_seed stays
-the scalar reference. It then runs its windows in sub-blocks of ROWS
-consecutive windows: each window draws its normals from its own generator
-into its own row of a (ROWS, K) array, and a noise row is its unit-variance
-draws as they stand. Every later stage (AM message, SNR mix, taper, FFT,
-cyclic product, smoother, max) runs once per sub-block through the siggen and
-scd row helpers, on arrays and a one-column feature config built once per
-block and the plan's own signal spec, whose AM tables take the rows' length;
-the block checks only that each statistic is finite. Each row's arithmetic
-is that of the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS
-or jobs. run_windows runs a plan's noise-fit, H0 and H1 windows in one _run
-call, so roc finds an unconverged fit only after the last window, and
-exceedances aggregates them into order-independent counts.
+consecutive window indices of one batch, (plan, kind, snr_index, batch, start,
+stop), at most BLOCK_WINDOWS long. Its windows come from one source,
+_window_rows. It derives all the block's seeds, and the PCG64 state words
+default_rng would hash from each of them, in one vectorized port of numpy's
+SeedSequence hash; derived_seed stays the scalar reference. It then yields the
+windows in sub-blocks of ROWS consecutive windows: each window draws its
+normals from its own generator into its own row of a (ROWS, K) array, and a
+noise row is its unit-variance draws as they stand; an H1 window is its signal
+row made the plan's AM waveform (its tables take the rows' length), then mixed
+with its noise row by the siggen row helpers. _block_task reduces each
+sub-block through scd._maxima (taper, FFT, cyclic product, smoother, max), on
+a one-column feature config and work arrays built once per block, and checks
+only that each statistic is finite. The kernel only reads the windows, so
+another reduction can run over the same ones. Each row's arithmetic is that of
+the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS or jobs.
+run_windows runs a plan's noise-fit, H0 and H1 windows in one _run call, so
+roc finds an unconverged fit only after the last window, and exceedances
+aggregates them into order-independent counts.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -261,11 +262,12 @@ def export_window(plan: ExperimentPlan) -> SampleBuffer:
     return SampleBuffer(mixed.samples[:plan.scd_cfg.window_length_k], mixed.sample_rate_hz)
 
 
-def _block_task(args: tuple) -> np.ndarray:
-    """Statistics of windows start .. stop-1 of one batch, each the value its
-    window has alone; top-level so process pools can pickle it."""
-    plan, kind, snr_index, batch, start, stop = args
-    cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
+def _window_rows(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, start: int,
+                 stop: int, work: _KernelBuffers):
+    """Windows start .. stop-1 of one batch as (first, windows) per sub-block:
+    windows start + first on, each the samples it has alone, an (n, K) view
+    that the next step overwrites. H1's AM synthesis borrows work.half, of
+    at least min(ROWS, stop - start) rows."""
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
@@ -277,10 +279,7 @@ def _block_task(args: tuple) -> np.ndarray:
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     count, draws = states.shape[:2]  # per window: (noise,) or (signal, noise) draws
-    rows = min(ROWS, count)
-    normals = np.empty((draws, rows, cfg.window_length_k))
-    work = _KernelBuffers(rows, cfg)
-    statistics = np.empty(count)
+    normals = np.empty((draws, min(ROWS, count), plan.scd_cfg.window_length_k))
     for first in range(0, count, ROWS):
         sub = states[first:first + ROWS].swapaxes(0, 1)  # (draw, window, word)
         n = sub.shape[1]
@@ -291,8 +290,18 @@ def _block_task(args: tuple) -> np.ndarray:
         if kind == "h1":
             signal = _am_rows(plan.signal_spec, normals[0, :n], work.half[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
-        maxima = _maxima(windows, work, tapered=windows)
-        statistics[first:first + n] = maxima[:, 0]
+        yield first, windows
+
+
+def _block_task(args: tuple) -> np.ndarray:
+    """Statistics of windows start .. stop-1 of one batch, each the value its
+    window has alone; top-level so process pools can pickle it."""
+    plan, kind, snr_index, batch, start, stop = args
+    cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
+    work = _KernelBuffers(min(ROWS, stop - start), cfg)
+    statistics = np.empty(stop - start)
+    for first, windows in _window_rows(plan, kind, snr_index, batch, start, stop, work):
+        statistics[first:first + len(windows)] = _maxima(windows, work)[:, 0]
     bad = statistics[~np.isfinite(statistics)]
     if bad.size:  # a nan would silently count as unoccupied
         snr = f" at {plan.snr_db_list[snr_index]:g} dB" if kind == "h1" else ""
@@ -322,6 +331,7 @@ def _run(tasks: list[tuple], jobs: int) -> np.ndarray:
     jobs = min(jobs, cpus or 1)
     if jobs == 1:
         return np.concatenate([_block_task(t) for t in tasks])
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by every import
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return np.concatenate(list(pool.map(_block_task, tasks)))
 

@@ -19,16 +19,18 @@ The alpha profile reduces the (f, alpha) plane to the alpha axis by taking
 the per-alpha maximum magnitude over valid cells. One kernel,
 _smoothed_strips, computes the valid run of each column of a config's
 alpha_grid, and of no other column, for a (rows, K) array of windows, one
-per row, in work arrays a caller allocates once (_KernelBuffers), which
-also hold the config they were built for, its taper and its scale: the
-kernel's functions take those buffers and no config beside them. _maxima
-reduces each run to its maximum magnitude: the Monte Carlo harness calls it
-on a few windows at a time, and alpha_maxima with one row. estimate_scd
-stores each run into its column of a row-major (K, n_alpha) array whose
-other cells are zero: complex128 by default, or a caller's complex out
-array, such as the complex64 one `cyclosense scd` writes to its file as it
-stands, into which each store casts its run. So the maximum of |values|
-over a column's valid_mask cells equals alpha_maxima bit for bit.
+per row, in work arrays a caller allocates once (_KernelBuffers), which also
+hold the config they were built for, its taper and its scale: the kernel's
+functions take those buffers and no config beside them. The taper writes to
+those buffers too, so no kernel function writes its input, and one set of
+windows can be reduced several ways without a copy. _maxima reduces each run
+to its maximum magnitude: the Monte Carlo harness calls it on a few windows
+at a time, and alpha_maxima with one row. estimate_scd stores each run into
+its column of a row-major (K, n_alpha) array whose other cells are zero:
+complex128 by default, or a caller's complex out array, such as the
+complex64 one `cyclosense scd` writes to its file as it stands, into which
+each store casts its run. So the maximum of |values| over a column's
+valid_mask cells equals alpha_maxima bit for bit.
 
 From the rows' rfft halves the kernel gathers only the span of the centered
 spectrum and the span of its conjugate that the columns read, so it builds
@@ -221,8 +223,8 @@ def _scale_parts(values: np.ndarray, factor: float) -> None:
 class _KernelBuffers:
     """Work arrays of the kernel for up to `rows` windows and the columns of
     cfg's alpha_grid, allocated once and reused by every call, and the
-    columns' places in them; cfg itself, its taper and its cyclic
-    periodogram scale 1/(K*U)."""
+    columns' places in them, the tapered windows among them; cfg itself, its
+    taper and its cyclic periodogram scale 1/(K*U)."""
 
     def __init__(self, rows: int, cfg: ScdConfig) -> None:
         k, grid = cfg.window_length_k, cfg.alpha_grid
@@ -240,6 +242,7 @@ class _KernelBuffers:
             columns = [(max(a, 0) - first, max(-a, 0) - conjugate_first, k - abs(a))
                        for a in grid[start:start + _STRIP]]
             self.strips.append((start, max(n for _, _, n in columns), columns))
+        self.tapered = np.empty((rows, k))
         self.half = np.empty((rows, k // 2 + 1), dtype=np.complex128)
         self.spectrum, self.conjugate = np.empty((2, rows, span), dtype=np.complex128)
         self.products, self.smoothed = np.empty((2, rows, min(_STRIP, len(grid)), span),
@@ -247,16 +250,14 @@ class _KernelBuffers:
         self.magnitudes = np.empty((rows, span))
 
 
-def _half_spectra(windows: np.ndarray, work: _KernelBuffers,
-                  tapered: np.ndarray | None = None) -> np.ndarray:
-    """Real FFT, bins 0 .. K/2, of each tapered row of windows, into work's
-    half buffer. tapered receives the tapered rows (a new array by default;
-    windows itself to taper in place)."""
-    k = work.cfg.window_length_k
+def _half_spectra(windows: np.ndarray, work: _KernelBuffers) -> np.ndarray:
+    """Real FFT, bins 0 .. K/2, of each row of windows tapered into work's
+    tapered buffer (windows are only read), into work's half buffer."""
+    k, rows = work.cfg.window_length_k, len(windows)
     if windows.ndim != 2 or windows.shape[1] != k:
         raise ValueError(f"window length {windows.shape[-1]} does not match K={k}")
-    tapered = np.multiply(windows, work.taper, out=tapered)
-    return np.fft.rfft(tapered, axis=-1, out=work.half[:len(windows)])
+    tapered = np.multiply(windows, work.taper, out=work.tapered[:rows])
+    return np.fft.rfft(tapered, axis=-1, out=work.half[:rows])
 
 
 def _centered_bins(half: np.ndarray, first: int, out: np.ndarray,
@@ -301,12 +302,11 @@ def _smoothed_strips(half: np.ndarray, work: _KernelBuffers):
         yield start, [smoothed[:, row, :n] for row, (_, _, n) in enumerate(columns)]
 
 
-def _maxima(windows: np.ndarray, work: _KernelBuffers,
-            tapered: np.ndarray | None = None) -> np.ndarray:
+def _maxima(windows: np.ndarray, work: _KernelBuffers) -> np.ndarray:
     """(rows, len(work.cfg.alpha_grid)) maxima of |SCD| over each column's
-    valid cells for each row of windows; see _half_spectra for tapered."""
+    valid cells for each row of windows, which it only reads."""
     rows = len(windows)
-    half = _half_spectra(windows, work, tapered)
+    half = _half_spectra(windows, work)
     maxima = np.empty((rows, len(work.cfg.alpha_grid)))
     for start, runs in _smoothed_strips(half, work):
         for j, run in enumerate(runs, start):

@@ -1,6 +1,7 @@
 """Monte Carlo harness: plan validation, determinism, curve structure, and
 statistical sanity of the ROC protocol at reduced scale."""
 
+import concurrent.futures
 import hashlib
 from dataclasses import replace
 
@@ -421,7 +422,8 @@ class TestRunRoc:
         else:  # more CPUs in the machine than this process may use
             monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
             monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # _run imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         tasks = harness._blocks(mini_plan, "noise", 0, 0, 8)
         statistics = harness._run(tasks, jobs)
         assert workers == started
@@ -536,6 +538,48 @@ class TestWindowBits:
         plan = replace(mini_plan, snr_db_list=(3075.0,))
         with pytest.raises(ValueError, match="h1 window statistic at 3075 dB is nan"):
             _statistic_task((plan, "h1", 0, 0, 0))
+
+
+class TestWindowSource:
+    """harness._window_rows, the one window source: a reduction written over
+    its windows gets _block_task's statistics bit for bit without writing
+    them, and the same windows reduced a second time, without a copy, get
+    those of another plan."""
+
+    # (kind, snr_index, batch, start, stop) of the desk plan: a noise-fit and an
+    # H0 block, H1 blocks at -15 and 0 dB, 7 windows (a short last sub-block)
+    # and one window
+    BLOCKS = [("noise", 0, 0, 0, 8), ("noise", 0, 1, 3, 11), ("h1", 0, 0, 0, 8),
+              ("h1", 3, 1, 4, 12), ("h1", 1, 0, 5, 12), ("noise", 0, 1, 9, 10)]
+
+    @staticmethod
+    def buffers(plan, block):
+        """The kernel buffers _block_task builds for block of plan."""
+        cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
+        return cs.scd._KernelBuffers(min(harness.ROWS, block[4] - block[3]), cfg)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_a_reduction_over_the_source_equals_the_block_task(self, block):
+        plan = cs.desk_plan()
+        work = self.buffers(plan, block)
+        statistics = np.empty(block[4] - block[3])
+        for first, windows in harness._window_rows(plan, *block, work):
+            before = windows.tobytes()
+            statistics[first:first + len(windows)] = cs.scd._maxima(windows, work)[:, 0]
+            assert windows.tobytes() == before  # the kernel only reads its input
+        assert statistics.tobytes() == _block_task((plan, *block)).tobytes()
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_the_same_windows_reduce_at_a_second_smoothing_length(self, block):
+        plan = cs.desk_plan()
+        other = replace(plan, scd_cfg=replace(plan.scd_cfg, smoothing_length=301))
+        work, other_work = self.buffers(plan, block), self.buffers(other, block)
+        first_pass, second_pass = [], []
+        for _, windows in harness._window_rows(plan, *block, work):
+            first_pass.append(cs.scd._maxima(windows, work)[:, 0])
+            second_pass.append(cs.scd._maxima(windows, other_work)[:, 0])
+        assert np.concatenate(first_pass).tobytes() == _block_task((plan, *block)).tobytes()
+        assert np.concatenate(second_pass).tobytes() == _block_task((other, *block)).tobytes()
 
 
 class TestH1Statistics:

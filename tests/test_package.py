@@ -28,3 +28,10 @@ def test_import_leaves_numpy_random_unloaded(pinned_python):
     # numpy.random loads on first use; an import-time load would cost every command
     code = "import sys, cyclosense; print('numpy.random' in sys.modules, 'numpy' in sys.modules)"
     assert pinned_python("-c", code).stdout.split() == ["False", "True"]
+
+
+def test_import_leaves_the_process_pool_unloaded(pinned_python):
+    # the pool loads when roc or collect starts one: loaded at import, it would
+    # bring multiprocessing, socket and subprocess to every command
+    code = "import sys, cyclosense, cyclosense.io; print('concurrent.futures' in sys.modules)"
+    assert pinned_python("-c", code).stdout.split() == ["False"]
