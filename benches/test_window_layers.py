@@ -4,20 +4,21 @@
 
 One benchmark per stage of the statistic path, each timing the call that
 harness._block_task makes on one sub-block of harness.ROWS windows, in the
-kernel's own scd._KernelBuffers, which hold the feature column's config: the
-noise draws (a Generator from each window's PCG64 state words, then
-standard_normal into the row), AM synthesis (siggen._am_rows with the plan's
-full-length spec, its spectra in the kernel's half buffer), the SNR mix
-(siggen._mix_rows), taper + real FFT (scd._half_spectra into the half
-buffer, the tapered rows in the kernel's own buffer), the kernel's strip
-step at the feature bin (scd._smoothed_strips: the gathered, multiplied and
-scaled cyclic product, smoothed), the running-sum smoother alone on that
-strip (scd._smoothed, its input the strip of a smoothing-length-1 kernel of
-its own), the abs + max reduction of its valid runs, and the whole kernel
-(scd._maxima). A step that writes its input in place (AM, mix, smoother)
-gets a fresh copy of it before each round, outside the timed call. Each
-records its minimum time per window as `per_window_us` in
-`--benchmark-json`. The directory is not in the test suite's `testpaths`.
+kernel's own scd._KernelBuffers, which hold the feature column's config:
+the noise draws (a Generator from each window's PCG64 state words, then
+standard_normal into the row), AM synthesis (siggen._am_rows with the
+plan's full-length spec, its spectra in a buffer of its own, as in the
+window source), the SNR mix (siggen._mix_rows), taper + real FFT
+(scd._half_spectra into the half buffer, the tapered rows in the kernel's
+own buffer), the kernel's strip step at the feature bin
+(scd._smoothed_strips: the gathered, multiplied and scaled cyclic product,
+smoothed), the running-sum smoother alone on that strip (scd._smoothed, its
+input the strip of a smoothing-length-1 kernel of its own), the abs + max
+reduction of its valid runs, and the whole kernel (scd._maxima). A step
+that writes its input in place (AM, mix, smoother) gets a fresh copy of it
+before each round, outside the timed call. Each records its minimum time
+per window as `per_window_us` in `--benchmark-json`. The directory is not
+in the test suite's `testpaths`.
 
 The seed stage has three figures: the scalar `derived_seed` reference, one
 H1 block's vectorized fan-out (its seeds and PCG64 state words, recorded
@@ -131,8 +132,9 @@ def test_awgn(benchmark):
     record_per_window(benchmark)
 
 
-def test_am(benchmark, h1_draws, work):
-    in_place(benchmark, lambda rows: siggen._am_rows(PLAN.signal_spec, rows, work.half),
+def test_am(benchmark, h1_draws):
+    spectra = np.empty((ROWS, K // 2 + 1), dtype=np.complex128)
+    in_place(benchmark, lambda rows: siggen._am_rows(PLAN.signal_spec, rows, spectra),
              h1_draws[0])
 
 
@@ -217,9 +219,9 @@ def test_h1_window(benchmark):
     benchmark_block(benchmark, "h1", 1)
 
 
-def test_window_source(benchmark, work):
+def test_window_source(benchmark):
     def run():
-        for _ in harness._window_rows(PLAN, "h1", 1, 0, 0, harness.BLOCK_WINDOWS, work):
+        for _ in harness._window_rows(PLAN, "h1", 1, 0, 0, harness.BLOCK_WINDOWS):
             pass
 
     benchmark(run)

@@ -153,7 +153,7 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     report = _fit_noise_model(out, record.fit)
     if not report.converged:
         return EXIT_NUMERIC
-    thresholds, h0, h1 = exceedances(record, report.params, plan.pf_grid)
+    thresholds, h0, h1 = exceedances(record.h0, record.h1, report.params, plan.pf_grid)
     for name, counts in zip(names, h1):
         io.write_roc_csv(out / name, plan, thresholds, h0, counts)
     io.write_plan_json(out / "plan.json", plan)

@@ -24,18 +24,19 @@ of stages from one start point, in one workspace:
     fit_gumbel_mle               (mu, sigma)                     Gumbel
     fit_gev_mle                  (mu, sigma), then kappa alone   Gumbel
     fit_gev_mle(refine=True)     all three at once               L-moment
+      where that fails           (mu, sigma), kappa, all three   Gumbel
 
 The Gumbel start is the moment-estimate scale and the location that
 maximizes the likelihood at that scale. The L-moment start is the
 closed-form probability-weighted-moment estimate of all three parameters
 (Hosking, Wallis & Wood, 1985); where it is no usable start, a sample off
-its support among other things, the joint stage starts from the Gumbel
-start instead. The default, staged fit is the classic sequential recipe,
-not the joint maximum likelihood estimate when the true shape is nonzero;
-the refined fit is. A fit reports converged when every stage it ran
-converged: a stage converges when each score component it is free to move,
-in scale-free form per sample, is at most 1e-9 within 200 Newton steps.
-Both limits are fixed.
+its support among other things, the joint stage starts from the Gumbel start
+instead, and where that stage fails the fit runs the last row's route. The
+default, staged fit is the classic sequential recipe, not the joint maximum
+likelihood estimate when the true shape is nonzero; the refined fit is. A
+fit reports converged when every stage it ran converged: a stage converges
+when each score component it is free to move, in scale-free form per sample,
+is at most 1e-9 within 200 Newton steps. Both limits are fixed.
 """
 
 from __future__ import annotations
@@ -433,10 +434,10 @@ def _l_moment_start(x: np.ndarray):
 
 
 def _fit(samples, stages) -> FitReport:
-    """Check the samples, then run one Newton stage per entry of stages, every
-    stage in one workspace. A fit whose first stage is the joint one starts
-    from the L-moment estimate where it is usable, every other fit from the
-    Gumbel start point."""
+    """Check the samples, then run one Newton stage per entry of stages in one
+    workspace, from the L-moment estimate where the first stage is the joint
+    one and that is usable, else from the Gumbel start point. A lone joint
+    stage that fails is retried through all three; iterations counts both."""
     x = _samples(samples)
     if x.size < 30:
         raise DegenerateDataError(f"need at least 30 samples, got {x.size}")
@@ -452,14 +453,15 @@ def _fit(samples, stages) -> FitReport:
     if not (math.isfinite(sigma_0) and math.isfinite(mu_0)):
         raise DegenerateDataError(
             f"samples too large for float64: no finite start point (sigma {sigma_0}, mu {mu_0})")
-    work = _workspace(x)
-    theta, iterations, converged = (0.0, mu_0, math.log(sigma_0)), 0, True
-    if stages[0] == _JOINT:
-        theta = _l_moment_start(x) or theta
-    for free in stages:
-        theta, ll, steps, stage_converged = _newton(work, theta, free)
-        iterations += steps
-        converged = converged and stage_converged
+    work, iterations, gumbel_start = _workspace(x), 0, (0.0, mu_0, math.log(sigma_0))
+    for route in (stages, (_GUMBEL, _SHAPE, _JOINT)) if stages == (_JOINT,) else (stages,):
+        theta, converged = (route[0] == _JOINT and _l_moment_start(x)) or gumbel_start, True
+        for free in route:
+            theta, ll, steps, stage_converged = _newton(work, theta, free)
+            iterations += steps
+            converged = converged and stage_converged
+        if converged:
+            break
     params = GevParams(float(theta[0]), float(theta[1]), float(np.exp(theta[2])))
     return FitReport(params, ll, iterations, converged, int(x.size), _TOL)
 
@@ -483,16 +485,16 @@ def fit_gev_mle(samples, refine: bool = False) -> FitReport:
     The staged fit takes (mu, sigma) from fit_gumbel_mle and then maximizes
     the likelihood in kappa alone with them held fixed. That is the classic
     sequential recipe, not the joint maximum when the true shape is nonzero.
-    refine=True instead runs one Newton stage over all three parameters,
-    which gives the joint maximum likelihood estimate. It starts from the
-    sample L-moments' estimate of (kappa, mu, sigma), or from
-    fit_gumbel_mle's start point where that estimate is no usable start: a
-    sample off its support or so near its lower edge that the sample's
-    exp(-y) term exceeds the sample count, kappa <= -1 or a value that is
-    not finite.
-    converged means every score component that each stage was free to move,
-    in the scale-free form (dl/dkappa, sigma*dl/dmu, dl/dlog sigma) per
-    sample, is at most 1e-9 (FitReport.solver_tol) within 200 steps per
-    stage. iterations counts the Newton steps of all stages.
+    refine=True instead runs one Newton stage over all three parameters, which
+    gives the joint maximum likelihood estimate. It starts from the sample
+    L-moments' estimate of (kappa, mu, sigma), or from fit_gumbel_mle's start
+    point where that estimate is no usable start: a sample off its support or
+    so near its lower edge that the sample's exp(-y) term exceeds the sample
+    count, kappa <= -1 or a value that is not finite. Where that stage fails,
+    the fit reruns from fit_gumbel_mle's start through the Gumbel, shape and
+    joint stages. converged means every score component that each stage was
+    free to move, in the scale-free form (dl/dkappa, sigma*dl/dmu,
+    dl/dlog sigma) per sample, is at most 1e-9 (FitReport.solver_tol) within
+    200 steps per stage. iterations counts the Newton steps of every stage run.
     """
     return _fit(samples, (_JOINT,) if refine else (_GUMBEL, _SHAPE))

@@ -17,16 +17,16 @@ SeedSequence hash; derived_seed stays the scalar reference. It then yields the
 windows in sub-blocks of ROWS consecutive windows: each window draws its
 normals from its own generator into its own row of a (ROWS, K) array, and a
 noise row is its unit-variance draws as they stand; an H1 window is its signal
-row made the plan's AM waveform (its tables take the rows' length), then mixed
-with its noise row by the siggen row helpers. _block_task reduces each
-sub-block through scd._maxima (taper, FFT, cyclic product, smoother, max), on
-a one-column feature config and work arrays built once per block, and checks
-only that each statistic is finite. The kernel only reads the windows, so
-another reduction can run over the same ones. Each row's arithmetic is that of
-the window alone, so no statistic depends on ROWS, BLOCK_WINDOWS or jobs.
-run_windows runs a plan's noise-fit, H0 and H1 windows in one _run call, so
-roc finds an unconverged fit only after the last window, and exceedances
-aggregates them into order-independent counts.
+row made the plan's AM waveform (its tables take the rows' length, its rfft a
+buffer of its own), then mixed with its noise row by the siggen row helpers.
+_block_task reduces each sub-block through scd._maxima (taper, FFT, cyclic
+product, smoother, max), on a one-column feature config and work arrays built
+once per block, and checks only that each statistic is finite. The kernel
+only reads the windows, so another reduction can run over the same ones. Each
+row's arithmetic is that of the window alone, so no statistic depends on ROWS,
+BLOCK_WINDOWS or jobs. run_windows runs a plan's noise-fit, H0 and H1 windows
+in one _run call, so roc finds an unconverged fit only after the last window;
+run_roc runs the H0 and H1 ones alone, which exceedances counts in any order.
 """
 
 from __future__ import annotations
@@ -263,11 +263,10 @@ def export_window(plan: ExperimentPlan) -> SampleBuffer:
 
 
 def _window_rows(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, start: int,
-                 stop: int, work: _KernelBuffers):
+                 stop: int):
     """Windows start .. stop-1 of one batch as (first, windows) per sub-block:
     windows start + first on, each the samples it has alone, an (n, K) view
-    that the next step overwrites. H1's AM synthesis borrows work.half, of
-    at least min(ROWS, stop - start) rows."""
+    that the next step overwrites."""
     indices = np.arange(start, stop, dtype=np.uint64)
     if kind == "noise":
         stream = STREAM_NOISE_FIT if batch == 0 else STREAM_H0_TRIAL
@@ -279,7 +278,9 @@ def _window_rows(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, st
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     count, draws = states.shape[:2]  # per window: (noise,) or (signal, noise) draws
-    normals = np.empty((draws, min(ROWS, count), plan.scd_cfg.window_length_k))
+    rows, k = min(ROWS, count), plan.scd_cfg.window_length_k
+    normals = np.empty((draws, rows, k))
+    spectra = np.empty((rows, k // 2 + 1), np.complex128) if kind == "h1" else None  # AM's rfft
     for first in range(0, count, ROWS):
         sub = states[first:first + ROWS].swapaxes(0, 1)  # (draw, window, word)
         n = sub.shape[1]
@@ -288,7 +289,7 @@ def _window_rows(plan: ExperimentPlan, kind: str, snr_index: int, batch: int, st
                 _generator(words).standard_normal(row.size, out=row)
         windows = normals[-1, :n]  # NOISE_VARIANCE is 1: the draws are the noise
         if kind == "h1":
-            signal = _am_rows(plan.signal_spec, normals[0, :n], work.half[:n])
+            signal = _am_rows(plan.signal_spec, normals[0, :n], spectra[:n])
             windows = _mix_rows(signal, windows, plan.snr_db_list[snr_index])
         yield first, windows
 
@@ -300,7 +301,7 @@ def _block_task(args: tuple) -> np.ndarray:
     cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
     work = _KernelBuffers(min(ROWS, stop - start), cfg)
     statistics = np.empty(stop - start)
-    for first, windows in _window_rows(plan, kind, snr_index, batch, start, stop, work):
+    for first, windows in _window_rows(plan, kind, snr_index, batch, start, stop):
         statistics[first:first + len(windows)] = _maxima(windows, work)[:, 0]
     bad = statistics[~np.isfinite(statistics)]
     if bad.size:  # a nan would silently count as unoccupied
@@ -362,24 +363,28 @@ class WindowRecord:
     h1: np.ndarray
 
 
-def run_windows(plan: ExperimentPlan, jobs: int = 1) -> WindowRecord:
-    """All windows of the plan in one _run call on jobs worker processes, so
-    that no batch waits for the last."""
+def _batches(plan: ExperimentPlan, jobs: int, noise: tuple) -> list[np.ndarray]:
+    """Read-only statistics of the plan's noise batches (L,), 0 the noise-fit
+    and 1 the H0 one, then of its H1 batches (snrs, 2, M), from one _run call."""
     n, m, snrs = plan.noise_windows_l, plan.signal_windows_m, len(plan.snr_db_list)
-    tasks = _blocks(plan, "noise", 0, 0, n) + _blocks(plan, "noise", 0, 1, n) + [
-        task for s in range(snrs) for batch in (0, 1) for task in _blocks(plan, "h1", s, batch, m)]
-    statistics = _run(tasks, jobs)
-    statistics.setflags(write=False)  # the record's arrays are read-only views
-    return WindowRecord(statistics[:n], statistics[n:2 * n],
-                        statistics[2 * n:].reshape(snrs, 2, m))
+    tasks = [task for batch in noise for task in _blocks(plan, "noise", 0, batch, n)]
+    statistics = _run(tasks + [task for s in range(snrs) for batch in (0, 1)
+                               for task in _blocks(plan, "h1", s, batch, m)], jobs)
+    statistics.setflags(write=False)
+    *noise_batches, h1 = np.split(statistics, [n, 2 * n][:len(noise)])
+    return [*noise_batches, h1.reshape(snrs, 2, m)]
 
 
-def exceedances(record: WindowRecord, params: GevParams, pf_grid) -> tuple[np.ndarray, ...]:
-    """Thresholds (P,) at the preset pfs under params, and the counts of H0 (P,)
-    and H1 (snrs, 2, P) windows strictly above each: a tie decides unoccupied."""
+def run_windows(plan: ExperimentPlan, jobs: int = 1) -> WindowRecord:
+    """All windows of the plan in one _run call on jobs workers, so no batch waits for the last."""
+    return WindowRecord(*_batches(plan, jobs, (0, 1)))
+
+
+def exceedances(h0, h1, params: GevParams, pf_grid) -> tuple[np.ndarray, ...]:
+    """Thresholds (P,) at the preset pfs under params, and the counts of H0 (L,)
+    and H1 (..., M) statistics above each, (P,) and (..., P): a tie is unoccupied."""
     thresholds = np.array([threshold_for_pf(pf, params) for pf in pf_grid])
-    h0, h1 = (np.count_nonzero(batch[..., None] > thresholds, axis=-2)
-              for batch in (record.h0, record.h1))
+    h0, h1 = (np.count_nonzero(batch[..., None] > thresholds, axis=-2) for batch in (h0, h1))
     return thresholds, h0, h1
 
 
@@ -393,10 +398,10 @@ def run_roc(plan: ExperimentPlan, noise_fit: FitReport,
     detection rate, while the empirical curve pairs a measured false-alarm
     rate (fresh noise windows) with a detection rate measured on an
     independent signal batch at the same threshold, each the exceedances
-    count of run_windows over its batch size. The windows run on jobs worker
-    processes, at most one per CPU, or in this process for jobs=1.
+    count of its batch over the batch size. Only the H0 and H1 windows run,
+    on jobs worker processes, at most one per CPU, or in this process for jobs=1.
     """
-    _, h0, h1 = exceedances(run_windows(plan, jobs), noise_fit.params, plan.pf_grid)
+    _, h0, h1 = exceedances(*_batches(plan, jobs, (1,)), noise_fit.params, plan.pf_grid)
     pf_empirical, pd = (h0 / plan.noise_windows_l).tolist(), (h1 / plan.signal_windows_m).tolist()
     return [(RocCurve(tuple(zip(plan.pf_grid, pd_theory)), snr_db),
              RocCurve(tuple(zip(pf_empirical, pd_empirical)), snr_db))

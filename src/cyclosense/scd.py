@@ -190,8 +190,8 @@ def snap_alpha_to_even_bin(alpha_hz: float, sample_rate_hz: float, window_length
     return 2 * int(round(_real("alpha_hz * window_length_k / sample_rate_hz", bins) / 2.0))
 
 
-def _smoothed(column: np.ndarray, smoothing_length: int, sums: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _smoothed(column: np.ndarray, smoothing_length: int, sums: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
     """Centered moving average along the last axis with fixed 1/smoothing_length
     normalization.
 
@@ -201,12 +201,10 @@ def _smoothed(column: np.ndarray, smoothing_length: int, sums: np.ndarray | None
     edges. Window sums are differences of the column's running sum, which
     goes to sums (column itself to sum in place); out must not be sums.
     """
-    sums = np.cumsum(column, axis=-1, out=sums)
+    np.cumsum(column, axis=-1, out=sums)
     n, lead = sums.shape[-1], smoothing_length // 2
     # cell j: sums[min(j + lead, n - 1)], minus sums[j - lead - 1] from j = lead + 1
     first_lower, last_inner = min(lead + 1, n), max(n - lead, 0)
-    if out is None:
-        out = np.empty_like(sums)
     out[..., :last_inner] = sums[..., lead:]
     out[..., last_inner:] = sums[..., n - 1:]
     out[..., first_lower:] -= sums[..., :n - first_lower]

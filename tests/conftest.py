@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import cyclosense as cs
 from cyclosense import harness
-from cyclosense.harness import WindowRecord, exceedances
+from cyclosense.harness import exceedances
 
 
 @pytest.fixture(scope="session")
@@ -74,15 +74,15 @@ def rng():
 
 @pytest.fixture
 def counts_above(monkeypatch):
-    """counts_above(statistics, thresholds): exceedances' H0 counts for a
-    record whose every batch holds the statistics, with the pf grid standing
-    in for the thresholds; the H1 counts of both batches must match them."""
+    """counts_above(statistics, thresholds): exceedances' H0 counts when the
+    H0 batch and both H1 batches of one SNR hold the statistics, with the pf
+    grid standing in for the thresholds; the H1 counts must match them."""
     monkeypatch.setattr(harness, "threshold_for_pf", lambda pf, params: pf)
 
     def counts(statistics, thresholds):
         batch = np.asarray(statistics, dtype=np.float64)
-        record = WindowRecord(batch, batch, np.stack([batch, batch])[None])
-        found, h0, h1 = exceedances(record, cs.GevParams(0.0, 0.09, 0.04), thresholds)
+        found, h0, h1 = exceedances(batch, np.stack([batch, batch])[None],
+                                    cs.GevParams(0.0, 0.09, 0.04), thresholds)
         assert found.tolist() == list(thresholds)
         assert h1.tolist() == [[h0.tolist()] * 2]
         return h0.tolist()

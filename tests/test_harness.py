@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import cyclosense as cs
 from cyclosense import harness, io
 from cyclosense.cli import main
-from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT, WindowRecord,
+from cyclosense.harness import (STREAM_H0_TRIAL, STREAM_H1_TRIAL, STREAM_NOISE_FIT,
                                 _block_task, _derived_seeds, _generator, _pcg64_states,
                                 _statistic_task, derived_seed, exceedances)
 
@@ -338,13 +338,32 @@ class TestRunRoc:
         record = harness.run_windows(mini_plan)
         assert not record.h1.flags.writeable
         fit = cs.fit_gev_mle(record.fit)
-        _, h0, h1 = harness.exceedances(record, fit.params, mini_plan.pf_grid)
+        _, h0, h1 = harness.exceedances(record.h0, record.h1, fit.params, mini_plan.pf_grid)
         pf_empirical = [float(c) / mini_plan.noise_windows_l for c in h0]
         for (theoretical, empirical), (theory, signal) in zip(curves, h1):
             pd_theory, pd_empirical = ([float(c) / mini_plan.signal_windows_m for c in batch]
                                        for batch in (theory, signal))
             assert theoretical.points == tuple(zip(mini_plan.pf_grid, pd_theory))
             assert empirical.points == tuple(zip(pf_empirical, pd_empirical))
+
+    def test_runs_the_h0_and_h1_blocks_of_run_windows_and_no_noise_fit_block(
+            self, curves, mini_plan, monkeypatch):
+        fit = cs.fit_gev_mle(cs.collect_noise_profile(mini_plan))
+        logged, run = [], harness._run
+
+        def logging(tasks, jobs):
+            logged.append(list(tasks))
+            return run(tasks, jobs)
+
+        monkeypatch.setattr(harness, "_run", logging)
+        roc = cs.run_roc(mini_plan, fit)
+        harness.run_windows(mini_plan)
+        roc_tasks, window_tasks = logged
+        fit_block = (mini_plan, "noise", 0, 0)
+        assert all(task[:4] != fit_block for task in roc_tasks)
+        assert roc_tasks == [task for task in window_tasks if task[:4] != fit_block]
+        # the curves of test_rates_are_exceedance_counts_over_batch_sizes
+        assert roc == curves
 
     def test_theoretical_pf_coordinates_are_presets(self, curves, mini_plan):
         for theoretical, _ in curves:
@@ -458,15 +477,14 @@ class TestExceedances:
 
     def test_counts_per_snr_batch_and_pf(self):
         rng = np.random.default_rng(8)
-        record = WindowRecord(rng.gumbel(0.09, 0.04, 50), rng.gumbel(0.09, 0.04, 60),
-                              rng.gumbel(0.12, 0.04, (3, 2, 40)))
+        h0_batch, h1_batch = rng.gumbel(0.09, 0.04, 60), rng.gumbel(0.12, 0.04, (3, 2, 40))
         model, pfs = cs.GevParams(0.0, 0.09, 0.04), (0.01, 0.1, 0.3, 0.5)
-        thresholds, h0, h1 = exceedances(record, model, pfs)
+        thresholds, h0, h1 = exceedances(h0_batch, h1_batch, model, pfs)
         assert thresholds.tolist() == [cs.threshold_for_pf(pf, model) for pf in pfs]
         assert h0.shape == (4,) and h1.shape == (3, 2, 4)  # (snr, batch, pf)
-        assert h0.tolist() == [sum(t > lam for t in record.h0) for lam in thresholds]
+        assert h0.tolist() == [sum(t > lam for t in h0_batch) for lam in thresholds]
         for snr, batch in np.ndindex(3, 2):
-            assert h1[snr, batch].tolist() == [sum(t > lam for t in record.h1[snr, batch])
+            assert h1[snr, batch].tolist() == [sum(t > lam for t in h1_batch[snr, batch])
                                                for lam in thresholds]
 
 
@@ -544,7 +562,8 @@ class TestWindowSource:
     """harness._window_rows, the one window source: a reduction written over
     its windows gets _block_task's statistics bit for bit without writing
     them, and the same windows reduced a second time, without a copy, get
-    those of another plan."""
+    those of another plan. The source takes no consumer's buffers, so a
+    kernel of any row count reduces its windows."""
 
     # (kind, snr_index, batch, start, stop) of the desk plan: a noise-fit and an
     # H0 block, H1 blocks at -15 and 0 dB, 7 windows (a short last sub-block)
@@ -563,7 +582,7 @@ class TestWindowSource:
         plan = cs.desk_plan()
         work = self.buffers(plan, block)
         statistics = np.empty(block[4] - block[3])
-        for first, windows in harness._window_rows(plan, *block, work):
+        for first, windows in harness._window_rows(plan, *block):
             before = windows.tobytes()
             statistics[first:first + len(windows)] = cs.scd._maxima(windows, work)[:, 0]
             assert windows.tobytes() == before  # the kernel only reads its input
@@ -575,11 +594,20 @@ class TestWindowSource:
         other = replace(plan, scd_cfg=replace(plan.scd_cfg, smoothing_length=301))
         work, other_work = self.buffers(plan, block), self.buffers(other, block)
         first_pass, second_pass = [], []
-        for _, windows in harness._window_rows(plan, *block, work):
+        for _, windows in harness._window_rows(plan, *block):
             first_pass.append(cs.scd._maxima(windows, work)[:, 0])
             second_pass.append(cs.scd._maxima(windows, other_work)[:, 0])
         assert np.concatenate(first_pass).tobytes() == _block_task((plan, *block)).tobytes()
         assert np.concatenate(second_pass).tobytes() == _block_task((other, *block)).tobytes()
+
+    @pytest.mark.parametrize("block", [b for b in BLOCKS if b[0] == "h1"])
+    def test_a_one_row_kernel_reduces_an_h1_block(self, block):
+        plan = cs.desk_plan()
+        cfg = replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,))
+        work = cs.scd._KernelBuffers(1, cfg)
+        statistics = [cs.scd._maxima(window[None], work)[0, 0]
+                      for _, windows in harness._window_rows(plan, *block) for window in windows]
+        assert np.array(statistics).tobytes() == _block_task((plan, *block)).tobytes()
 
 
 class TestH1Statistics:
