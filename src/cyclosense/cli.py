@@ -116,8 +116,6 @@ def _fit_noise_model(out: Path, samples, bins: int | None = None) -> FitReport:
     and fit.json, also when the fit did not converge (reported on stderr)."""
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples, got {len(samples)}")
-    if bins is not None and not 1 <= bins <= len(samples):
-        raise ValueError(f"bins must lie in 1 .. {len(samples)}, the sample count, got {bins}")
     report = fit_gev_mle(samples)
     io.write_histogram_csv(out / "histogram.csv", samples, bins)
     io.write_fit_json(out / "fit.json", report)

@@ -211,13 +211,15 @@ def read_fit_json(path: str | Path) -> FitReport:
 def write_histogram_csv(path: str | Path, samples, bins: int | None = None) -> Path:
     """Density histogram of the samples, bins defaulting to the Sturges count:
     bin_lo,bin_hi,count,density. The samples pass the one sample-vector check:
-    real, finite, nonempty and 1-D; bins, an integer of at least 1."""
+    real, finite, nonempty and 1-D; bins, an integer in 1 .. len(samples)."""
     x = _samples(samples)
     bins = int(np.ceil(np.log2(x.size))) + 1 if bins is None else _integer("bins", bins, 1)
+    if bins > x.size:
+        raise ValueError(f"bins must lie in 1 .. {x.size}, the sample count, got {bins}")
     counts, edges = np.histogram(x, bins=bins)
     total = int(counts.sum())
     return _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], (
-        [_fmt(lo), _fmt(hi), int(count), _fmt(count / (total * (hi - lo)) if hi > lo else 0.0)]
+        [_fmt(lo), _fmt(hi), int(count), _fmt(count / (total * (hi - lo)))]
         for lo, hi, count in zip(edges[:-1], edges[1:], counts)))
 
 
@@ -230,7 +232,8 @@ def write_roc_csv(path: str | Path, plan: ExperimentPlan, thresholds, h0_counts,
               "trials"]
     return _write_csv(path, header, (
         [_fmt(pf), _fmt(h0 / noise), _fmt(h1_t / trials), _fmt(h1_e / trials), _fmt(lam), trials]
-        for pf, lam, h0, h1_t, h1_e in zip(plan.pf_grid, thresholds, h0_counts, *h1_counts)))
+        for pf, lam, h0, h1_t, h1_e in zip(plan.pf_grid, thresholds, h0_counts, *h1_counts,
+                                              strict=True)))
 
 
 def _scd_dict(cfg: ScdConfig) -> dict:

@@ -475,6 +475,11 @@ class TestExceedances:
         statistics = [noise_statistic(s) for s in range(20)]
         assert counts_above(statistics, [-np.inf]) == [20]
 
+    def test_zero_window_is_unoccupied(self, counts_above):
+        statistic = cs.alpha_maxima(np.zeros(K), cs.ScdConfig(K, 301, (A0,)))[0]
+        assert statistic == 0.0
+        assert counts_above([statistic], [1e-6]) == [0]
+
     def test_counts_per_snr_batch_and_pf(self):
         rng = np.random.default_rng(8)
         h0_batch, h1_batch = rng.gumbel(0.09, 0.04, 60), rng.gumbel(0.12, 0.04, (3, 2, 40))
@@ -486,6 +491,36 @@ class TestExceedances:
         for snr, batch in np.ndindex(3, 2):
             assert h1[snr, batch].tolist() == [sum(t > lam for t in h1_batch[snr, batch])
                                                for lam in thresholds]
+
+
+class TestFittedThresholds:
+    """Window statistics against the thresholds of a mini_plan noise fit."""
+
+    @pytest.fixture(scope="class")
+    def noise_fit(self, mini_plan):
+        return cs.fit_gev_mle(cs.collect_noise_profile(mini_plan))
+
+    @staticmethod
+    def statistic(plan, samples):
+        return cs.alpha_maxima(samples, replace(plan.scd_cfg, alpha_grid=(plan.alpha0_bin,)))[0]
+
+    def test_strong_am_detected_at_one_percent_pf(self, mini_plan, noise_fit):
+        threshold = cs.threshold_for_pf(0.01, noise_fit.params)
+        spec = cs.SignalSpec(1.0e6, 1.0e4, FS, K)
+        trials = 200
+        hits = 0
+        for i in range(trials):
+            noise = cs.SampleBuffer(np.random.default_rng(2000 + i).standard_normal(K), FS)
+            mixed = cs.mix_at_snr(cs.generate_am(spec, seed=1000 + i), noise, 0.0)
+            hits += self.statistic(mini_plan, mixed.samples) > threshold
+        assert hits >= 0.99 * trials
+
+    def test_noise_only_false_alarm_rate_tracks_preset(self, mini_plan, noise_fit):
+        threshold = cs.threshold_for_pf(0.2, noise_fit.params)
+        trials = 300
+        hits = sum(self.statistic(mini_plan, np.random.default_rng(5000 + i).standard_normal(K))
+                   > threshold for i in range(trials))
+        assert abs(hits / trials - 0.2) <= 3.0 * np.sqrt(0.2 * 0.8 / trials)
 
 
 class TestRocCurveInvariants:

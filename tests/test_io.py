@@ -170,6 +170,12 @@ class TestHistogramCsv:
         path = io.write_histogram_csv(tmp_path / "h.csv", np.arange(8.0), bins)
         assert len(path.read_text().splitlines()) == 1 + rows
 
+    def test_bins_may_not_exceed_the_sample_count(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^bins must lie in 1 \.\. 8, the sample count, "
+                                             r"got 9$"):
+            io.write_histogram_csv(tmp_path / "h.csv", np.arange(8.0), 9)
+        assert not (tmp_path / "h.csv").exists()
+
 
 class TestRocCsv:
     def test_format_and_precision(self, tmp_path, mini_plan):
@@ -187,6 +193,12 @@ class TestRocCsv:
         assert first[5] == "999"
         assert lines[1:] == ["0.01,0.012,0.777777778,0.74974975,0.123456789,999",
                              "0.5,0.498,0.998998999,1,0.05,999"]
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        # three thresholds for the desk plan's seven pf presets
+        with pytest.raises(ValueError, match="shorter"):
+            io.write_roc_csv(tmp_path / "roc.csv", cs.desk_plan(), [1.0, 2.0, 3.0], np.arange(7),
+                             np.zeros((2, 7), int))
 
 
 class TestPlanJson:

@@ -538,6 +538,11 @@ class TestAlphaMaxima:
         alone = [cs.alpha_maxima(buf.samples, replace(cfg, alpha_grid=(a,))) for a in self.BINS]
         assert cs.alpha_maxima(buf.samples, cfg).tobytes() == np.concatenate(alone).tobytes()
 
+    def test_two_calls_on_one_window_agree(self):
+        samples = noise_window(1024, seed=4).samples
+        cfg = cs.ScdConfig(1024, 301, self.BINS)
+        assert cs.alpha_maxima(samples, cfg).tobytes() == cs.alpha_maxima(samples, cfg).tobytes()
+
     @pytest.mark.parametrize("alpha", [3, 1024, -1026])
     def test_rejects_invalid_bins(self, alpha):
         with pytest.raises(ValueError, match="not an even offset"):
